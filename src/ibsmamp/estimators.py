@@ -470,16 +470,18 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
                         stop_reason=stop_reason, meter=meter)
 
 
-def _solve_shifted(A: LinearOperator, v_scale: float, sigma2: float,
-                   z: np.ndarray) -> np.ndarray:
-    """(v_scale A A^H + sigma2 I)^{-1} z using the operator's structure."""
+def _shifted_solver(A: LinearOperator):
+    """solve(v_scale, sigma2, z) = (v_scale A A^H + sigma2 I)^{-1} z using the
+    operator's structure; a dense Gram is formed once, here, not per solve."""
     if isinstance(A, DiagonalOperator):
-        return z / (v_scale * np.abs(A.weights) ** 2 + sigma2)
+        lam = np.abs(A.weights) ** 2
+        return lambda v_scale, sigma2, z: z / (v_scale * lam + sigma2)
     if isinstance(A, CirculantOperator):
-        return A.solve_shifted(v_scale, sigma2, z)
+        return A.solve_shifted
     dense = materialize_dense(A)
-    gram = v_scale * (dense @ dense.conj().T) + sigma2 * np.eye(A.rows)
-    return np.linalg.solve(gram, z)
+    gram = dense @ dense.conj().T
+    eye = np.eye(A.rows)
+    return lambda v_scale, sigma2, z: np.linalg.solve(v_scale * gram + sigma2 * eye, z)
 
 
 def run_cd_oamp(instance: SystemInstance, prior,
@@ -493,6 +495,7 @@ def run_cd_oamp(instance: SystemInstance, prior,
     A, Xi, y = instance.A, instance.Xi, instance.y
     n = Xi.cols
     lam = gram_eigenvalues(A)
+    solve_shifted = _shifted_solver(A)
     sigma2 = instance.noise_var
     meter = CostMeter()
 
@@ -505,7 +508,7 @@ def run_cd_oamp(instance: SystemInstance, prior,
     stop_reason = "max-iters"
     for t in range(1, cfg.max_iters + 1):
         resid = y - A.apply(Xi.apply(s_msg))
-        z = _solve_shifted(A, v_t, sigma2, resid)
+        z = solve_shifted(v_t, sigma2, resid)
         lifted = Xi.apply_adjoint(A.apply_adjoint(z))
         eta = (v_t / n) * float(np.sum(lam / (v_t * lam + sigma2)))
         r = s_msg + (v_t / eta) * lifted
@@ -535,7 +538,7 @@ def run_cd_oamp(instance: SystemInstance, prior,
 
 def lmmse_estimate_gaussian(instance: SystemInstance, sigma_s2: float) -> np.ndarray:
     """Closed-form LMMSE posterior mean for a pure Gaussian CN(0, sigma_s2) source."""
-    z = _solve_shifted(instance.A, sigma_s2, instance.noise_var, instance.y)
+    z = _shifted_solver(instance.A)(sigma_s2, instance.noise_var, instance.y)
     return sigma_s2 * instance.Xi.apply_adjoint(instance.A.apply_adjoint(z))
 
 

@@ -2,7 +2,10 @@
 
 An operator is a (rows, cols, forward, adjoint) quadruple acting on 1-d
 complex vectors.  Operators are immutable after construction, so a single
-instance can be shared freely across threads and trials.
+instance can be shared freely across threads and trials.  Each instance may
+also carry a private memo of values derived from it (its Gram spectrum, say);
+an entry is a pure function of the operator and its key, so sharing it is as
+safe as sharing the operator.
 """
 
 from __future__ import annotations
@@ -22,17 +25,30 @@ def _freeze(obj, **fields):
         object.__setattr__(obj, name, value)
 
 
+def _memoized(op: LinearOperator, key: tuple, compute: Callable[[], object]):
+    """op's memo entry for key, from compute() on the first request.
+
+    Two threads may both compute a missing entry; setdefault keeps the
+    first, so every caller gets the same object.
+    """
+    try:
+        return op._memo[key]
+    except KeyError:
+        return op._memo.setdefault(key, compute())
+
+
 class LinearOperator:
     """Immutable matrix-free linear map C^cols -> C^rows."""
 
-    __slots__ = ("rows", "cols", "_fwd", "_adj")
+    __slots__ = ("rows", "cols", "_fwd", "_adj", "_memo")
 
     def __init__(self, rows: int, cols: int,
                  forward: Callable[[np.ndarray], np.ndarray],
                  adjoint: Callable[[np.ndarray], np.ndarray]):
         if rows < 1 or cols < 1:
             raise ValueError(f"operator shape ({rows}, {cols}) must be positive")
-        _freeze(self, rows=int(rows), cols=int(cols), _fwd=forward, _adj=adjoint)
+        _freeze(self, rows=int(rows), cols=int(cols), _fwd=forward, _adj=adjoint,
+                _memo={})
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearOperator is immutable")

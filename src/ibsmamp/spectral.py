@@ -10,6 +10,10 @@ B = lambda_dagger I - G with lambda_dagger = (lambda_min + lambda_max) / 2:
 Diagonal and circulant operators expose their spectrum exactly; other
 operators are eigendecomposed densely up to a size cap and estimated with
 Rademacher trace probes beyond it.
+
+The spectrum and each profile are computed once per operator: they are
+kept in the operator's private memo, keyed by the arguments they depend
+on, and their arrays are read-only because every later caller shares them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DiagonalOperator, LinearOperator, materialize_dense
+from .operators import DiagonalOperator, LinearOperator, _memoized, materialize_dense
 from .rng import generator
 from .scenarios import CirculantOperator
 
@@ -58,16 +62,31 @@ class SpectralProfile:
         return float(self.w[0] * self.dim)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
 def _exact_eigenvalues(A: LinearOperator, dense_cap: int) -> np.ndarray | None:
-    """Eigenvalues of A A^H when they are cheap to get exactly, else None."""
+    """Eigenvalues of A A^H when they are cheap to get exactly, else None.
+
+    Computed once per (operator, dense_cap) and returned read-only.
+    """
+    return _memoized(A, ("eigenvalues", dense_cap), lambda: _eigenvalues(A, dense_cap))
+
+
+def _eigenvalues(A: LinearOperator, dense_cap: int) -> np.ndarray | None:
     if isinstance(A, DiagonalOperator):
-        return np.abs(A.weights) ** 2
-    if isinstance(A, CirculantOperator):
-        return np.abs(A.freq_response) ** 2
-    if max(A.rows, A.cols) <= dense_cap:
+        lam = np.abs(A.weights) ** 2
+    elif isinstance(A, CirculantOperator):
+        lam = np.abs(A.freq_response) ** 2
+    elif max(A.rows, A.cols) <= dense_cap:
         dense = materialize_dense(A, limit=dense_cap)
-        return np.linalg.eigvalsh(dense @ dense.conj().T)
-    return None
+        lam = np.linalg.eigvalsh(dense @ dense.conj().T)
+    else:
+        return None
+    _read_only(lam)
+    return lam
 
 
 def gram_eigenvalues(A: LinearOperator, dense_cap: int = DENSE_EIGEN_CAP) -> np.ndarray:
@@ -153,7 +172,19 @@ def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
 def spectral_profile(A: LinearOperator, depth: int, dim: int | None = None,
                      dense_cap: int = DENSE_EIGEN_CAP, probes: int = _PROBES,
                      seed: int = 0) -> SpectralProfile:
-    """Bundle eigen bounds and trace moments for the estimator."""
+    """Bundle eigen bounds and trace moments for the estimator.
+
+    Computed once per operator and argument tuple: a repeated call returns
+    the same profile, whose arrays are read-only.
+    """
+    if dim is None:
+        dim = A.rows
+    return _memoized(A, ("profile", depth, dim, dense_cap, probes, seed),
+                     lambda: _profile(A, depth, dim, dense_cap, probes, seed))
+
+
+def _profile(A: LinearOperator, depth: int, dim: int, dense_cap: int, probes: int,
+             seed: int) -> SpectralProfile:
     lam_min, lam_max = eigen_bounds(A, dense_cap=dense_cap, seed=seed)
     lam_dag = 0.5 * (lam_min + lam_max)
     scale = 1.0 / lam_dag if lam_dag > 0 else 1.0
@@ -166,7 +197,7 @@ def spectral_profile(A: LinearOperator, depth: int, dim: int | None = None,
         unscale = (1.0 / scale) ** np.arange(depth + 1)
         w = w_scaled * unscale
         b = b_scaled * unscale
+    _read_only(w, b, w_scaled, b_scaled)
     return SpectralProfile(lambda_min=lam_min, lambda_max=lam_max, lambda_dagger=lam_dag,
                            w=w, b=b, w_scaled=w_scaled, b_scaled=b_scaled,
-                           dim=dim if dim is not None else A.rows,
-                           stochastic=stochastic)
+                           dim=dim, stochastic=stochastic)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ibsmamp import estimators, operators, spectral
 from ibsmamp.denoisers import DenoiserResult
 from ibsmamp.errors import NormalizationError
 from ibsmamp.estimators import (EstimatorRun, MampConfig, MampState,
@@ -16,8 +17,9 @@ from ibsmamp.ibs import IbsSpec, build_ibs_transform
 from ibsmamp.kernels import fft_operator
 from ibsmamp.operators import DiagonalOperator, materialize_dense
 from ibsmamp.rng import generator
-from ibsmamp.scenarios import (BernoulliGaussianPrior, gen_sensing_diagonal,
-                               mse, simulate_observation)
+from ibsmamp.scenarios import (BernoulliGaussianPrior, QpskPrior,
+                               doppler_preset_4ghz_100kmh_15khz, gen_multipath_channel,
+                               gen_sensing_diagonal, mse, simulate_observation)
 from ibsmamp.spectral import spectral_profile
 
 
@@ -340,6 +342,30 @@ def test_oamp_first_iteration_is_the_closed_form_lmmse_estimate():
     run = run_cd_oamp(instance, prior, MampConfig(max_iters=1))
     want = lmmse_estimate_gaussian(instance, 1.0)
     assert np.max(np.abs(run.s_hat - want)) < 1e-12
+
+
+def test_oamp_materializes_a_dense_channel_a_fixed_number_of_times(monkeypatch):
+    # A Doppler channel has no structured solve: its Gram is formed densely
+    # once per run (and once for the memoized spectrum), not per iteration.
+    calls = []
+
+    def counting(op, *args, **kwargs):
+        calls.append(op)
+        return operators.materialize_dense(op, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "materialize_dense", counting)
+    monkeypatch.setattr(spectral, "materialize_dense", counting)
+    n = 32
+    A = gen_multipath_channel(n, 3, doppler_preset_4ghz_100kmh_15khz(), seed=4).operator()
+    Xi = build_ibs_transform(IbsSpec(n=n, n_s=8, m=n, variant="BW_IBS",
+                                     direction="kernel-adjoint", whole_seed=4))
+    prior = QpskPrior()
+    instance = simulate_observation(A, Xi, prior.sample(n, generator(4, 2)), 6.0, seed=4)
+    run = run_cd_oamp(instance, prior, MampConfig(max_iters=8, stop_tolerance=1e-300,
+                                                  stop_on_stall=False))
+    assert len(run.points) == 8
+    assert len(calls) <= 2
+    assert all(op is A for op in calls)
 
 
 def test_gaussian_estimators_reach_the_lmmse_error():

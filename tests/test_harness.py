@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ibsmamp import operators, spectral
 from ibsmamp.cli import main
 from ibsmamp.denoisers import denoise_bernoulli_gaussian
 from ibsmamp.errors import ConfigurationError, UnsupportedMetricError
@@ -14,6 +15,7 @@ from ibsmamp.harness import (CS_SUMMARY_COLUMNS, SCHEMA_VERSION,
                              load_config, run_cs_mse, run_experiment,
                              run_ifdm_ber, write_csv)
 from ibsmamp.rng import raw_words
+from ibsmamp.scenarios import doppler_preset_4ghz_100kmh_15khz
 from ibsmamp.selftest import check_nle_orthogonality, run_selftest
 
 SMALL_CS = dict(trials=2, n=256, n_s=32, kappa=4.0, snr_db=25.0,
@@ -162,6 +164,23 @@ def test_ber_rows_and_summary_shape():
         assert abs(mean_ber - np.mean(matching)) < 1e-15
         assert symbols == cfg.n * cfg.trials
         assert 0.0 <= mean_ber <= 1.0
+
+
+def test_doppler_ber_trial_materializes_its_channel_once(monkeypatch):
+    # One channel, three schemes, two SNRs: six estimator runs share one
+    # dense spectrum of the time-varying channel.
+    calls = []
+
+    def counting(op, *args, **kwargs):
+        calls.append(op)
+        return operators.materialize_dense(op, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "materialize_dense", counting)
+    cfg = IfdmBerConfig(trials=1, n=128, n_s_list=(16,), snr_db_list=(6.0, 10.0),
+                        doppler_spread=doppler_preset_4ghz_100kmh_15khz(), max_iters=8)
+    rows, _ = run_ifdm_ber(cfg)
+    assert len(rows) == 6
+    assert len(calls) == 1
 
 
 def test_ber_is_zero_without_noise():

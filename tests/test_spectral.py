@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ibsmamp.operators import DiagonalOperator, LinearOperator
-from ibsmamp.scenarios import CirculantOperator, gen_sensing_diagonal
+from ibsmamp.scenarios import (CirculantOperator, doppler_preset_4ghz_100kmh_15khz,
+                               gen_multipath_channel, gen_sensing_diagonal)
 from ibsmamp.spectral import (eigen_bounds, gram_eigenvalues, spectral_profile,
                               trace_moments)
 
@@ -131,3 +132,42 @@ def test_profile_dim_renormalization():
     assert np.allclose(half.w, np.asarray(full.w) / 2.0)
     assert half.dim == 4
     assert abs(half.trace_gram - full.trace_gram) < 1e-12
+
+
+def doppler_channel(n=32, seed=5):
+    """A small time-varying channel: its spectrum takes the dense path."""
+    return gen_multipath_channel(n, 3, doppler_preset_4ghz_100kmh_15khz(),
+                                 seed=seed).operator()
+
+
+def test_profile_is_memoized_per_operator_and_arguments():
+    A = doppler_channel()
+    profile = spectral_profile(A, depth=4)
+    assert spectral_profile(A, depth=4) is profile
+    assert spectral_profile(A, depth=4, dim=A.rows) is profile
+    deeper = spectral_profile(A, depth=7)
+    assert deeper is not profile
+    assert deeper.depth == 7
+    assert np.array_equal(deeper.w_scaled[:5], profile.w_scaled)
+    assert gram_eigenvalues(A) is gram_eigenvalues(A)
+
+
+def test_memoized_arrays_are_read_only():
+    A = doppler_channel()
+    profile = spectral_profile(A, depth=3)
+    for arr in (profile.w, profile.b, profile.w_scaled, profile.b_scaled,
+                gram_eigenvalues(A)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_memoized_profile_equals_a_fresh_computation():
+    A = doppler_channel()
+    spectral_profile(A, depth=6)
+    memoized = spectral_profile(A, depth=6)
+    fresh = spectral_profile(doppler_channel(), depth=6)
+    assert fresh is not memoized
+    for name in ("lambda_min", "lambda_max", "lambda_dagger", "dim", "stochastic"):
+        assert getattr(memoized, name) == getattr(fresh, name)
+    for name in ("w", "b", "w_scaled", "b_scaled"):
+        assert np.array_equal(getattr(memoized, name), getattr(fresh, name))
