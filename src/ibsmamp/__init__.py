@@ -4,15 +4,13 @@ from .denoisers import DenoiserResult, denoise_bernoulli_gaussian, denoise_qpsk
 from .errors import (ConfigurationError, MaterializationLimitError, NormalizationError,
                      UnsupportedMetricError)
 from .estimators import (CostMeter, EstimatorRun, MampConfig, MampState, TrajectoryPoint,
-                         damping_update, estimate_cross_covariance, lmmse_estimate_gaussian,
-                         lmmse_mse_gaussian, mle_step, nle_orthogonalize, run_cd_mamp,
-                         run_cd_oamp)
-from .ibs import (BASES, DIRECTIONS, VARIANTS, IbsOperator, IbsSpec, assemble_ibs,
-                  build_ibs_transform, build_multicarrier, relative_complexity)
-from .kernels import (OpCounter, fft_adjoint, fft_forward, fft_operator, fwht_forward,
-                      fwht_operator, is_power_of_two)
-from .operators import (DiagonalOperator, LinearOperator, PermutationOperator, adjoint,
-                        block_diag_union, compose, identity, materialize_dense, row_select)
+                         damping_update, lmmse_estimate_gaussian, lmmse_mse_gaussian,
+                         mle_step, nle_orthogonalize, run_cd_mamp, run_cd_oamp)
+from .ibs import (BASES, DIRECTIONS, VARIANTS, IbsOperator, IbsSpec, build_ibs_transform,
+                  relative_complexity)
+from .kernels import (fft_adjoint, fft_forward, fft_operator, fwht_forward, fwht_operator,
+                      is_power_of_two)
+from .operators import DiagonalOperator, LinearOperator, materialize_dense
 from .rng import Permutation, generator, make_permutation, raw_words
 from .scenarios import (BernoulliGaussianPrior, CirculantOperator, MultipathChannel,
                         QpskPrior, SensingDiagonal, SystemInstance,

@@ -38,6 +38,10 @@ of y and sees only their share of the Gram spectrum, so the error
 variance of r_t differs from block to block; the linear stage then
 estimates one variance per block from that block's residual rows, and the
 denoiser and its orthogonalization run with the block's variance.
+
+Both estimators hand one iteration at a time to a shared driver, which
+records the trajectory and applies the tolerance, stall and iteration
+stops.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from .scenarios import CirculantOperator, SystemInstance, mse, mse_db
 from .spectral import SpectralProfile, gram_eigenvalues, spectral_profile
 
 _EPS_MIN = 1e-12
+# An iteration that lowers the best mse by less than this share counts as a stall.
+_STALL_IMPROVEMENT = 0.01
 
 
 @dataclass(frozen=True)
@@ -63,14 +69,10 @@ class MampConfig:
 
     max_iters: int = 32
     damping_window: int = 3
-    # None: run_cd_mamp uses theta_t = relax / (lambda_dagger + sigma^2 / v_t)
-    theta_schedule: tuple[float, ...] | None = None
-    xi_schedule: tuple[float, ...] | None = None      # default all ones
-    relax: float = 1.0            # scales the default theta schedule
+    relax: float = 1.0            # scales run_cd_mamp's gain schedule theta_t
     variance_floor: float = 1e-13
     stop_tolerance: float = 1e-12
     stall_patience: int = 3
-    stall_improvement: float = 0.01
     stop_on_stall: bool = True
 
     def __post_init__(self):
@@ -111,10 +113,12 @@ def _transform_cost(Xi: LinearOperator) -> float:
 class MampState:
     """Mutable state of the memory linear estimator.
 
-    ``history`` holds the per-iteration estimates h_1, h_2, ... in the
+    The state keeps the per-iteration estimates h_1, h_2, ... in the
     lifted domain (transform domain for square systems, source domain for
-    wide ones), starting from the all-zero h_1.  ``residuals`` caches
-    y - forward(h_i) for each history entry.
+    wide ones), starting from the all-zero h_1, each with its cached
+    residual y - forward(h_i); ``last_candidates`` and ``last_residuals``
+    return the trailing entries.  ``meter`` counts the channel applies and
+    memory sums of ``mle_step``.
 
     Without an explicit ``theta`` the schedule is the constant
     relax / lambda_dagger; ``run_cd_mamp`` overwrites ``theta[t - 1]``
@@ -174,7 +178,7 @@ class MampState:
         self._resid[0] = y
         self._count = 1
         self.vartheta = np.zeros(0)
-        self.meter: CostMeter | None = None
+        self.meter = CostMeter()
         self.row_blocks = row_blocks
         if row_blocks is not None:
             self.block_rows = np.bincount(row_blocks)
@@ -193,14 +197,6 @@ class MampState:
     def last_residuals(self, k: int) -> list[np.ndarray]:
         start = max(self._count - k, 0)
         return [self._resid[i] for i in range(start, self._count)]
-
-    @property
-    def history(self) -> list[np.ndarray]:
-        return [self._hist[i] for i in range(self._count)]
-
-    @property
-    def residuals(self) -> list[np.ndarray]:
-        return [self._resid[i] for i in range(self._count)]
 
 
 def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -221,9 +217,8 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
         gamma = xi_t * resid
     else:
         gram = A.apply(A.apply_adjoint(state.gamma))
-        if meter is not None:
-            meter.channel_applies += 2
-            meter.channel_points += 2 * _taps_per_row(A) * A.rows
+        meter.channel_applies += 2
+        meter.channel_points += 2 * _taps_per_row(A) * A.rows
         gamma = theta_t * (state.lambda_dagger * state.gamma - gram) + xi_t * resid
     state.gamma = gamma
 
@@ -236,12 +231,10 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
             f"gain normalizer eps_gamma = {eps:.3e} degenerated at iteration {t}")
 
     lifted = state.back(A.apply_adjoint(gamma))
-    if meter is not None:
-        meter.channel_applies += 1
-        meter.channel_points += _taps_per_row(A) * A.rows
+    meter.channel_applies += 1
+    meter.channel_points += _taps_per_row(A) * A.rows
     memory = p @ state._hist[:t]
-    if meter is not None:
-        meter.vector_points += t * state.dim
+    meter.vector_points += t * state.dim
     r = (lifted + memory) / eps
 
     # state.forward is responsible for metering its own operator calls.
@@ -292,20 +285,12 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
     return s_next.reshape(r.shape), v_phi, bool(stalled.any())
 
 
-def estimate_cross_covariance(A: LinearOperator, y: np.ndarray,
-                              candidates: Sequence[np.ndarray], sigma2: float,
-                              trace_gram: float,
-                              variance_floor: float = 1e-13) -> np.ndarray:
-    """Error cross-covariance of measurement-domain candidates from their
-    residuals: V_ij = (Re<y - A c_i, y - A c_j> - M sigma2) / tr(A A^H)."""
-    residuals = [y - A.apply(c) for c in candidates]
-    return _cross_cov_from_residuals(residuals, y.shape[0], sigma2, trace_gram,
-                                     variance_floor)
-
-
 def _cross_cov_from_residuals(residuals: Sequence[np.ndarray], measure_dim: int,
                               sigma2: float, trace_gram: float,
                               variance_floor: float) -> np.ndarray:
+    """Error cross-covariance of candidates from their residuals r_i = y - A c_i:
+    V_ij = (Re<r_i, r_j> - M sigma2) / tr(A A^H), projected onto the PSD cone
+    with its diagonal floored."""
     k = len(residuals)
     V = np.empty((k, k))
     for i in range(k):
@@ -372,6 +357,41 @@ class EstimatorRun:
         return self.points[-1].mse
 
 
+def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
+             meter: CostMeter) -> EstimatorRun:
+    """Call step() once per iteration and record the trajectory.
+
+    step() returns (s_hat, v_gamma, v_phi, stalled, flags) for its
+    iteration.  The run stops after max_iters iterations, once every v_phi
+    is below the stop tolerance, or, with stop_on_stall, after
+    stall_patience iterations in a row that stalled or did not improve the
+    best mse.  s_true feeds only the reported mse and the stall stop.
+    """
+    points: list[TrajectoryPoint] = []
+    best_mse = np.inf
+    stall_run = 0
+    stop_reason = "max-iters"
+    for t in range(1, cfg.max_iters + 1):
+        s_hat, v_gamma, v_phi, stalled, flags = step()
+        cur_mse = mse(s_hat, s_true)
+        points.append(TrajectoryPoint(t=t, mse=cur_mse, mse_db=mse_db(cur_mse),
+                                      v_gamma=float(np.mean(v_gamma)),
+                                      v_phi=float(np.mean(v_phi)), flags=flags))
+        if np.max(v_phi) < cfg.stop_tolerance:
+            stop_reason = "tolerance"
+            break
+        if stalled or cur_mse > best_mse * (1.0 - _STALL_IMPROVEMENT):
+            stall_run += 1
+        else:
+            stall_run = 0
+        best_mse = min(best_mse, cur_mse)
+        if cfg.stop_on_stall and stall_run >= cfg.stall_patience:
+            stop_reason = "stall"
+            break
+    return EstimatorRun(points=tuple(points), s_hat=s_hat,
+                        stop_reason=stop_reason, meter=meter)
+
+
 def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
                 cfg: MampConfig = MampConfig()) -> EstimatorRun:
     """Full cross-domain memory AMP pipeline on one instance.
@@ -386,7 +406,6 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
     A, y = instance.A, instance.y
     n = ibs.cols
     profile = spectral_profile(A, depth=cfg.max_iters, dim=A.rows)
-    meter = CostMeter()
     xi_cost = _transform_cost(ibs)
 
     def forward(s):
@@ -408,66 +427,35 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
         # of the Gram spectrum: one error variance per block.
         row_blocks, gram_diag = ibs.row_blocks, np.abs(A.weights) ** 2
     state = MampState(profile, y, forward, back, dim=n, noise_var=instance.noise_var,
-                      theta=cfg.theta_schedule, xi=cfg.xi_schedule,
                       max_iters=cfg.max_iters, variance_floor=cfg.variance_floor,
                       relax=cfg.relax, row_blocks=row_blocks, gram_diag=gram_diag)
-    state.meter = meter
-
-    points: list[TrajectoryPoint] = []
-    s_hat = np.zeros(n, dtype=np.complex128)
-    best_mse = np.inf
-    stall_run = 0
-    stop_reason = "max-iters"
+    meter = state.meter
     v_x = prior.power
-    for t in range(1, cfg.max_iters + 1):
-        if cfg.theta_schedule is None:
-            state.theta[t - 1] = cfg.relax / (state.lambda_dagger
-                                              + instance.noise_var / v_x)
+
+    def step():
+        nonlocal v_x
+        state.theta[state.iteration] = cfg.relax / (state.lambda_dagger
+                                                    + instance.noise_var / v_x)
         r, v_gamma = mle_step(state, A, y)
         den = prior.denoise(r, np.repeat(v_gamma, n // np.size(v_gamma)))
         meter.vector_points += n
-        s_hat = den.posterior_mean
-        cur_mse = mse(s_hat, instance.s_true)
         s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma, cfg.variance_floor)
 
-        window = cfg.damping_window
-        if window > 1:
-            cands = state.last_candidates(window - 1) + [s_ext]
-            resids = state.last_residuals(window - 1) + [y - forward(s_ext)]
-        else:
-            cands = [s_ext]
-            resids = [y - forward(s_ext)]
+        cands = state.last_candidates(cfg.damping_window - 1) + [s_ext]
+        resids = state.last_residuals(cfg.damping_window - 1) + [y - forward(s_ext)]
         V = _cross_cov_from_residuals(resids, state.measure_dim, instance.noise_var,
                                       state.trace_gram, cfg.variance_floor)
         zeta, s_next = damping_update(cands, V)
         v_x = max(float(zeta @ V @ zeta), cfg.variance_floor)
-        resid_next = np.tensordot(zeta, np.vstack(resids), axes=1)
-        state.push(s_next, resid_next)
+        state.push(s_next, np.tensordot(zeta, np.vstack(resids), axes=1))
         meter.vector_points += len(cands) * n
 
-        flags = []
-        if stalled:
-            flags.append("nle-stall")
+        flags = ["nle-stall"] if stalled else []
         if np.min(v_gamma) <= cfg.variance_floor:
             flags.append("v-floor")
-        points.append(TrajectoryPoint(t=t, mse=cur_mse, mse_db=mse_db(cur_mse),
-                                      v_gamma=float(np.mean(v_gamma)),
-                                      v_phi=float(np.mean(v_phi)),
-                                      flags="|".join(flags)))
+        return den.posterior_mean, v_gamma, v_phi, stalled, "|".join(flags)
 
-        if np.max(v_phi) < cfg.stop_tolerance:
-            stop_reason = "tolerance"
-            break
-        if stalled or cur_mse > best_mse * (1.0 - cfg.stall_improvement):
-            stall_run += 1
-        else:
-            stall_run = 0
-        best_mse = min(best_mse, cur_mse)
-        if cfg.stop_on_stall and stall_run >= cfg.stall_patience:
-            stop_reason = "stall"
-            break
-    return EstimatorRun(points=tuple(points), s_hat=s_hat,
-                        stop_reason=stop_reason, meter=meter)
+    return _iterate(step, instance.s_true, cfg, meter)
 
 
 def _shifted_solver(A: LinearOperator):
@@ -497,16 +485,11 @@ def run_cd_oamp(instance: SystemInstance, prior,
     lam = gram_eigenvalues(A)
     solve_shifted = _shifted_solver(A)
     sigma2 = instance.noise_var
-    meter = CostMeter()
-
     s_msg = np.zeros(n, dtype=np.complex128)
     v_t = prior.power
-    points: list[TrajectoryPoint] = []
-    s_hat = np.zeros(n, dtype=np.complex128)
-    best_mse = np.inf
-    stall_run = 0
-    stop_reason = "max-iters"
-    for t in range(1, cfg.max_iters + 1):
+
+    def step():
+        nonlocal s_msg, v_t
         resid = y - A.apply(Xi.apply(s_msg))
         z = solve_shifted(v_t, sigma2, resid)
         lifted = Xi.apply_adjoint(A.apply_adjoint(z))
@@ -514,26 +497,10 @@ def run_cd_oamp(instance: SystemInstance, prior,
         r = s_msg + (v_t / eta) * lifted
         v_gamma = max(v_t * (1.0 - eta) / eta, cfg.variance_floor)
         den = prior.denoise(r, v_gamma)
-        s_hat = den.posterior_mean
-        cur_mse = mse(s_hat, instance.s_true)
         s_msg, v_t, stalled = nle_orthogonalize(den, r, v_gamma, cfg.variance_floor)
+        return den.posterior_mean, v_gamma, v_t, stalled, "nle-stall" if stalled else ""
 
-        flags = "nle-stall" if stalled else ""
-        points.append(TrajectoryPoint(t=t, mse=cur_mse, mse_db=mse_db(cur_mse),
-                                      v_gamma=v_gamma, v_phi=v_t, flags=flags))
-        if v_t < cfg.stop_tolerance:
-            stop_reason = "tolerance"
-            break
-        if stalled or cur_mse > best_mse * (1.0 - cfg.stall_improvement):
-            stall_run += 1
-        else:
-            stall_run = 0
-        best_mse = min(best_mse, cur_mse)
-        if cfg.stop_on_stall and stall_run >= cfg.stall_patience:
-            stop_reason = "stall"
-            break
-    return EstimatorRun(points=tuple(points), s_hat=s_hat,
-                        stop_reason=stop_reason, meter=meter)
+    return _iterate(step, instance.s_true, cfg, CostMeter())
 
 
 def lmmse_estimate_gaussian(instance: SystemInstance, sigma_s2: float) -> np.ndarray:

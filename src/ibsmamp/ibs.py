@@ -1,4 +1,4 @@
-"""Interleaved block-sparse (IBS) unitary transforms and multicarrier variants.
+"""Interleaved block-sparse (IBS) unitary transforms.
 
 An IBS transform splits a length-n vector into L = n / n_s contiguous
 blocks, runs an n_s-point unitary kernel on each block, keeps m_s = m / L
@@ -165,13 +165,6 @@ class IbsOperator(LinearOperator):
         return self._kadj(z).reshape(spec.n)
 
 
-def assemble_ibs(spec: IbsSpec,
-                 block_perms: tuple[Permutation, ...] | None,
-                 whole_perm: Permutation | None) -> IbsOperator:
-    """Assemble an IBS transform from explicit permutations (or None)."""
-    return IbsOperator(spec, block_perms, whole_perm)
-
-
 def build_ibs_transform(spec: IbsSpec) -> IbsOperator:
     """Build the IBS transform for spec, deriving permutations from its seeds.
 
@@ -209,62 +202,3 @@ def relative_complexity(n: int, n_s: int, p: int = 8) -> tuple[float, float]:
     transform_ratio = math.log(n_s) / math.log(n)
     overall_ratio = (p + 1 + 2 * math.log2(n_s)) / (p + 1 + 2 * math.log2(n))
     return transform_ratio, overall_ratio
-
-
-def _otfs_operator(n: int, doppler_bins: int) -> LinearOperator:
-    if not is_power_of_two(doppler_bins) or doppler_bins > n or n % doppler_bins != 0:
-        raise ConfigurationError(
-            f"doppler_bins={doppler_bins} must be a power of two dividing n={n}")
-    delay_bins = n // doppler_bins
-
-    def fwd(v):
-        return fft_adjoint(v.reshape(doppler_bins, delay_bins), axis=0).reshape(n)
-
-    def adj(v):
-        return fft_forward(v.reshape(doppler_bins, delay_bins), axis=0).reshape(n)
-
-    return LinearOperator(n, n, fwd, adj)
-
-
-def _afdm_operator(n: int, c1: float, c2: float) -> LinearOperator:
-    idx = np.arange(n)
-    # Lambda_c = diag(exp(-2j pi c k^2)); the transform applies the adjoints.
-    chirp1 = np.exp(2j * np.pi * c1 * idx * idx)
-    chirp2 = np.exp(2j * np.pi * c2 * idx * idx)
-
-    def fwd(v):
-        return chirp1 * fft_adjoint(chirp2 * v)
-
-    def adj(v):
-        return np.conj(chirp2) * fft_forward(np.conj(chirp1) * v)
-
-    return LinearOperator(n, n, fwd, adj)
-
-
-def build_multicarrier(kind: str, n: int, *, doppler_bins: int | None = None,
-                       c1: float = 0.0, c2: float = 0.0, seed: int = 0) -> LinearOperator:
-    """Square modulation transforms for the standard multicarrier waveforms.
-
-    kind = "OFDM": inverse unitary DFT.
-    kind = "OTFS": inverse DFT across doppler_bins groups, identity within
-        each length n/doppler_bins delay segment (inverse-DFT kron identity).
-    kind = "AFDM": chirp, inverse DFT, chirp with parameters c1, c2
-        (c1 = c2 = 0 collapses to OFDM).
-    kind = "IFDM": seeded whole interleave of the inverse unitary DFT,
-        built as the degenerate one-block IBS transform.
-    """
-    if not is_power_of_two(n):
-        raise ConfigurationError(f"n must be a power of two, got {n}")
-    if kind == "OFDM":
-        return _afdm_operator(n, 0.0, 0.0)
-    if kind == "OTFS":
-        if doppler_bins is None:
-            raise ConfigurationError("OTFS needs doppler_bins")
-        return _otfs_operator(n, doppler_bins)
-    if kind == "AFDM":
-        return _afdm_operator(n, c1, c2)
-    if kind == "IFDM":
-        return build_ibs_transform(IbsSpec(
-            n=n, n_s=n, m=n, variant="W_IBS", base="FFT",
-            direction="kernel-adjoint", whole_seed=seed))
-    raise ConfigurationError(f"unknown multicarrier kind {kind!r}")

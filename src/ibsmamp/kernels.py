@@ -26,18 +26,6 @@ def _check_size(n: int) -> None:
         raise ValueError(f"transform size must be a power of two, got {n}")
 
 
-class OpCounter:
-    """Accumulates butterfly output counts for cost-scaling assertions."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops = 0
-
-    def add(self, k: int) -> None:
-        self.ops += int(k)
-
-
 def fft_forward(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unitary DFT along the given axis: entries exp(-2j pi k n / N) / sqrt(N)."""
     _check_size(v.shape[axis])
@@ -50,12 +38,10 @@ def fft_adjoint(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.fft.ifft(v, axis=axis, norm="ortho")
 
 
-def fwht_forward(v: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
+def fwht_forward(v: np.ndarray) -> np.ndarray:
     """Unitary Walsh-Hadamard transform along the last axis.
 
-    Accepts any (..., n) array with n a power of two.  When ``counter``
-    is given, adds n butterfly outputs per stage (n log2 n total) so tests
-    can assert the n log n work scaling directly.
+    Accepts any (..., n) array with n a power of two.
     """
     n = v.shape[-1]
     _check_size(n)
@@ -69,8 +55,6 @@ def fwht_forward(v: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
         bot = a[:, :, 0, :] - a[:, :, 1, :]
         a = np.concatenate([top[:, :, None, :], bot[:, :, None, :]], axis=2)
         a = a.reshape(a.shape[0], n)
-        if counter is not None:
-            counter.add(n)
         h *= 2
     return (a / np.sqrt(n)).reshape(*lead, n)
 

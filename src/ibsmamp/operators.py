@@ -1,4 +1,4 @@
-"""Matrix-free linear operators and the combinators used to assemble transforms.
+"""Matrix-free linear operators and their dense materialization.
 
 An operator is a (rows, cols, forward, adjoint) quadruple acting on 1-d
 complex vectors.  Operators are immutable after construction, so a single
@@ -10,12 +10,11 @@ safe as sharing the operator.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import MaterializationLimitError
-from .rng import Permutation
 
 _DENSE_LIMIT = 4096
 
@@ -87,84 +86,6 @@ class DiagonalOperator(LinearOperator):
         wc = np.conj(w)
         super().__init__(w.size, w.size, lambda v: w * v, lambda v: wc * v)
         _freeze(self, weights=w)
-
-
-class PermutationOperator(LinearOperator):
-    """Square operator applying a fixed permutation: out[i] = v[indices[i]]."""
-
-    __slots__ = ("permutation",)
-
-    def __init__(self, permutation: Permutation):
-        super().__init__(permutation.size, permutation.size,
-                         permutation.apply, permutation.apply_inverse)
-        _freeze(self, permutation=permutation)
-
-
-def identity(n: int) -> LinearOperator:
-    return LinearOperator(n, n, lambda v: v.copy(), lambda v: v.copy())
-
-
-def adjoint(op: LinearOperator) -> LinearOperator:
-    """The adjoint of op as a standalone operator."""
-    return LinearOperator(op.cols, op.rows, op.apply_adjoint, op.apply)
-
-
-def compose(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
-    """Operator product outer @ inner (inner acts first)."""
-    if inner.rows != outer.cols:
-        raise ValueError(
-            f"cannot compose {outer.shape} with {inner.shape}: inner rows != outer cols")
-    return LinearOperator(
-        outer.rows, inner.cols,
-        lambda v: outer.apply(inner.apply(v)),
-        lambda v: inner.apply_adjoint(outer.apply_adjoint(v)))
-
-
-def row_select(op: LinearOperator, indices: np.ndarray) -> LinearOperator:
-    """Restrict op to the given output rows (distinct, in range).
-
-    The adjoint scatters into the selected rows and zero-fills the rest,
-    so row_select(op, idx) of a row-orthonormal op stays row-orthonormal.
-    """
-    idx = np.asarray(indices, dtype=np.int64).copy()
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("row indices must be a non-empty 1-d array")
-    if idx.min() < 0 or idx.max() >= op.rows:
-        raise ValueError(f"row indices out of range for operator with {op.rows} rows")
-    if np.unique(idx).size != idx.size:
-        raise ValueError("row indices must be distinct")
-    idx.setflags(write=False)
-    rows = op.rows
-
-    def fwd(v):
-        return op.apply(v)[idx]
-
-    def adj(v):
-        z = np.zeros(rows, dtype=np.result_type(v.dtype, np.complex128))
-        z[idx] = v
-        return op.apply_adjoint(z)
-
-    return LinearOperator(idx.size, op.cols, fwd, adj)
-
-
-def block_diag_union(ops: Sequence[LinearOperator]) -> LinearOperator:
-    """Direct sum of the given operators, acting on the concatenated segments."""
-    if not ops:
-        raise ValueError("block_diag_union needs at least one operator")
-    ops = tuple(ops)
-    col_splits = np.cumsum([op.cols for op in ops])[:-1]
-    row_splits = np.cumsum([op.rows for op in ops])[:-1]
-    rows = sum(op.rows for op in ops)
-    cols = sum(op.cols for op in ops)
-
-    def fwd(v):
-        return np.concatenate([op.apply(seg) for op, seg in zip(ops, np.split(v, col_splits))])
-
-    def adj(v):
-        return np.concatenate(
-            [op.apply_adjoint(seg) for op, seg in zip(ops, np.split(v, row_splits))])
-
-    return LinearOperator(rows, cols, fwd, adj)
 
 
 def materialize_dense(op: LinearOperator, limit: int = _DENSE_LIMIT) -> np.ndarray:

@@ -75,8 +75,8 @@ class CirculantOperator(LinearOperator):
     __slots__ = ("delays", "gains", "freq_response", "taps_per_row")
 
     def __init__(self, n: int, delays: np.ndarray, gains: np.ndarray):
-        delays = np.asarray(delays, dtype=np.int64)
-        gains = np.asarray(gains, dtype=np.complex128)
+        delays = np.array(delays, dtype=np.int64)
+        gains = np.array(gains, dtype=np.complex128)
         _check_taps(n, delays, gains)
         kernel = np.zeros(n, dtype=np.complex128)
         kernel[delays] = gains
@@ -111,8 +111,8 @@ class TimeVaryingChannelOperator(LinearOperator):
     __slots__ = ("delays", "gain_tracks", "taps_per_row")
 
     def __init__(self, n: int, delays: np.ndarray, gain_tracks: np.ndarray):
-        delays = np.asarray(delays, dtype=np.int64)
-        gain_tracks = np.asarray(gain_tracks, dtype=np.complex128)
+        delays = np.array(delays, dtype=np.int64)
+        gain_tracks = np.array(gain_tracks, dtype=np.complex128)
         if gain_tracks.shape != (delays.size, n):
             raise ConfigurationError(
                 f"gain tracks must have shape ({delays.size}, {n}), got {gain_tracks.shape}")

@@ -2,10 +2,10 @@
 trace moments that drive the memory estimator.
 
 All quantities refer to the Gram operator G = A A^H and the midpoint shift
-B = lambda_dagger I - G with lambda_dagger = (lambda_min + lambda_max) / 2:
+B = lambda_dagger I - G with lambda_dagger = (lambda_min + lambda_max) / 2,
+through the signal-gain moments
 
-    w_k = tr(G B^k) / dim        (signal-gain moments)
-    b_k = tr(B^k) / dim          (shift moments)
+    w_k = tr(G B^k) / dim.
 
 Diagonal and circulant operators expose their spectrum exactly; other
 operators are eigendecomposed densely up to a size cap and estimated with
@@ -35,36 +35,28 @@ _POWER_ITERS = 300
 class SpectralProfile:
     """Eigen bounds and trace moments of one measurement operator.
 
-    ``w_scaled``/``b_scaled`` hold the moments of B / lambda_dagger, whose
-    spectral radius is strictly below one; the raw moments grow like
-    ((lambda_max - lambda_min) / 2)^k and overflow float64 at depths past
-    roughly a thousand, so long-memory consumers should prefer the scaled
-    form (the products theta^k * w_k are identical either way).
+    ``w_scaled`` holds w_k / lambda_dagger^k, the moments of B / lambda_dagger,
+    whose spectral radius is strictly below one.  The raw moments w_k grow
+    like ((lambda_max - lambda_min) / 2)^k and overflow float64 at depths
+    past roughly a thousand; the products theta^k * w_k are identical
+    either way.
     """
 
     lambda_min: float
     lambda_max: float
     lambda_dagger: float
-    w: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
     w_scaled: np.ndarray = field(repr=False)
-    b_scaled: np.ndarray = field(repr=False)
     dim: int
     stochastic: bool = False
 
     @property
     def depth(self) -> int:
-        return self.w.size - 1
+        return self.w_scaled.size - 1
 
     @property
     def trace_gram(self) -> float:
         """tr(A A^H) recovered from the zeroth moment."""
-        return float(self.w[0] * self.dim)
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.setflags(write=False)
+        return float(self.w_scaled[0] * self.dim)
 
 
 def _exact_eigenvalues(A: LinearOperator, dense_cap: int) -> np.ndarray | None:
@@ -85,7 +77,7 @@ def _eigenvalues(A: LinearOperator, dense_cap: int) -> np.ndarray | None:
         lam = np.linalg.eigvalsh(dense @ dense.conj().T)
     else:
         return None
-    _read_only(lam)
+    lam.setflags(write=False)
     return lam
 
 
@@ -135,8 +127,8 @@ def eigen_bounds(A: LinearOperator, dense_cap: int = DENSE_EIGEN_CAP,
 def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
                   dim: int | None = None, dense_cap: int = DENSE_EIGEN_CAP,
                   probes: int = _PROBES, seed: int = 0,
-                  scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Moments (w_k, b_k) of scale*B for k = 0..depth, plus a probe flag.
+                  scale: float = 1.0) -> tuple[np.ndarray, bool]:
+    """Moments w_k of scale*B for k = 0..depth, plus a probe flag.
 
     Exact from the spectrum whenever available; otherwise Hutchinson
     estimation with ``probes`` Rademacher vectors (exact for diagonal
@@ -152,21 +144,17 @@ def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
     if lam is not None:
         shifted = (lambda_dagger - lam) * scale
         powers = shifted[None, :] ** np.arange(depth + 1)[:, None]
-        w = (powers * lam[None, :]).sum(axis=1) / dim
-        b = powers.sum(axis=1) / dim
-        return w, b, False
+        return (powers * lam[None, :]).sum(axis=1) / dim, False
     rng = generator(seed, stream=1)
     w_acc = np.zeros(depth + 1)
-    b_acc = np.zeros(depth + 1)
     for _ in range(probes):
         z = (2.0 * rng.integers(0, 2, size=A.rows) - 1.0).astype(np.complex128)
         zk = z
         for k in range(depth + 1):
             g = _gram_apply(A, zk)
             w_acc[k] += np.real(np.vdot(z, g))
-            b_acc[k] += np.real(np.vdot(z, zk))
             zk = scale * (lambda_dagger * zk - g)
-    return w_acc / (probes * dim), b_acc / (probes * dim), True
+    return w_acc / (probes * dim), True
 
 
 def spectral_profile(A: LinearOperator, depth: int, dim: int | None = None,
@@ -188,16 +176,9 @@ def _profile(A: LinearOperator, depth: int, dim: int, dense_cap: int, probes: in
     lam_min, lam_max = eigen_bounds(A, dense_cap=dense_cap, seed=seed)
     lam_dag = 0.5 * (lam_min + lam_max)
     scale = 1.0 / lam_dag if lam_dag > 0 else 1.0
-    w_scaled, b_scaled, stochastic = trace_moments(
+    w_scaled, stochastic = trace_moments(
         A, lam_dag, depth, dim=dim, dense_cap=dense_cap, probes=probes,
         seed=seed, scale=scale)
-    # Raw moments follow by unscaling; overflow past float range is
-    # tolerated here because long-memory consumers use the scaled form.
-    with np.errstate(over="ignore"):
-        unscale = (1.0 / scale) ** np.arange(depth + 1)
-        w = w_scaled * unscale
-        b = b_scaled * unscale
-    _read_only(w, b, w_scaled, b_scaled)
+    w_scaled.setflags(write=False)
     return SpectralProfile(lambda_min=lam_min, lambda_max=lam_max, lambda_dagger=lam_dag,
-                           w=w, b=b, w_scaled=w_scaled, b_scaled=b_scaled,
-                           dim=dim, stochastic=stochastic)
+                           w_scaled=w_scaled, dim=dim, stochastic=stochastic)

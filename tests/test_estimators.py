@@ -9,7 +9,7 @@ from ibsmamp import estimators, operators, spectral
 from ibsmamp.denoisers import DenoiserResult
 from ibsmamp.errors import NormalizationError
 from ibsmamp.estimators import (EstimatorRun, MampConfig, MampState,
-                                damping_update, estimate_cross_covariance,
+                                _cross_cov_from_residuals, damping_update,
                                 lmmse_estimate_gaussian, lmmse_mse_gaussian,
                                 mle_step, nle_orthogonalize, run_cd_mamp,
                                 run_cd_oamp)
@@ -44,12 +44,13 @@ def make_square_state(alpha, y, max_iters, theta=None, xi=None, relax=1.0):
 def test_state_buffers_and_views():
     y = np.array([1.0 + 0j, 2.0])
     _, state = make_square_state([2.0, 1.0], y, max_iters=4)
-    assert len(state.history) == 1
-    assert np.array_equal(state.history[0], np.zeros(2))
-    assert np.array_equal(state.residuals[0], y)
+    assert len(state.last_candidates(5)) == 1
+    assert np.array_equal(state.last_candidates(5)[0], np.zeros(2))
+    assert np.array_equal(state.last_residuals(5)[0], y)
+    assert state.last_candidates(0) == [] and state.last_residuals(0) == []
     h2 = np.array([0.5 + 0j, -0.5])
     state.push(h2, y - h2)
-    assert len(state.history) == 2
+    assert len(state.last_candidates(5)) == 2
     assert np.array_equal(state.last_candidates(1)[0], h2)
     assert np.array_equal(state.last_candidates(5)[0], np.zeros(2))
     assert np.array_equal(state.last_residuals(1)[0], y - h2)
@@ -206,8 +207,8 @@ def test_cross_covariance_matches_direct_formula():
     s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = A.apply(s)
     cands = [s + 0.1 * rng.standard_normal(n) for _ in range(3)]
-    V = estimate_cross_covariance(A, y, cands, 0.0, trace_gram=n * 1.0)
     resid = [y - A.apply(c) for c in cands]
+    V = _cross_cov_from_residuals(resid, n, 0.0, n * 1.0, 1e-13)
     raw = np.array([[np.vdot(ri, rj).real / n for rj in resid]
                     for ri in resid])
     assert np.max(np.abs(V - raw)) < 1e-12
@@ -224,8 +225,8 @@ def test_cross_covariance_projects_indefinite_estimates():
     y = A.apply(s)
     sigma2 = 0.01
     cands = [s + 0.1 * rng.standard_normal(n) for _ in range(3)]
-    V = estimate_cross_covariance(A, y, cands, sigma2, trace_gram=n * 1.0)
     resid = [y - A.apply(c) for c in cands]
+    V = _cross_cov_from_residuals(resid, n, sigma2, n * 1.0, 1e-13)
     raw = np.array([[(np.vdot(ri, rj).real - n * sigma2) / n for rj in resid]
                     for ri in resid])
     assert np.min(np.linalg.eigvalsh(raw)) < 0.0
@@ -241,7 +242,7 @@ def test_cross_covariance_floors_exact_candidates():
     A = DiagonalOperator(np.ones(n, dtype=complex))
     s = np.ones(n, dtype=complex)
     y = A.apply(s)
-    V = estimate_cross_covariance(A, y, [s], 0.0, trace_gram=float(n))
+    V = _cross_cov_from_residuals([y - A.apply(s)], n, 0.0, float(n), 1e-13)
     assert V.shape == (1, 1)
     assert V[0, 0] >= 1e-13
 

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from ibsmamp.errors import ConfigurationError
-from ibsmamp.ibs import (BASES, VARIANTS, IbsSpec, assemble_ibs,
-                         build_ibs_transform, build_multicarrier,
+from ibsmamp.ibs import (BASES, VARIANTS, IbsOperator, IbsSpec, build_ibs_transform,
                          relative_complexity)
 from ibsmamp.kernels import fft_operator
 from ibsmamp.operators import materialize_dense
@@ -96,15 +95,18 @@ def test_plain_block_selection_hand_example():
 @pytest.mark.parametrize("base", BASES)
 @pytest.mark.parametrize("direction", ["kernel", "kernel-adjoint"])
 def test_matrix_free_matches_dense_oracle(variant, base, direction):
-    spec = IbsSpec(n=32, n_s=8, m=16, variant=variant, base=base,
-                   direction=direction, block_seed_base=21, whole_seed=43)
-    op = build_ibs_transform(spec)
-    dense = materialize_dense(op)
-    assert np.max(np.abs(dense - dense_oracle(spec))) < 1e-12
-    # Adjoint agrees with the dense conjugate transpose.
-    rng = generator(3)
-    u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.max(np.abs(op.apply_adjoint(u) - dense.conj().T @ u)) < 1e-12
+    # The one-block square shape with the kernel adjoint is the full
+    # transform of the QPSK experiment.
+    for n, n_s, m in ((32, 8, 16), (16, 16, 16)):
+        spec = IbsSpec(n=n, n_s=n_s, m=m, variant=variant, base=base,
+                       direction=direction, block_seed_base=21, whole_seed=43)
+        op = build_ibs_transform(spec)
+        dense = materialize_dense(op)
+        assert np.max(np.abs(dense - dense_oracle(spec))) < 1e-12
+        # Adjoint agrees with the dense conjugate transpose.
+        rng = generator(3)
+        u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert np.max(np.abs(op.apply_adjoint(u) - dense.conj().T @ u)) < 1e-12
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -140,8 +142,8 @@ def test_assemble_with_identity_permutations_collapses_to_plain_selection():
     base_spec = IbsSpec(n=32, n_s=8, m=16, variant="BS")
     want = materialize_dense(build_ibs_transform(base_spec))
     spec = IbsSpec(n=32, n_s=8, m=16, variant="BW_IBS")
-    op = assemble_ibs(spec, tuple(Permutation.identity(8) for _ in range(4)),
-                      Permutation.identity(16))
+    op = IbsOperator(spec, tuple(Permutation.identity(8) for _ in range(4)),
+                     Permutation.identity(16))
     assert np.max(np.abs(materialize_dense(op) - want)) < 1e-14
 
 
@@ -149,12 +151,12 @@ def test_assemble_validates_permutation_shapes():
     spec = IbsSpec(n=32, n_s=8, m=16, variant="BW_IBS")
     good_blocks = tuple(Permutation.identity(8) for _ in range(4))
     with pytest.raises(ConfigurationError):
-        assemble_ibs(spec, good_blocks[:3], Permutation.identity(16))
+        IbsOperator(spec, good_blocks[:3], Permutation.identity(16))
     with pytest.raises(ConfigurationError):
-        assemble_ibs(spec, tuple(Permutation.identity(4) for _ in range(4)),
-                     Permutation.identity(16))
+        IbsOperator(spec, tuple(Permutation.identity(4) for _ in range(4)),
+                    Permutation.identity(16))
     with pytest.raises(ConfigurationError):
-        assemble_ibs(spec, good_blocks, Permutation.identity(8))
+        IbsOperator(spec, good_blocks, Permutation.identity(8))
 
 
 def test_single_block_square_case_is_bit_identical_to_plain_kernel():
@@ -189,56 +191,3 @@ def test_relative_complexity_properties():
             relative_complexity(*bad)
     with pytest.raises(ConfigurationError):
         relative_complexity(4096, 128, p=-1)
-
-
-def test_multicarrier_plain_subcarrier_transform_is_inverse_dft():
-    n = 16
-    dense = materialize_dense(build_multicarrier("OFDM", n))
-    assert np.max(np.abs(dense - dft_matrix(n).conj().T)) < 1e-12
-
-
-def test_multicarrier_delay_doppler_transform():
-    n, k = 16, 4
-    dense = materialize_dense(build_multicarrier("OTFS", n, doppler_bins=k))
-    want = np.kron(dft_matrix(k).conj().T, np.eye(n // k))
-    assert np.max(np.abs(dense - want)) < 1e-12
-
-
-def test_multicarrier_chirp_transform():
-    n, c1, c2 = 16, 1.0 / 64, 1.0 / 32
-    dense = materialize_dense(build_multicarrier("AFDM", n, c1=c1, c2=c2))
-    idx = np.arange(n)
-    want = (np.exp(2j * np.pi * c1 * idx * idx)[:, None]
-            * dft_matrix(n).conj().T
-            * np.exp(2j * np.pi * c2 * idx * idx)[None, :])
-    assert np.max(np.abs(dense - want)) < 1e-12
-    zero = materialize_dense(build_multicarrier("AFDM", n))
-    plain = materialize_dense(build_multicarrier("OFDM", n))
-    assert np.max(np.abs(zero - plain)) == 0.0
-
-
-def test_multicarrier_interleaved_transform_is_permuted_inverse_dft():
-    n, seed = 16, 5
-    dense = materialize_dense(build_multicarrier("IFDM", n, seed=seed))
-    want = dft_matrix(n).conj().T[make_permutation(n, seed).indices]
-    assert np.max(np.abs(dense - want)) < 1e-12
-
-
-@pytest.mark.parametrize("kind,kwargs", [("OFDM", {}), ("OTFS", {"doppler_bins": 8}),
-                                         ("AFDM", {"c1": 0.01, "c2": 0.02}),
-                                         ("IFDM", {"seed": 3})])
-def test_multicarrier_transforms_are_unitary(kind, kwargs):
-    n = 32
-    dense = materialize_dense(build_multicarrier(kind, n, **kwargs))
-    assert np.max(np.abs(dense @ dense.conj().T - np.eye(n))) < 1e-10
-
-
-def test_multicarrier_validation():
-    with pytest.raises(ConfigurationError):
-        build_multicarrier("GFDM", 16)
-    with pytest.raises(ConfigurationError):
-        build_multicarrier("OFDM", 12)
-    with pytest.raises(ConfigurationError):
-        build_multicarrier("OTFS", 16)
-    with pytest.raises(ConfigurationError):
-        build_multicarrier("OTFS", 16, doppler_bins=3)

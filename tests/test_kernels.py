@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ibsmamp.kernels import (OpCounter, fft_adjoint, fft_forward, fft_operator,
-                             fwht_forward, fwht_operator, is_power_of_two)
+from ibsmamp.kernels import (fft_adjoint, fft_forward, fft_operator, fwht_forward,
+                             fwht_operator, is_power_of_two)
 from ibsmamp.operators import materialize_dense
 from ibsmamp.rng import generator
 
@@ -72,13 +72,6 @@ def test_fft_axis_argument():
     col_wise = fft_forward(block, axis=0)
     for j in range(8):
         assert np.max(np.abs(col_wise[:, j] - fft_forward(block[:, j]))) < 1e-13
-
-
-def test_fwht_counter_tracks_n_log_n():
-    for n in (2, 8, 64, 1024):
-        counter = OpCounter()
-        fwht_forward(np.ones(n), counter)
-        assert counter.ops == n * int(np.log2(n))
 
 
 def test_kernels_reject_non_power_of_two():

@@ -1,15 +1,11 @@
-"""Matrix-free operator combinators against dense oracles."""
+"""Matrix-free operators against dense oracles."""
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from ibsmamp.errors import MaterializationLimitError
-from ibsmamp.kernels import fft_operator
-from ibsmamp.operators import (DiagonalOperator, LinearOperator,
-                               PermutationOperator, adjoint, block_diag_union,
-                               compose, identity, materialize_dense, row_select)
-from ibsmamp.rng import generator, make_permutation
+from ibsmamp.operators import DiagonalOperator, LinearOperator, materialize_dense
+from ibsmamp.rng import generator
 
 
 def random_dense_op(rows: int, cols: int, seed: int) -> tuple[LinearOperator, np.ndarray]:
@@ -53,81 +49,6 @@ def test_diagonal_operator():
     assert np.allclose(op.apply_adjoint(v), np.conj(w) * v)
     with pytest.raises(ValueError):
         op.weights[0] = 0.0
-
-
-def test_permutation_operator():
-    p = make_permutation(6, seed=9)
-    op = PermutationOperator(p)
-    dense = materialize_dense(op)
-    assert np.allclose(dense, np.eye(6)[p.indices])
-    v = np.arange(6.0)
-    assert np.allclose(op.apply(v), p.apply(v))
-    # Adjoint of a permutation matrix is its inverse.
-    assert np.allclose(op.apply_adjoint(op.apply(v)), v)
-
-
-def test_identity_and_adjoint_wrapper():
-    op, M = random_dense_op(4, 3, seed=4)
-    assert np.allclose(materialize_dense(identity(4)), np.eye(4))
-    adj = adjoint(op)
-    assert adj.shape == (3, 4)
-    assert np.allclose(materialize_dense(adj), M.conj().T)
-    assert np.allclose(materialize_dense(adjoint(adj)), M)
-
-
-def test_compose_matches_matrix_product():
-    inner, Mi = random_dense_op(4, 6, seed=5)
-    outer, Mo = random_dense_op(3, 4, seed=6)
-    prod = compose(outer, inner)
-    assert prod.shape == (3, 6)
-    assert np.allclose(materialize_dense(prod), Mo @ Mi)
-    u = np.arange(3.0)
-    assert np.allclose(prod.apply_adjoint(u), (Mo @ Mi).conj().T @ u)
-
-
-def test_compose_rejects_dimension_mismatch():
-    a, _ = random_dense_op(3, 4, seed=7)
-    b, _ = random_dense_op(3, 4, seed=8)
-    with pytest.raises(ValueError):
-        compose(a, b)
-
-
-def test_row_select_gathers_and_zero_fills():
-    op, M = random_dense_op(6, 5, seed=10)
-    rows = np.array([4, 0, 2])
-    sel = row_select(op, rows)
-    assert sel.shape == (3, 5)
-    assert np.allclose(materialize_dense(sel), M[rows])
-    # Adjoint scatters the selected coordinates back, zero elsewhere.
-    u = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(sel.apply_adjoint(u), M[rows].conj().T @ u)
-
-
-def test_row_select_validates_indices():
-    op, _ = random_dense_op(4, 4, seed=11)
-    with pytest.raises(ValueError):
-        row_select(op, np.array([0, 0]))
-    with pytest.raises(ValueError):
-        row_select(op, np.array([0, 4]))
-
-
-def test_row_select_preserves_row_orthonormality():
-    F = fft_operator(8)
-    sel = row_select(F, np.array([1, 6, 3, 0]))
-    dense = materialize_dense(sel)
-    assert np.max(np.abs(dense @ dense.conj().T - np.eye(4))) < 1e-12
-
-
-def test_block_diag_union_matches_block_diag():
-    a, Ma = random_dense_op(2, 3, seed=12)
-    b, Mb = random_dense_op(4, 4, seed=13)
-    c, Mc = random_dense_op(1, 2, seed=14)
-    op = block_diag_union([a, b, c])
-    assert op.shape == (7, 9)
-    want = block_diag(Ma, Mb, Mc)
-    assert np.allclose(materialize_dense(op), want)
-    u = np.arange(7.0)
-    assert np.allclose(op.apply_adjoint(u), want.conj().T @ u)
 
 
 def test_materialize_dense_respects_limit():

@@ -113,6 +113,23 @@ def test_time_varying_channel_matches_dense_oracle():
     assert np.max(np.abs(op.apply_adjoint(u) - M.conj().T @ u)) < 1e-12
 
 
+def test_channels_freeze_copies_not_the_callers_arrays():
+    delays = np.array([0, 3], dtype=np.int64)
+    gains = np.array([1.0, 0.5j])
+    tracks = np.ones((2, 8), dtype=np.complex128)
+    circ = CirculantOperator(8, delays, gains)
+    tv = TimeVaryingChannelOperator(8, delays, tracks)
+    for arr in (delays, gains, tracks):
+        assert arr.flags.writeable
+    delays[1] = 5
+    gains[1] = 2.0
+    tracks[1] = 3.0
+    assert list(circ.delays) == [0, 3] and circ.gains[1] == 0.5j
+    assert list(tv.delays) == [0, 3] and np.all(tv.gain_tracks[1] == 1.0)
+    for arr in (circ.delays, circ.gains, tv.delays, tv.gain_tracks):
+        assert not arr.flags.writeable
+
+
 def test_multipath_channel_static_draw():
     ch = gen_multipath_channel(64, 4, seed=3)
     assert isinstance(ch.operator(), CirculantOperator)

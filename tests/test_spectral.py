@@ -20,15 +20,12 @@ def opaque_diagonal(weights: np.ndarray) -> LinearOperator:
 
 def test_hand_worked_moments_two_modes():
     # Gram eigenvalues {1, 4}: midpoint 2.5, and the first three moments
-    # of G against powers of (2.5 I - G) work out by hand.
+    # of G against powers of (2.5 I - G) / 2.5 work out by hand.
     profile = spectral_profile(DiagonalOperator(np.array([1.0, 2.0])), depth=2)
     assert profile.lambda_min == 1.0
     assert profile.lambda_max == 4.0
     assert profile.lambda_dagger == 2.5
-    assert np.allclose(profile.w, [2.5, -2.25, 5.625], atol=1e-12)
-    assert np.allclose(profile.b, [1.0, 0.0, 2.25], atol=1e-12)
     assert np.allclose(profile.w_scaled, [2.5, -0.9, 0.9], atol=1e-12)
-    assert np.allclose(profile.b_scaled, [1.0, 0.0, 0.36], atol=1e-12)
     assert profile.depth == 2
     assert abs(profile.trace_gram - 5.0) < 1e-12
     assert not profile.stochastic
@@ -39,12 +36,11 @@ def test_moments_match_eigenvalue_sums():
     A = diag.operator()
     lam = np.abs(A.weights) ** 2
     lam_dag = 0.5 * (lam.min() + lam.max())
-    w, b, stochastic = trace_moments(A, lam_dag, depth=5)
+    w, stochastic = trace_moments(A, lam_dag, depth=5)
     assert not stochastic
     for k in range(6):
         shifted = (lam_dag - lam) ** k
         assert abs(w[k] - np.sum(lam * shifted) / 32) < 1e-9 * max(1, abs(w[k]))
-        assert abs(b[k] - np.sum(shifted) / 32) < 1e-9 * max(1, abs(b[k]))
 
 
 def test_circulant_spectrum_is_exact():
@@ -67,12 +63,11 @@ def test_probe_paths_are_exact_for_hidden_diagonal():
     assert abs(hi - lam.max()) < 1e-6
     assert abs(lo - lam.min()) < 1e-3
     lam_dag = 0.5 * (lam.min() + lam.max())
-    wm, bm, stochastic = trace_moments(op, lam_dag, depth=3, dense_cap=1, probes=8)
+    wm, stochastic = trace_moments(op, lam_dag, depth=3, dense_cap=1, probes=8)
     assert stochastic
     for k in range(4):
         shifted = (lam_dag - lam) ** k
         assert abs(wm[k] - np.sum(lam * shifted) / 8) < 1e-9
-        assert abs(bm[k] - np.sum(shifted) / 8) < 1e-9
 
 
 def test_probe_estimates_close_for_general_operator():
@@ -82,13 +77,12 @@ def test_probe_estimates_close_for_general_operator():
     op = LinearOperator(6, 6, lambda v: M @ v, lambda v: M.conj().T @ v)
     lam = np.linalg.eigvalsh(M @ M.conj().T)
     lam_dag = 0.5 * (lam.min() + lam.max())
-    exact_w, exact_b, _ = trace_moments(op, lam_dag, depth=2, dense_cap=8)
-    est_w, est_b, stochastic = trace_moments(op, lam_dag, depth=2, dense_cap=1,
-                                             probes=20000, seed=3)
+    exact_w, _ = trace_moments(op, lam_dag, depth=2, dense_cap=8)
+    est_w, stochastic = trace_moments(op, lam_dag, depth=2, dense_cap=1,
+                                      probes=20000, seed=3)
     assert stochastic
     scale = max(abs(exact_w[0]), 1e-3)
     assert np.max(np.abs(est_w - exact_w)) < 0.05 * scale
-    assert np.max(np.abs(est_b - exact_b)) < 0.05
 
 
 def test_scaled_moments_stay_bounded_at_long_depth():
@@ -98,16 +92,14 @@ def test_scaled_moments_stay_bounded_at_long_depth():
     profile = spectral_profile(A, depth=2000)
     assert np.all(np.isfinite(profile.w_scaled))
     assert np.max(np.abs(profile.w_scaled)) <= profile.w_scaled[0] + 1e-12
-    assert np.all(np.isfinite(profile.b_scaled))
-    assert not np.all(np.isfinite(profile.w))
 
 
 def test_scaled_and_raw_moments_agree_where_raw_is_finite():
     A = gen_sensing_diagonal(16, 32, 4.0).operator()
     profile = spectral_profile(A, depth=20)
+    raw, _ = trace_moments(A, profile.lambda_dagger, depth=20)
     unscale = profile.lambda_dagger ** np.arange(21)
-    assert np.allclose(profile.w, profile.w_scaled * unscale, rtol=1e-10)
-    assert np.allclose(profile.b, profile.b_scaled * unscale, rtol=1e-10)
+    assert np.allclose(raw, profile.w_scaled * unscale, rtol=1e-10)
 
 
 def test_trace_moments_validation():
@@ -129,7 +121,7 @@ def test_profile_dim_renormalization():
     half = spectral_profile(A, depth=1, dim=4)
     full = spectral_profile(A, depth=1, dim=2)
     assert half.lambda_dagger == full.lambda_dagger
-    assert np.allclose(half.w, np.asarray(full.w) / 2.0)
+    assert np.allclose(half.w_scaled, np.asarray(full.w_scaled) / 2.0)
     assert half.dim == 4
     assert abs(half.trace_gram - full.trace_gram) < 1e-12
 
@@ -155,8 +147,7 @@ def test_profile_is_memoized_per_operator_and_arguments():
 def test_memoized_arrays_are_read_only():
     A = doppler_channel()
     profile = spectral_profile(A, depth=3)
-    for arr in (profile.w, profile.b, profile.w_scaled, profile.b_scaled,
-                gram_eigenvalues(A)):
+    for arr in (profile.w_scaled, gram_eigenvalues(A)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -169,5 +160,4 @@ def test_memoized_profile_equals_a_fresh_computation():
     assert fresh is not memoized
     for name in ("lambda_min", "lambda_max", "lambda_dagger", "dim", "stochastic"):
         assert getattr(memoized, name) == getattr(fresh, name)
-    for name in ("w", "b", "w_scaled", "b_scaled"):
-        assert np.array_equal(getattr(memoized, name), getattr(fresh, name))
+    assert np.array_equal(memoized.w_scaled, fresh.w_scaled)
