@@ -39,6 +39,14 @@ variance of r_t differs from block to block; the linear stage then
 estimates one variance per block from that block's residual rows, and the
 denoiser and its orthogonalization run with the block's variance.
 
+The memory sum skips the oldest rows that cannot change r_t beyond
+rounding.  With the row norms ||h_i|| stored once per row, step t keeps
+rows k..t-1 for the largest k whose dropped weight
+sum_{i<k} |p_{t,i}| ||h_i|| is below u sum_i |p_{t,i}| ||h_i||, u = 2^-53.
+The dropped part is then smaller than the error bound
+gamma_t sum_i |p_{t,i}| ||h_i|| (gamma_t ~ t u) that the full floating-point
+sum already carries, whatever the decay of p; eps_t and p are unchanged.
+
 Both estimators hand one iteration at a time to a shared driver, which
 records the trajectory and applies the tolerance, stall and iteration
 stops.
@@ -61,6 +69,9 @@ from .spectral import SpectralProfile, gram_eigenvalues, spectral_profile
 _EPS_MIN = 1e-12
 # An iteration that lowers the best mse by less than this share counts as a stall.
 _STALL_IMPROVEMENT = 0.01
+# Unit roundoff of float64: memory rows whose combined weight is below this
+# share of the total cannot change r_t beyond rounding.
+_ROUNDING = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -98,16 +109,17 @@ class CostMeter:
     transform_points: int = 0   # sum of n * log2(n_s) over transform applies
     vector_points: int = 0      # elementwise passes (memory sums, denoising)
 
+    def channel(self, A: LinearOperator) -> None:
+        """Count one apply of the channel A."""
+        self.channel_applies += 1
+        self.channel_points += getattr(A, "taps_per_row", 1) * A.rows
 
-def _taps_per_row(A: LinearOperator) -> int:
-    return getattr(A, "taps_per_row", 1)
-
-
-def _transform_cost(Xi: LinearOperator) -> float:
-    spec = getattr(Xi, "spec", None)
-    n = Xi.cols
-    n_s = spec.n_s if spec is not None else n
-    return n * max(np.log2(n_s), 1.0)
+    def transform(self, Xi: LinearOperator) -> None:
+        """Count one apply of the transform Xi."""
+        spec = getattr(Xi, "spec", None)
+        n_s = spec.n_s if spec is not None else Xi.cols
+        self.transform_applies += 1
+        self.transform_points += Xi.cols * max(np.log2(n_s), 1.0)
 
 
 class MampState:
@@ -115,10 +127,11 @@ class MampState:
 
     The state keeps the per-iteration estimates h_1, h_2, ... in the
     lifted domain (transform domain for square systems, source domain for
-    wide ones), starting from the all-zero h_1, each with its cached
-    residual y - forward(h_i); ``last_candidates`` and ``last_residuals``
-    return the trailing entries.  ``meter`` counts the channel applies and
-    memory sums of ``mle_step``.
+    wide ones), starting from the all-zero h_1, each with its norm and its
+    cached residual y - forward(h_i).  Only the trailing
+    ``damping_window`` residuals are kept; ``last_candidates`` and
+    ``last_residuals`` return up to that many trailing entries.  ``meter``
+    counts the channel applies and memory sums of ``mle_step``.
 
     Without an explicit ``theta`` the schedule is the constant
     relax / lambda_dagger; ``run_cd_mamp`` overwrites ``theta[t - 1]``
@@ -137,6 +150,7 @@ class MampState:
                  max_iters: int = 32,
                  variance_floor: float = 1e-13,
                  relax: float = 1.0,
+                 damping_window: int = 3,
                  row_blocks: np.ndarray | None = None,
                  gram_diag: np.ndarray | None = None):
         if profile.depth < max_iters:
@@ -170,11 +184,14 @@ class MampState:
         self.variance_floor = float(variance_floor)
         self.iteration = 0
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
-        # Preallocated ring-free buffers: row i holds h_{i+1} and its
-        # cached residual y - forward(h_{i+1}).  One matmul against a view
-        # replaces per-iteration vstack copies in the memory sum.
+        self.adj_gamma = None       # A^H gamma, reused by the next step
+        # Row i of the history holds h_{i+1}, and _hist_norm[i] its norm.
+        # The history keeps every row: how many the memory sum needs is not
+        # known in advance.  Residuals live in a ring: row i sits at
+        # i % damping_window.
         self._hist = np.zeros((max_iters + 1, dim), dtype=np.complex128)
-        self._resid = np.zeros((max_iters + 1, self.measure_dim), dtype=np.complex128)
+        self._hist_norm = np.zeros(max_iters + 1)
+        self._resid = np.zeros((damping_window, self.measure_dim), dtype=np.complex128)
         self._resid[0] = y
         self._count = 1
         self.vartheta = np.zeros(0)
@@ -187,16 +204,29 @@ class MampState:
     def push(self, estimate: np.ndarray, residual: np.ndarray) -> None:
         """Record the post-damping estimate and its cached residual."""
         self._hist[self._count] = estimate
-        self._resid[self._count] = residual
+        self._hist_norm[self._count] = np.linalg.norm(estimate)
+        self._resid[self._count % len(self._resid)] = residual
         self._count += 1
 
+    def _trailing(self, k: int) -> range:
+        return range(max(self._count - min(k, len(self._resid)), 0), self._count)
+
     def last_candidates(self, k: int) -> list[np.ndarray]:
-        start = max(self._count - k, 0)
-        return [self._hist[i] for i in range(start, self._count)]
+        return [self._hist[i] for i in self._trailing(k)]
 
     def last_residuals(self, k: int) -> list[np.ndarray]:
-        start = max(self._count - k, 0)
-        return [self._resid[i] for i in range(start, self._count)]
+        return [self._resid[i % len(self._resid)] for i in self._trailing(k)]
+
+
+def _memory_sum(p: np.ndarray, hist: np.ndarray,
+                norms: np.ndarray) -> tuple[np.ndarray, int]:
+    """Return (sum_i p_i hist_i, rows summed), skipping the longest prefix
+    of rows whose weight sum |p_i| norms_i is below _ROUNDING of the total.
+    The comparison is strict so that an infinite or NaN total keeps every
+    row from its first non-finite weight on."""
+    weight = np.cumsum(np.abs(p) * norms)
+    k = int(np.count_nonzero(weight < _ROUNDING * weight[-1]))
+    return p[k:] @ hist[k:], len(p) - k
 
 
 def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -212,13 +242,12 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
     meter = state.meter
     theta_t = float(state.theta[t - 1])
     xi_t = float(state.xi[t - 1])
-    resid = state._resid[state._count - 1]
+    resid = state.last_residuals(1)[0]
     if t == 1:
         gamma = xi_t * resid
     else:
-        gram = A.apply(A.apply_adjoint(state.gamma))
-        meter.channel_applies += 2
-        meter.channel_points += 2 * _taps_per_row(A) * A.rows
+        gram = A.apply(state.adj_gamma)
+        meter.channel(A)
         gamma = theta_t * (state.lambda_dagger * state.gamma - gram) + xi_t * resid
     state.gamma = gamma
 
@@ -230,11 +259,11 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
         raise NormalizationError(
             f"gain normalizer eps_gamma = {eps:.3e} degenerated at iteration {t}")
 
-    lifted = state.back(A.apply_adjoint(gamma))
-    meter.channel_applies += 1
-    meter.channel_points += _taps_per_row(A) * A.rows
-    memory = p @ state._hist[:t]
-    meter.vector_points += t * state.dim
+    state.adj_gamma = A.apply_adjoint(gamma)
+    meter.channel(A)
+    lifted = state.back(state.adj_gamma)
+    memory, kept = _memory_sum(p, state._hist[:t], state._hist_norm[:t])
+    meter.vector_points += kept * state.dim
     r = (lifted + memory) / eps
 
     # state.forward is responsible for metering its own operator calls.
@@ -406,18 +435,14 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
     A, y = instance.A, instance.y
     n = ibs.cols
     profile = spectral_profile(A, depth=cfg.max_iters, dim=A.rows)
-    xi_cost = _transform_cost(ibs)
 
     def forward(s):
-        meter.transform_applies += 1
-        meter.transform_points += xi_cost
-        meter.channel_applies += 1
-        meter.channel_points += _taps_per_row(A) * A.rows
+        meter.transform(ibs)
+        meter.channel(A)
         return A.apply(ibs.apply(s))
 
     def back(u):
-        meter.transform_applies += 1
-        meter.transform_points += xi_cost
+        meter.transform(ibs)
         return ibs.apply_adjoint(u)
 
     row_blocks = gram_diag = None
@@ -428,7 +453,8 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
         row_blocks, gram_diag = ibs.row_blocks, np.abs(A.weights) ** 2
     state = MampState(profile, y, forward, back, dim=n, noise_var=instance.noise_var,
                       max_iters=cfg.max_iters, variance_floor=cfg.variance_floor,
-                      relax=cfg.relax, row_blocks=row_blocks, gram_diag=gram_diag)
+                      relax=cfg.relax, damping_window=cfg.damping_window,
+                      row_blocks=row_blocks, gram_diag=gram_diag)
     meter = state.meter
     v_x = prior.power
 
@@ -487,12 +513,16 @@ def run_cd_oamp(instance: SystemInstance, prior,
     sigma2 = instance.noise_var
     s_msg = np.zeros(n, dtype=np.complex128)
     v_t = prior.power
+    meter = CostMeter()
 
     def step():
         nonlocal s_msg, v_t
         resid = y - A.apply(Xi.apply(s_msg))
         z = solve_shifted(v_t, sigma2, resid)
         lifted = Xi.apply_adjoint(A.apply_adjoint(z))
+        for _ in range(2):      # Xi and A, once forward and once adjoint
+            meter.transform(Xi)
+            meter.channel(A)
         eta = (v_t / n) * float(np.sum(lam / (v_t * lam + sigma2)))
         r = s_msg + (v_t / eta) * lifted
         v_gamma = max(v_t * (1.0 - eta) / eta, cfg.variance_floor)
@@ -500,7 +530,7 @@ def run_cd_oamp(instance: SystemInstance, prior,
         s_msg, v_t, stalled = nle_orthogonalize(den, r, v_gamma, cfg.variance_floor)
         return den.posterior_mean, v_gamma, v_t, stalled, "nle-stall" if stalled else ""
 
-    return _iterate(step, instance.s_true, cfg, CostMeter())
+    return _iterate(step, instance.s_true, cfg, meter)
 
 
 def lmmse_estimate_gaussian(instance: SystemInstance, sigma_s2: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from ibsmamp.ibs import IbsSpec, build_ibs_transform
 from ibsmamp.kernels import fft_operator
 from ibsmamp.operators import DiagonalOperator, materialize_dense
 from ibsmamp.rng import generator
-from ibsmamp.scenarios import (BernoulliGaussianPrior, QpskPrior,
+from ibsmamp.scenarios import (BernoulliGaussianPrior, CirculantOperator, QpskPrior,
                                doppler_preset_4ghz_100kmh_15khz, gen_multipath_channel,
                                gen_sensing_diagonal, mse, simulate_observation)
 from ibsmamp.spectral import spectral_profile
@@ -32,18 +32,20 @@ def test_config_validation():
             MampConfig(**bad)
 
 
-def make_square_state(alpha, y, max_iters, theta=None, xi=None, relax=1.0):
+def make_square_state(alpha, y, max_iters, theta=None, xi=None, relax=1.0,
+                      damping_window=3):
     A = DiagonalOperator(np.asarray(alpha, dtype=complex))
     profile = spectral_profile(A, depth=max_iters, dim=A.rows)
     state = MampState(profile, y, forward=A.apply, back=lambda u: u,
                       dim=A.rows, noise_var=0.0, theta=theta, xi=xi,
-                      max_iters=max_iters, relax=relax)
+                      max_iters=max_iters, relax=relax,
+                      damping_window=damping_window)
     return A, state
 
 
 def test_state_buffers_and_views():
     y = np.array([1.0 + 0j, 2.0])
-    _, state = make_square_state([2.0, 1.0], y, max_iters=4)
+    _, state = make_square_state([2.0, 1.0], y, max_iters=4, damping_window=2)
     assert len(state.last_candidates(5)) == 1
     assert np.array_equal(state.last_candidates(5)[0], np.zeros(2))
     assert np.array_equal(state.last_residuals(5)[0], y)
@@ -54,6 +56,15 @@ def test_state_buffers_and_views():
     assert np.array_equal(state.last_candidates(1)[0], h2)
     assert np.array_equal(state.last_candidates(5)[0], np.zeros(2))
     assert np.array_equal(state.last_residuals(1)[0], y - h2)
+    # Only the trailing damping_window residuals are kept: h3 overwrites
+    # the slot of h1's residual.
+    h3 = np.array([1.0 + 0j, 1.0])
+    state.push(h3, y - h3)
+    assert state._resid.shape == (2, 2)
+    assert [c[0] for c in state.last_candidates(5)] == [h2[0], h3[0]]
+    got = state.last_residuals(5)
+    assert len(got) == 2
+    assert np.array_equal(got[0], y - h2) and np.array_equal(got[1], y - h3)
 
 
 def test_state_validates_depth_and_schedules():
@@ -136,6 +147,68 @@ def test_linear_stage_matches_dense_reference_recursion():
         assert abs(v - max(v_want, state.variance_floor)) < 1e-10
         h_next = r / 2.0
         state.push(h_next, y - state.forward(h_next))
+
+
+def test_memory_sum_weighs_rows_by_coefficient_and_norm():
+    # theta lambda_dagger = 6.25e-4 (lambda_dagger = 2.5) makes the
+    # coefficient of h_2 about 1e-24 of the newest one at step 9, far below
+    # 2^-53.  With a unit norm the
+    # row is skipped; with a norm of 1e30 its term dominates and is kept.
+    steps = 9
+    y = np.array([1.0 + 0j, 2.0])
+    summed = {}
+    for norm in (1.0, 1e30):
+        A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
+                                     theta=np.full(steps, 1e-3 / 4.0))
+        for t in range(1, steps):
+            h = np.array([1.0 + 1j, -1.0]) / np.sqrt(3.0) * (norm if t == 1 else 1.0)
+            mle_step(state, A, y)
+            state.push(h, y - A.apply(h))
+        before = state.meter.vector_points
+        r, _ = mle_step(state, A, y)
+        summed[norm] = (state.meter.vector_points - before) // state.dim
+        p = state.vartheta * state.w[steps - 1::-1]
+        assert abs(p[1] / p[-1]) < 1e-18
+        full = (state.back(state.adj_gamma) + p @ state._hist[:steps]) / p.sum()
+        assert np.allclose(r, full, rtol=1e-14, atol=0.0)
+    assert summed[1.0] < steps - 1
+    assert summed[1e30] == steps - 1      # only the zero row h_1 is skipped
+
+
+def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch):
+    # A converging wide BW_IBS run: at every step the truncated sum agrees
+    # with the full p @ hist[:t] within the error bound of a floating-point
+    # sum, and once the weights have decayed fewer than t rows are summed.
+    n, m = 512, 256
+    A = gen_sensing_diagonal(m, n, 10.0).operator()
+    prior = BernoulliGaussianPrior(rho=0.1)
+    s = prior.sample(n, generator(3, 2))
+    Xi = build_ibs_transform(IbsSpec(n=n, n_s=64, m=m, variant="BW_IBS",
+                                     block_seed_base=5, whole_seed=6))
+    instance = simulate_observation(A, Xi, s, 30.0, 3)
+    memory_sum, step = estimators._memory_sum, estimators.mle_step
+    errors, summed = [], []
+
+    def checked_sum(p, hist, norms):
+        memory, rows = memory_sum(p, hist, norms)
+        bound = 4 * len(p) * 2.0 ** -53 * np.sum(np.abs(p) * norms)
+        errors.append(np.linalg.norm(memory - p @ hist) <= bound)
+        return memory, rows
+
+    def metered_step(state, *args):
+        before = state.meter.vector_points
+        out = step(state, *args)
+        summed.append((state.iteration, (state.meter.vector_points - before) // n))
+        return out
+
+    monkeypatch.setattr(estimators, "_memory_sum", checked_sum)
+    monkeypatch.setattr(estimators, "mle_step", metered_step)
+    run = run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=160,
+                                                      stop_on_stall=False))
+    assert len(run.points) == 160 and run.points[-1].mse_db < -30.0
+    assert len(errors) == 160 and all(errors)
+    assert all(rows <= t for t, rows in summed)
+    assert all(rows < t // 2 for t, rows in summed[120:]), summed[120:]
 
 
 def test_degenerate_gain_normalizer_raises():
@@ -367,6 +440,29 @@ def test_oamp_materializes_a_dense_channel_a_fixed_number_of_times(monkeypatch):
     assert len(run.points) == 8
     assert len(calls) <= 2
     assert all(op is A for op in calls)
+
+
+def test_cost_meters_count_channel_and_transform_applies():
+    # MAMP: A^H gamma_{t-1} is reused, so iteration 1 applies A three times
+    # and every later one four times; Xi is applied three times each.
+    # OAMP applies Xi and A forward and adjoint once per iteration.
+    n, iters = 64, 7
+    A = gen_multipath_channel(n, 4, seed=2).operator()
+    assert isinstance(A, CirculantOperator)
+    Xi = build_ibs_transform(IbsSpec(n=n, n_s=16, m=n, variant="BW_IBS",
+                                     direction="kernel-adjoint", whole_seed=2))
+    prior = QpskPrior()
+    instance = simulate_observation(A, Xi, prior.sample(n, generator(2, 2)), 6.0, seed=2)
+    cfg = MampConfig(max_iters=iters, stop_tolerance=1e-300, stop_on_stall=False)
+    transform_points = n * np.log2(16)
+    for run, channel, transform in (
+            (run_cd_mamp(instance, Xi, prior, cfg), 3 + 4 * (iters - 1), 3 * iters),
+            (run_cd_oamp(instance, prior, cfg), 2 * iters, 2 * iters)):
+        assert len(run.points) == iters
+        assert run.meter.channel_applies == channel
+        assert run.meter.channel_points == channel * 4 * n
+        assert run.meter.transform_applies == transform
+        assert run.meter.transform_points == transform * transform_points
 
 
 def test_gaussian_estimators_reach_the_lmmse_error():
