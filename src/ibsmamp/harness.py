@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedMetricError
+from .errors import ConfigurationError, UnsupportedMetricError, require_integer
 from .estimators import MampConfig, run_cd_mamp
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
 from .rng import generator, raw_words
@@ -58,6 +58,19 @@ def _check_keys(data: dict, cls) -> None:
     if unknown:
         raise ConfigurationError(
             f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
+
+
+def _check_integer_fields(cfg) -> None:
+    """Refuse floats and bools in the fields annotated as integers, such as
+    n = 1024.0 from a JSON config, before they reach numpy.  The annotations
+    are strings here (``from __future__ import annotations``)."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "tuple[int, ...]":
+            for x in value:
+                require_integer(f.name, x)
+        elif f.type == "int" or (f.type == "int | None" and value is not None):
+            require_integer(f.name, value)
 
 
 def _from_dict(cls, data: dict, overrides: dict | None = None):
@@ -97,6 +110,7 @@ class CsMseConfig:
     relax: float = 1.0
 
     def __post_init__(self):
+        _check_integer_fields(self)
         if self.trials < 1 or self.threads < 1:
             raise ConfigurationError("trials and threads must be >= 1")
         if self.base not in BASES:
@@ -139,6 +153,7 @@ class IfdmBerConfig:
     stall_patience: int = 6
 
     def __post_init__(self):
+        _check_integer_fields(self)
         if self.trials < 1 or self.threads < 1:
             raise ConfigurationError("trials and threads must be >= 1")
         for b in self.bases:
@@ -165,6 +180,7 @@ class ComplexityConfig:
     taps: int = 8
 
     def __post_init__(self):
+        _check_integer_fields(self)
         object.__setattr__(self, "n_s_list", tuple(int(x) for x in self.n_s_list))
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer
 from .kernels import fft_adjoint, fft_forward, fwht_forward, is_power_of_two
 from .operators import LinearOperator, _freeze
 from .rng import Permutation, make_permutation
@@ -55,6 +55,8 @@ class IbsSpec:
     whole_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "n_s", "m", "block_seed_base", "whole_seed"):
+            require_integer(name, getattr(self, name))
         if not is_power_of_two(self.n):
             raise ConfigurationError(f"n must be a power of two, got {self.n}")
         if not is_power_of_two(self.n_s):
@@ -103,14 +105,15 @@ class IbsSpec:
 class IbsOperator(LinearOperator):
     """Row-orthonormal IBS transform built from an IbsSpec.
 
-    Forward runs the kernel on all L blocks in one batched call, gathers
-    the selected rows of every block, and applies the whole interleave.
-    The adjoint reverses each stage, zero-filling the rows that the
-    selection dropped, so ``apply_adjoint`` is the pseudo-inverse of
-    ``apply``.
+    The row selection and the whole interleave together pick, for every
+    output row, one entry of the flattened (L, n_s) kernel output; ``_flat``
+    holds that index.  Forward runs the kernel on all L blocks in one
+    batched call and gathers ``_flat``.  The adjoint scatters into zeros at
+    ``_flat``, leaving the rows the selection dropped at zero, and runs the
+    adjoint kernel, so ``apply_adjoint`` is the pseudo-inverse of ``apply``.
     """
 
-    __slots__ = ("spec", "block_perms", "whole_perm", "_sel", "_kfwd", "_kadj")
+    __slots__ = ("spec", "block_perms", "whole_perm", "_flat", "_kfwd", "_kadj")
 
     def __init__(self, spec: IbsSpec,
                  block_perms: tuple[Permutation, ...] | None,
@@ -124,10 +127,15 @@ class IbsOperator(LinearOperator):
                 raise ConfigurationError(f"block permutations must have size n_s={n_s}")
             sel = np.stack([p.indices[:m_s] for p in block_perms])
         else:
-            sel = np.broadcast_to(np.arange(m_s, dtype=np.int64), (blocks, m_s)).copy()
+            sel = np.arange(m_s, dtype=np.int64)
         if whole_perm is not None and whole_perm.size != spec.m:
             raise ConfigurationError(f"whole permutation must have size m={spec.m}")
-        sel.setflags(write=False)
+        # Stacked output row k reads kernel entry (k // m_s, sel[k // m_s, k % m_s]);
+        # the whole interleave then reorders the stacked rows.
+        flat = (np.arange(blocks, dtype=np.int64)[:, None] * n_s + sel).reshape(spec.m)
+        if whole_perm is not None:
+            flat = flat[whole_perm.indices]
+        flat.setflags(write=False)
 
         if spec.base == "FFT":
             kfwd, kadj = fft_forward, fft_adjoint
@@ -138,31 +146,22 @@ class IbsOperator(LinearOperator):
 
         super().__init__(spec.m, spec.n, self._forward, self._adjoint)
         _freeze(self, spec=spec, block_perms=block_perms, whole_perm=whole_perm,
-                _sel=sel, _kfwd=kfwd, _kadj=kadj)
+                _flat=flat, _kfwd=kfwd, _kadj=kadj)
 
     @property
     def row_blocks(self) -> np.ndarray:
         """Index of the source block that feeds each output row."""
-        stacked = np.arange(self.spec.m)
-        if self.whole_perm is not None:
-            stacked = self.whole_perm.indices
-        return stacked // self.spec.block_rows
+        return self._flat // self.spec.n_s
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
         spec = self.spec
-        u = self._kfwd(v.reshape(spec.blocks, spec.n_s))
-        out = u[np.arange(spec.blocks)[:, None], self._sel].reshape(spec.m)
-        if self.whole_perm is not None:
-            out = self.whole_perm.apply(out)
-        return out
+        return self._kfwd(v.reshape(spec.blocks, spec.n_s)).reshape(spec.n)[self._flat]
 
     def _adjoint(self, v: np.ndarray) -> np.ndarray:
         spec = self.spec
-        if self.whole_perm is not None:
-            v = self.whole_perm.apply_inverse(v)
-        z = np.zeros((spec.blocks, spec.n_s), dtype=np.result_type(v.dtype, np.complex128))
-        z[np.arange(spec.blocks)[:, None], self._sel] = v.reshape(spec.blocks, spec.block_rows)
-        return self._kadj(z).reshape(spec.n)
+        z = np.zeros(spec.n, dtype=np.result_type(v.dtype, np.complex128))
+        z[self._flat] = v
+        return self._kadj(z.reshape(spec.blocks, spec.n_s)).reshape(spec.n)
 
 
 def build_ibs_transform(spec: IbsSpec) -> IbsOperator:

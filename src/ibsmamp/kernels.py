@@ -3,11 +3,21 @@
 Both kernels use the unitary 1/sqrt(n) normalization so forward and
 adjoint are exact inverses of each other.  Sizes must be powers of two.
 
-The FFT is delegated to numpy's pocketfft backend (norm="ortho"); the
-Walsh-Hadamard transform is an in-place butterfly over log2(n) stages in
-natural (Sylvester) ordering: H_1 = [1], H_2n = [[H_n, H_n], [H_n, -H_n]]
-times 1/sqrt(2) per doubling.  The Hadamard matrix is real symmetric, so
-the FWHT is its own adjoint.
+The FFT is delegated to numpy's pocketfft backend (norm="ortho").  The
+Walsh-Hadamard transform is in natural (Sylvester) ordering: H_1 = [1],
+H_2n = [[H_n, H_n], [H_n, -H_n]] times 1/sqrt(2) per doubling.  The
+Hadamard matrix is real symmetric, so the FWHT is its own adjoint.
+
+The FWHT is a constant-geometry (Pease) butterfly.  Each of its log2(n)
+stages adds and subtracts the neighbours a[2i] and a[2i+1] into slots i
+and i + n/2 of a second buffer, rotating the index bits right by one, so
+stage s pairs the entries that differ in bit s of the original index:
+bit 0 first, always (bit clear) +/- (bit set), and natural order again
+after the last stage.  That is the stage and operand order of the
+in-place butterfly with strides 1, 2, 4, ..., so every intermediate value
+is the same floating-point operation on the same operands and the two
+forms agree bit for bit; only the memory layout between stages differs.
+The 1/sqrt(n) scale is one final division.
 """
 
 from __future__ import annotations
@@ -41,21 +51,22 @@ def fft_adjoint(v: np.ndarray, axis: int = -1) -> np.ndarray:
 def fwht_forward(v: np.ndarray) -> np.ndarray:
     """Unitary Walsh-Hadamard transform along the last axis.
 
-    Accepts any (..., n) array with n a power of two.
+    Accepts any (..., n) array with n a power of two; see the module
+    docstring for the stage order.
     """
     n = v.shape[-1]
     _check_size(n)
-    a = np.array(v, dtype=np.result_type(v.dtype, np.float64), copy=True)
+    a = np.asarray(v, dtype=np.result_type(v.dtype, np.float64))
     lead = a.shape[:-1]
     a = a.reshape(-1, n)
-    h = 1
-    while h < n:
-        a = a.reshape(a.shape[0], -1, 2, h)
-        top = a[:, :, 0, :] + a[:, :, 1, :]
-        bot = a[:, :, 0, :] - a[:, :, 1, :]
-        a = np.concatenate([top[:, :, None, :], bot[:, :, None, :]], axis=2)
-        a = a.reshape(a.shape[0], n)
-        h *= 2
+    half = n // 2
+    buffers = (np.empty_like(a), np.empty_like(a))
+    for stage in range(n.bit_length() - 1):
+        out = buffers[stage % 2]
+        even, odd = a[:, 0::2], a[:, 1::2]
+        np.add(even, odd, out=out[:, :half])
+        np.subtract(even, odd, out=out[:, half:])
+        a = out
     return (a / np.sqrt(n)).reshape(*lead, n)
 
 

@@ -83,19 +83,6 @@ class Permutation:
             raise ValueError(f"vector length {v.shape[0]} != permutation size {self.size}")
         return v[self.indices]
 
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        """Undo apply(): scatter v back so apply_inverse(apply(v)) == v."""
-        if v.shape[0] != self.size:
-            raise ValueError(f"vector length {v.shape[0]} != permutation size {self.size}")
-        out = np.empty_like(v)
-        out[self.indices] = v
-        return out
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.indices] = np.arange(self.size)
-        return Permutation(inv)
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(self.indices, other.indices)
 
@@ -108,16 +95,15 @@ def make_permutation(size: int, seed: int) -> Permutation:
 
     Fisher-Yates, iterating i = size-1 down to 1 and swapping slot i with
     slot ``j = w mod (i + 1)`` where ``w`` is the next raw word of the
-    Philox 4x64-10 stream keyed by ``seed``.  The modulo bias is below
+    Philox 4x64-10 stream keyed by ``seed``.  The words are taken as Python
+    ints, whose ``%`` on a non-negative word equals the uint64 modulo, so
+    the swaps need no numpy scalars.  The modulo bias is below
     size / 2**64 and irrelevant at any size this package builds.
     """
     if size < 1:
         raise ValueError(f"permutation size must be >= 1, got {size}")
-    perm = np.arange(size, dtype=np.int64)
-    if size == 1:
-        return Permutation(perm, seed=seed)
-    raw = raw_words(seed, size - 1)
-    for i in range(size - 1, 0, -1):
-        j = int(raw[size - 1 - i] % np.uint64(i + 1))
+    perm = list(range(size))
+    for i, w in zip(range(size - 1, 0, -1), raw_words(seed, size - 1).tolist()):
+        j = w % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return Permutation(perm, seed=seed)

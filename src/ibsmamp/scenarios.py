@@ -69,7 +69,10 @@ class CirculantOperator(LinearOperator):
     """Static cyclic multipath channel: (A x)[i] = sum_k g_k x[(i - d_k) mod n].
 
     Diagonalized by the DFT; ``freq_response`` holds the eigenvalues of A,
-    so AA^H has eigenvalues |freq_response|**2 exactly.
+    so AA^H has eigenvalues |freq_response|**2 exactly.  Both applies run
+    ``_tap_sum``: the forward adds ``g_k * x`` shifted by d_k, the adjoint
+    adds ``conj(g_k) * x`` shifted by -d_k, tap by tap in the order of
+    ``delays``.
     """
 
     __slots__ = ("delays", "gains", "freq_response", "taps_per_row")
@@ -83,21 +86,11 @@ class CirculantOperator(LinearOperator):
         freq = np.fft.fft(kernel)
         for arr in (delays, gains, freq):
             arr.setflags(write=False)
-        super().__init__(n, n, self._forward, self._adjoint)
+        fwd = _taps(n, delays, gains)
+        adj = _taps(n, -delays, np.conj(gains))
+        super().__init__(n, n, lambda v: _tap_sum(v, fwd), lambda v: _tap_sum(v, adj))
         _freeze(self, delays=delays, gains=gains, freq_response=freq,
                 taps_per_row=int(delays.size))
-
-    def _forward(self, v):
-        out = np.zeros_like(v, dtype=np.complex128)
-        for d, g in zip(self.delays, self.gains):
-            out += g * np.roll(v, d)
-        return out
-
-    def _adjoint(self, v):
-        out = np.zeros_like(v, dtype=np.complex128)
-        for d, g in zip(self.delays, self.gains):
-            out += np.conj(g) * np.roll(v, -d)
-        return out
 
     def solve_shifted(self, v_scale: float, sigma2: float, z: np.ndarray) -> np.ndarray:
         """(v_scale * A A^H + sigma2 I)^{-1} z via the DFT eigenbasis."""
@@ -106,7 +99,14 @@ class CirculantOperator(LinearOperator):
 
 
 class TimeVaryingChannelOperator(LinearOperator):
-    """Cyclic multipath channel whose tap gains drift per output sample."""
+    """Cyclic multipath channel whose tap gains drift per output sample:
+    (A x)[i] = sum_k track_k[i] x[(i - d_k) mod n].
+
+    Runs the same ``_tap_sum`` as the static channel with vector gains: the
+    forward adds ``roll(track_k, -d_k) * x`` shifted by d_k, which puts
+    ``track_k[i] * x[i - d_k]`` in slot i; the adjoint adds
+    ``conj(track_k) * x`` shifted by -d_k.
+    """
 
     __slots__ = ("delays", "gain_tracks", "taps_per_row")
 
@@ -119,20 +119,31 @@ class TimeVaryingChannelOperator(LinearOperator):
         _check_taps(n, delays, gain_tracks[:, 0])
         for arr in (delays, gain_tracks):
             arr.setflags(write=False)
-        super().__init__(n, n, self._forward, self._adjoint)
+        fwd = _taps(n, delays, [np.roll(t, -d) for d, t in zip(delays, gain_tracks)])
+        adj = _taps(n, -delays, np.conj(gain_tracks))
+        super().__init__(n, n, lambda v: _tap_sum(v, fwd), lambda v: _tap_sum(v, adj))
         _freeze(self, delays=delays, gain_tracks=gain_tracks, taps_per_row=int(delays.size))
 
-    def _forward(self, v):
-        out = np.zeros_like(v, dtype=np.complex128)
-        for d, track in zip(self.delays, self.gain_tracks):
-            out += track * np.roll(v, d)
-        return out
 
-    def _adjoint(self, v):
-        out = np.zeros_like(v, dtype=np.complex128)
-        for d, track in zip(self.delays, self.gain_tracks):
-            out += np.roll(np.conj(track) * v, -d)
-        return out
+def _taps(n, shifts, gains) -> tuple:
+    """(shift mod n, gain) pairs for ``_tap_sum``, shifts as Python ints."""
+    return tuple((int(s) % n, g) for s, g in zip(shifts, gains))
+
+
+def _tap_sum(v, taps):
+    """sum over taps of np.roll(g * v, s), without the rolled copies.
+
+    Each tap adds the two pieces of its product into the two slices of the
+    output they land on, so every output entry receives the same products
+    in the same tap order as the rolled sum: the result is bit-identical.
+    """
+    n = v.shape[0]
+    out = np.zeros_like(v, dtype=np.complex128)
+    for s, g in taps:
+        w = g * v
+        out[s:] += w[:n - s]
+        out[:s] += w[n - s:]
+    return out
 
 
 def _check_taps(n, delays, gains):

@@ -75,17 +75,15 @@ def check_kernels_against_naive() -> tuple[bool, str]:
 
 @_check
 def check_permutations() -> tuple[bool, str]:
-    """Bijectivity, inverse round-trip, and determinism of permutations."""
+    """Bijectivity and determinism of permutations."""
     p = make_permutation(257, 1234)
     q = make_permutation(257, 1234)
     if not np.array_equal(p.indices, q.indices):
         return False, "same seed produced different permutations"
-    v = np.arange(257.0)
-    rt = p.apply_inverse(p.apply(v))
-    ok = np.array_equal(np.sort(p.indices), np.arange(257)) and np.array_equal(rt, v)
+    ok = np.array_equal(np.sort(p.indices), np.arange(257))
     ident = Permutation.identity(4)
     ok = ok and np.array_equal(ident.apply(np.arange(4.0)), np.arange(4.0))
-    return ok, "bijection, inverse, identity"
+    return ok, "bijection, identity"
 
 
 @_check

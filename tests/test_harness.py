@@ -215,6 +215,19 @@ def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
     assert main(["cs-mse", "--trials", "0", "--out", str(tmp_path)]) == 2
 
 
+def test_cli_rejects_non_integer_sizes_with_exit_2(tmp_path, capsys):
+    cases = [("ifdm-ber", {"n": 1024.0}), ("ifdm-ber", {"n_s_list": [32.5]}),
+             ("ifdm-ber", {"taps": True}), ("cs-mse", {"m": 64.0}),
+             ("complexity", {"n_s_list": [128, 32.0]})]
+    for experiment, data in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be an integer" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -7,7 +7,7 @@ from scipy.linalg import block_diag
 from ibsmamp.errors import ConfigurationError
 from ibsmamp.ibs import (BASES, VARIANTS, IbsOperator, IbsSpec, build_ibs_transform,
                          relative_complexity)
-from ibsmamp.kernels import fft_operator
+from ibsmamp.kernels import fft_adjoint, fft_forward, fft_operator, fwht_forward
 from ibsmamp.operators import materialize_dense
 from ibsmamp.rng import Permutation, generator, make_permutation
 
@@ -54,6 +54,16 @@ def test_spec_validation():
                 dict(good, direction="sideways")):
         with pytest.raises(ConfigurationError):
             IbsSpec(**bad)
+
+
+def test_spec_rejects_non_integer_fields():
+    good = dict(n=16, n_s=4, m=8, variant="BS")
+    for bad in (dict(good, n=16.0), dict(good, n_s=4.0), dict(good, m=8.0),
+                dict(good, n=True), dict(good, m=np.float64(8)),
+                dict(good, block_seed_base=1.5), dict(good, whole_seed=False)):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            IbsSpec(**bad)
+    assert IbsSpec(**dict(good, n=np.int64(16))).n == 16
 
 
 def test_spec_block_accounting():
@@ -107,6 +117,52 @@ def test_matrix_free_matches_dense_oracle(variant, base, direction):
         rng = generator(3)
         u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         assert np.max(np.abs(op.apply_adjoint(u) - dense.conj().T @ u)) < 1e-12
+
+
+def select_and_interleave(op, v, adjoint):
+    """Reference formulation of the IBS applies: the batched kernel, a 2-D
+    (block, row) selection, and a separate whole-interleave gather/scatter."""
+    spec = op.spec
+    blocks, n_s, m_s = spec.blocks, spec.n_s, spec.block_rows
+    kfwd, kadj = (fft_forward, fft_adjoint) if spec.base == "FFT" else (fwht_forward,) * 2
+    if spec.direction == "kernel-adjoint":
+        kfwd, kadj = kadj, kfwd
+    rows = np.arange(blocks)[:, None]
+    if op.block_perms is None:
+        sel = np.broadcast_to(np.arange(m_s), (blocks, m_s))
+    else:
+        sel = np.stack([p.indices[:m_s] for p in op.block_perms])
+    whole = op.whole_perm
+    if not adjoint:
+        out = kfwd(v.reshape(blocks, n_s))[rows, sel].reshape(spec.m)
+        return out if whole is None else out[whole.indices]
+    if whole is not None:
+        unshuffled = np.empty_like(v)
+        unshuffled[whole.indices] = v
+        v = unshuffled
+    z = np.zeros((blocks, n_s), dtype=np.complex128)
+    z[rows, sel] = v.reshape(blocks, m_s)
+    return kadj(z).reshape(spec.n)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("direction", ["kernel", "kernel-adjoint"])
+def test_flat_index_applies_are_bit_identical_to_select_and_interleave(variant, base,
+                                                                       direction):
+    rng = generator(17)
+    for n, n_s, m in ((64, 8, 32), (64, 16, 64), (32, 32, 16), (32, 32, 32)):
+        spec = IbsSpec(n=n, n_s=n_s, m=m, variant=variant, base=base,
+                       direction=direction, block_seed_base=5, whole_seed=9)
+        op = build_ibs_transform(spec)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for got, want in ((op.apply(v), select_and_interleave(op, v, False)),
+                          (op.apply_adjoint(u), select_and_interleave(op, u, True))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        stacked = np.arange(m) if op.whole_perm is None else op.whole_perm.indices
+        assert np.array_equal(op.row_blocks, stacked // spec.block_rows)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

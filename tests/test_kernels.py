@@ -50,6 +50,35 @@ def test_fwht_matches_naive_hadamard(n):
         assert np.max(np.abs(fwht_forward(v) - H @ v)) < 1e-12
 
 
+def reshape_concatenate_fwht(v):
+    """Reference butterfly: stage h = 1, 2, 4, ... pairs slots x and x + h."""
+    n = v.shape[-1]
+    a = np.array(v, dtype=np.result_type(v.dtype, np.float64), copy=True)
+    lead = a.shape[:-1]
+    a = a.reshape(-1, n)
+    h = 1
+    while h < n:
+        a = a.reshape(a.shape[0], -1, 2, h)
+        top = a[:, :, 0, :] + a[:, :, 1, :]
+        bot = a[:, :, 0, :] - a[:, :, 1, :]
+        a = np.concatenate([top[:, :, None, :], bot[:, :, None, :]], axis=2)
+        a = a.reshape(a.shape[0], n)
+        h *= 2
+    return (a / np.sqrt(n)).reshape(*lead, n)
+
+
+@pytest.mark.parametrize("n", [1] + SIZES)
+def test_fwht_is_bit_identical_to_reshape_concatenate_butterfly(n):
+    rng = generator(n + 2)
+    for lead in ((), (3,), (2, 3)):
+        real = rng.standard_normal(lead + (n,))
+        cplx = real + 1j * rng.standard_normal(lead + (n,))
+        for v in (real, cplx):
+            got, want = fwht_forward(v), reshape_concatenate_fwht(v)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_fwht_natural_ordering_small_case():
     # 4-point butterfly output in natural (untouched-index) order.
     v = np.array([1.0, 2.0, 3.0, 4.0])

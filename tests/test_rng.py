@@ -57,20 +57,10 @@ def test_permutation_apply_gathers_forward_indices():
     assert p.apply(v).tolist() == [12.0, 10.0, 11.0]
 
 
-def test_permutation_inverse_round_trip():
-    p = make_permutation(33, seed=4)
-    v = np.arange(33, dtype=float) + 1j
-    assert np.array_equal(p.apply_inverse(p.apply(v)), v)
-    assert np.array_equal(p.apply(p.apply_inverse(v)), v)
-    assert np.array_equal(p.inverse().apply(v), p.apply_inverse(v))
-    assert p.inverse().inverse() == p
-
-
 def test_permutation_identity():
     p = Permutation.identity(5)
     v = np.arange(5.0)
     assert np.array_equal(p.apply(v), v)
-    assert p == p.inverse()
 
 
 def test_permutation_validates_indices():
@@ -88,8 +78,6 @@ def test_permutation_rejects_wrong_length_vector():
     p = Permutation.identity(4)
     with pytest.raises(ValueError):
         p.apply(np.zeros(5))
-    with pytest.raises(ValueError):
-        p.apply_inverse(np.zeros(3))
 
 
 def test_permutation_is_immutable():
@@ -119,15 +107,15 @@ def test_make_permutation_is_bijective_over_sizes():
 
 
 def test_make_permutation_matches_swap_by_swap_replay():
-    # Independent replay of the documented shuffle: walk i from the top,
-    # swap slot i with slot (word mod (i+1)).
-    size, seed = 23, 77
-    words = raw_words(seed, size - 1)
-    want = np.arange(size)
-    for i in range(size - 1, 0, -1):
-        j = int(words[size - 1 - i] % np.uint64(i + 1))
-        want[i], want[j] = want[j], want[i]
-    assert make_permutation(size, seed).indices.tolist() == want.tolist()
+    # Independent replay of the documented shuffle on numpy uint64 words:
+    # walk i from the top, swap slot i with slot (word mod (i+1)).
+    for size, seed in ((1, 5), (2, 3), (23, 77), (257, 2 ** 63 + 1), (1024, 9)):
+        words = raw_words(seed, size - 1)
+        want = np.arange(size)
+        for i in range(size - 1, 0, -1):
+            j = int(words[size - 1 - i] % np.uint64(i + 1))
+            want[i], want[j] = want[j], want[i]
+        assert make_permutation(size, seed).indices.tolist() == want.tolist()
 
 
 def test_make_permutation_rejects_empty():

@@ -113,6 +113,43 @@ def test_time_varying_channel_matches_dense_oracle():
     assert np.max(np.abs(op.apply_adjoint(u) - M.conj().T @ u)) < 1e-12
 
 
+def roll_sum_circulant(v, delays, gains, adjoint):
+    """Reference formulation of the static channel: one np.roll per tap."""
+    out = np.zeros_like(v, dtype=np.complex128)
+    for d, g in zip(delays, gains):
+        out += np.conj(g) * np.roll(v, -d) if adjoint else g * np.roll(v, d)
+    return out
+
+
+def roll_sum_time_varying(v, delays, tracks, adjoint):
+    """Reference formulation of the drifting channel: one np.roll per tap."""
+    out = np.zeros_like(v, dtype=np.complex128)
+    for d, track in zip(delays, tracks):
+        out += np.roll(np.conj(track) * v, -d) if adjoint else track * np.roll(v, d)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, delays", [(16, [0]), (16, [5]), (16, [0, 3, 7]),
+                                       (32, [1, 31]), (1024, [0, 17, 400, 1023])])
+def test_channel_applies_are_bit_identical_to_rolled_sums(n, delays):
+    rng = generator(n + len(delays))
+    delays = np.array(delays)
+    gains = rng.standard_normal(delays.size) + 1j * rng.standard_normal(delays.size)
+    tracks = rng.standard_normal((delays.size, n)) + 1j * rng.standard_normal((delays.size, n))
+    circ = CirculantOperator(n, delays, gains)
+    tv = TimeVaryingChannelOperator(n, delays, tracks)
+    for v in (rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n)):
+        assert_same_bits(circ.apply(v), roll_sum_circulant(v, delays, gains, False))
+        assert_same_bits(circ.apply_adjoint(v), roll_sum_circulant(v, delays, gains, True))
+        assert_same_bits(tv.apply(v), roll_sum_time_varying(v, delays, tracks, False))
+        assert_same_bits(tv.apply_adjoint(v), roll_sum_time_varying(v, delays, tracks, True))
+
+
 def test_channels_freeze_copies_not_the_callers_arrays():
     delays = np.array([0, 3], dtype=np.int64)
     gains = np.array([1.0, 0.5j])
