@@ -62,9 +62,9 @@ import numpy as np
 from .denoisers import DenoiserResult
 from .errors import NormalizationError
 from .ibs import IbsOperator
-from .operators import DiagonalOperator, LinearOperator, materialize_dense
+from .operators import DiagonalOperator, LinearOperator
 from .scenarios import CirculantOperator, SystemInstance, mse, mse_db
-from .spectral import SpectralProfile, gram_eigenvalues, spectral_profile
+from .spectral import SpectralProfile, dense_gram, gram_eigenvalues, spectral_profile
 
 _EPS_MIN = 1e-12
 # An iteration that lowers the best mse by less than this share counts as a stall.
@@ -492,8 +492,7 @@ def _shifted_solver(A: LinearOperator):
         return lambda v_scale, sigma2, z: z / (v_scale * lam + sigma2)
     if isinstance(A, CirculantOperator):
         return A.solve_shifted
-    dense = materialize_dense(A)
-    gram = dense @ dense.conj().T
+    gram = dense_gram(A)
     eye = np.eye(A.rows)
     return lambda v_scale, sigma2, z: np.linalg.solve(v_scale * gram + sigma2 * eye, z)
 

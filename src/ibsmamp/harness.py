@@ -27,7 +27,8 @@ from .estimators import MampConfig, run_cd_mamp
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
 from .rng import generator, raw_words
 from .scenarios import (BernoulliGaussianPrior, QpskPrior, STREAM_SOURCE, ber_qpsk,
-                        gen_multipath_channel, gen_sensing_diagonal, simulate_observation)
+                        gen_multipath_channel, gen_sensing_diagonal, observe,
+                        simulate_observation, unit_noise)
 
 SCHEMA_VERSION = 1
 
@@ -286,18 +287,23 @@ def _ber_trial(cfg: IfdmBerConfig, trial_seed: int) -> list[tuple]:
     channel = gen_multipath_channel(cfg.n, cfg.taps, cfg.doppler_spread, trial_seed)
     A = channel.operator()
     s = prior.sample(cfg.n, generator(trial_seed, STREAM_SOURCE))
-    transforms = {}
+    noise = unit_noise(A.rows, trial_seed)
+    block_seed_base = derive_subseed(trial_seed, STREAM_BLOCK_SEEDS)
+    whole_seed = derive_subseed(trial_seed, STREAM_WHOLE_SEED)
+    # The schemes share their seeds, so each permutation is drawn once.
+    perms = {}
+    transforms, images = {}, {}
     for scheme, base, n_s in _ber_schemes(cfg):
         variant = "W_IBS" if scheme == "full" else cfg.variant
         spec = IbsSpec(n=cfg.n, n_s=n_s, m=cfg.n, variant=variant, base=base,
-                       direction="kernel-adjoint",
-                       block_seed_base=derive_subseed(trial_seed, STREAM_BLOCK_SEEDS),
-                       whole_seed=derive_subseed(trial_seed, STREAM_WHOLE_SEED))
-        transforms[scheme] = build_ibs_transform(spec)
+                       direction="kernel-adjoint", block_seed_base=block_seed_base,
+                       whole_seed=whole_seed)
+        Xi = transforms[scheme] = build_ibs_transform(spec, perms)
+        images[scheme] = A.apply(Xi.apply(s))
     for snr_db in cfg.snr_db_list:
         for scheme, base, n_s in _ber_schemes(cfg):
             Xi = transforms[scheme]
-            instance = simulate_observation(A, Xi, s, snr_db, trial_seed)
+            instance = observe(A, Xi, s, images[scheme], noise, snr_db, trial_seed)
             run = run_cd_mamp(instance, Xi, prior, _mamp_config(cfg))
             rows.append((scheme, base, n_s, float(snr_db), trial_seed,
                          float(ber_qpsk(run.s_hat, s)), cfg.n))

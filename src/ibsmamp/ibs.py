@@ -164,20 +164,30 @@ class IbsOperator(LinearOperator):
         return self._kadj(z.reshape(spec.blocks, spec.n_s)).reshape(spec.n)
 
 
-def build_ibs_transform(spec: IbsSpec) -> IbsOperator:
+def build_ibs_transform(spec: IbsSpec,
+                        perms: dict[tuple[int, int], Permutation] | None = None) -> IbsOperator:
     """Build the IBS transform for spec, deriving permutations from its seeds.
 
     Block l (0-based) draws its permutation from seed block_seed_base + l;
     the whole interleave draws from whole_seed.  Variants ignore the seeds
-    of the stages they do not randomize.
+    of the stages they do not randomize.  ``perms``, when given, keeps the
+    drawn permutations keyed by (size, seed), so transforms built with the
+    same dict draw each permutation once and share it.
     """
+    if perms is None:
+        perms = {}
+
+    def draw(size: int, seed: int) -> Permutation:
+        if (size, seed) not in perms:
+            perms[size, seed] = make_permutation(size, seed)
+        return perms[size, seed]
+
     block_perms = None
     if spec.variant in ("B_IBS", "BW_IBS"):
-        block_perms = tuple(
-            make_permutation(spec.n_s, spec.block_seed_base + l) for l in range(spec.blocks))
+        block_perms = tuple(draw(spec.n_s, spec.block_seed_base + l) for l in range(spec.blocks))
     whole_perm = None
     if spec.variant in ("W_IBS", "BW_IBS"):
-        whole_perm = make_permutation(spec.m, spec.whole_seed)
+        whole_perm = draw(spec.m, spec.whole_seed)
     return IbsOperator(spec, block_perms, whole_perm)
 
 

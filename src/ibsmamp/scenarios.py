@@ -106,6 +106,10 @@ class TimeVaryingChannelOperator(LinearOperator):
     forward adds ``roll(track_k, -d_k) * x`` shifted by d_k, which puts
     ``track_k[i] * x[i - d_k]`` in slot i; the adjoint adds
     ``conj(track_k) * x`` shifted by -d_k.
+
+    ``dense_gram`` writes A A^H straight from the taps: with p taps it has
+    at most p(p-1) + 1 nonzero cyclic diagonals, so it costs O(n p^2)
+    rather than n applies and an n^3 product.
     """
 
     __slots__ = ("delays", "gain_tracks", "taps_per_row")
@@ -123,6 +127,25 @@ class TimeVaryingChannelOperator(LinearOperator):
         adj = _taps(n, -delays, np.conj(gain_tracks))
         super().__init__(n, n, lambda v: _tap_sum(v, fwd), lambda v: _tap_sum(v, adj))
         _freeze(self, delays=delays, gain_tracks=gain_tracks, taps_per_row=int(delays.size))
+
+    def dense_gram(self) -> np.ndarray:
+        """Dense A A^H from the taps.
+
+        Row i of A holds track_k[i] at column i - d_k, so tap pair (k, l)
+        adds track_k[i] * conj(track_l[j]) to G[i, j] at j = i + d_l - d_k
+        (mod n).  One pair writes each row once; the pairs are summed in
+        order.  Equals the dense product up to rounding.
+        """
+        n = self.rows
+        gram = np.zeros((n, n), dtype=np.complex128)
+        rows = np.arange(n)
+        delays = self.delays.tolist()
+        conj_tracks = np.conj(self.gain_tracks)
+        for d_k, track_k in zip(delays, self.gain_tracks):
+            for d_l, conj_l in zip(delays, conj_tracks):
+                cols = (rows + (d_l - d_k)) % n
+                gram[rows, cols] += track_k * conj_l[cols]
+        return gram
 
 
 def _taps(n, shifts, gains) -> tuple:
@@ -293,12 +316,27 @@ def simulate_observation(A: LinearOperator, Xi: LinearOperator, s: np.ndarray,
         raise ValueError(f"A expects length {A.cols}, transform produces {Xi.rows}")
     if s.shape[0] != Xi.cols:
         raise ValueError(f"source length {s.shape[0]} != transform cols {Xi.cols}")
+    return observe(A, Xi, s, A.apply(Xi.apply(s)), unit_noise(A.rows, seed), snr_db, seed)
+
+
+def unit_noise(m: int, seed: int) -> np.ndarray:
+    """The 2m standard normals of (seed, STREAM_NOISE) as re + 1j im: the
+    noise of every observation with this seed, before scaling to its SNR."""
+    rng = generator(seed, STREAM_NOISE)
+    return rng.normal(size=m) + 1j * rng.normal(size=m)
+
+
+def observe(A: LinearOperator, Xi: LinearOperator, s: np.ndarray, image: np.ndarray,
+            noise: np.ndarray, snr_db: float | None, seed: int) -> SystemInstance:
+    """The instance with y = image + noise scaled to the SNR, where image is
+    A Xi s and noise is ``unit_noise(A.rows, seed)``.
+
+    Sweeping the SNR of one image and one noise draw gives, bit for bit,
+    the y of ``simulate_observation`` at every SNR.  snr_db = None or
+    infinite means noiseless.
+    """
     noise_var = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
-    y = A.apply(Xi.apply(s))
-    if noise_var > 0.0:
-        rng = generator(seed, STREAM_NOISE)
-        y = y + (rng.normal(size=y.size) + 1j * rng.normal(size=y.size)) \
-            * np.sqrt(noise_var / 2.0)
+    y = image + noise * np.sqrt(noise_var / 2.0) if noise_var > 0.0 else image.copy()
     return SystemInstance(A=A, Xi=Xi, s_true=np.asarray(s, dtype=np.complex128),
                           y=y, noise_var=noise_var, seed=seed)
 

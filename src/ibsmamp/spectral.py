@@ -7,9 +7,16 @@ through the signal-gain moments
 
     w_k = tr(G B^k) / dim.
 
-Diagonal and circulant operators expose their spectrum exactly; other
-operators are eigendecomposed densely up to a size cap and estimated with
-Rademacher trace probes beyond it.
+Which operator gets which spectrum path:
+
+* diagonal and circulant operators: exactly, from their weights or
+  frequency response, at any size;
+* anything else up to ``dense_cap``: ``eigvalsh`` of the dense Gram from
+  ``dense_gram``.  A time-varying channel writes that Gram straight from
+  its taps; a generic operator is materialized through n applies and
+  multiplied by its adjoint;
+* anything else beyond the cap: seeded power iteration for the bounds and
+  Rademacher trace probes for the moments.
 
 The spectrum and each profile are computed once per operator: they are
 kept in the operator's private memo, keyed by the arguments they depend
@@ -22,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import MaterializationLimitError
 from .operators import DiagonalOperator, LinearOperator, _memoized, materialize_dense
 from .rng import generator
-from .scenarios import CirculantOperator
+from .scenarios import CirculantOperator, TimeVaryingChannelOperator
 
 DENSE_EIGEN_CAP = 4096
 _PROBES = 64
@@ -73,12 +81,26 @@ def _eigenvalues(A: LinearOperator, dense_cap: int) -> np.ndarray | None:
     elif isinstance(A, CirculantOperator):
         lam = np.abs(A.freq_response) ** 2
     elif max(A.rows, A.cols) <= dense_cap:
-        dense = materialize_dense(A, limit=dense_cap)
-        lam = np.linalg.eigvalsh(dense @ dense.conj().T)
+        lam = np.linalg.eigvalsh(dense_gram(A, limit=dense_cap))
     else:
         return None
     lam.setflags(write=False)
     return lam
+
+
+def dense_gram(A: LinearOperator, limit: int = DENSE_EIGEN_CAP) -> np.ndarray:
+    """Dense A A^H: from the taps for a time-varying channel, else from the
+    materialized operator times its adjoint.
+
+    Refuses operators with any dimension above ``limit``.
+    """
+    if max(A.rows, A.cols) > limit:
+        raise MaterializationLimitError(
+            f"operator of shape {A.shape} exceeds dense limit {limit}")
+    if isinstance(A, TimeVaryingChannelOperator):
+        return A.dense_gram()
+    dense = materialize_dense(A, limit=limit)
+    return dense @ dense.conj().T
 
 
 def gram_eigenvalues(A: LinearOperator, dense_cap: int = DENSE_EIGEN_CAP) -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ibsmamp import operators, spectral
+from ibsmamp import harness, ibs, operators, spectral
 from ibsmamp.cli import main
 from ibsmamp.denoisers import denoise_bernoulli_gaussian
 from ibsmamp.errors import ConfigurationError, UnsupportedMetricError
@@ -14,9 +14,10 @@ from ibsmamp.harness import (CS_SUMMARY_COLUMNS, SCHEMA_VERSION,
                              IfdmBerConfig, config_hash, derive_trial_seeds,
                              load_config, run_cs_mse, run_experiment,
                              run_ifdm_ber, write_csv)
-from ibsmamp.rng import raw_words
-from ibsmamp.scenarios import doppler_preset_4ghz_100kmh_15khz
+from ibsmamp.rng import make_permutation, raw_words
+from ibsmamp.scenarios import doppler_preset_4ghz_100kmh_15khz, simulate_observation
 from ibsmamp.selftest import check_nle_orthogonality, run_selftest
+from ibsmamp.spectral import dense_gram
 
 SMALL_CS = dict(trials=2, n=256, n_s=32, kappa=4.0, snr_db=25.0,
                 max_iters=8, variants=("full", "BW_IBS"))
@@ -166,21 +167,89 @@ def test_ber_rows_and_summary_shape():
         assert 0.0 <= mean_ber <= 1.0
 
 
-def test_doppler_ber_trial_materializes_its_channel_once(monkeypatch):
-    # One channel, three schemes, two SNRs: six estimator runs share one
-    # dense spectrum of the time-varying channel.
-    calls = []
+DOPPLER_BER = dict(trials=1, n=128, n_s_list=(16,), snr_db_list=(6.0, 10.0),
+                   doppler_spread=doppler_preset_4ghz_100kmh_15khz(), max_iters=8)
 
-    def counting(op, *args, **kwargs):
-        calls.append(op)
+
+def test_doppler_ber_trial_forms_its_channel_gram_once(monkeypatch):
+    # One channel, three schemes, two SNRs: six estimator runs share one
+    # dense Gram of the time-varying channel, written from its taps.
+    grams, materialized = [], []
+
+    def counting_gram(op, *args, **kwargs):
+        grams.append(op)
+        return dense_gram(op, *args, **kwargs)
+
+    def counting_materialize(op, *args, **kwargs):
+        materialized.append(op)
         return operators.materialize_dense(op, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "materialize_dense", counting)
-    cfg = IfdmBerConfig(trials=1, n=128, n_s_list=(16,), snr_db_list=(6.0, 10.0),
-                        doppler_spread=doppler_preset_4ghz_100kmh_15khz(), max_iters=8)
-    rows, _ = run_ifdm_ber(cfg)
+    monkeypatch.setattr(spectral, "dense_gram", counting_gram)
+    monkeypatch.setattr(spectral, "materialize_dense", counting_materialize)
+    rows, _ = run_ifdm_ber(IfdmBerConfig(**DOPPLER_BER))
     assert len(rows) == 6
-    assert len(calls) == 1
+    assert len(grams) == 1
+    assert materialized == []
+
+
+def test_doppler_ber_rows_match_the_materialized_gram(monkeypatch):
+    # The from-taps Gram differs from D D^H only in the last bits; the
+    # rows must not notice.
+    def materialized_gram(op, limit=spectral.DENSE_EIGEN_CAP):
+        dense = operators.materialize_dense(op, limit=limit)
+        return dense @ dense.conj().T
+
+    cfg = IfdmBerConfig(**dict(DOPPLER_BER, trials=2, max_iters=32))
+    from_taps = run_ifdm_ber(cfg)
+    monkeypatch.setattr(spectral, "dense_gram", materialized_gram)
+    assert run_ifdm_ber(cfg) == from_taps
+
+
+def test_ber_trial_draws_each_permutation_once(monkeypatch):
+    # Default trial: the full scheme and the four BW_IBS schemes share the
+    # size-1024 whole interleave, and FFT and FWHT share their block
+    # permutations: 1 + 8 + 32 distinct draws, not 1 + 2 * (9 + 33).
+    sizes = []
+
+    def counting(size, seed):
+        sizes.append(size)
+        return make_permutation(size, seed)
+
+    def unshared(spec, perms=None):
+        return ibs.build_ibs_transform(spec)
+
+    monkeypatch.setattr(ibs, "make_permutation", counting)
+    cfg = IfdmBerConfig(trials=1)
+    shared = run_ifdm_ber(cfg)
+    assert len(sizes) == 41
+    assert sorted(set(sizes)) == [32, 128, 1024]
+    sizes.clear()
+    monkeypatch.setattr(harness, "build_ibs_transform", unshared)
+    assert run_ifdm_ber(cfg) == shared
+    assert len(sizes) == 85
+
+
+def test_ber_observations_equal_simulate_observation(monkeypatch):
+    # One channel image per scheme and one noise draw per trial, scaled
+    # per SNR, reproduce simulate_observation's y bit for bit.
+    seen = []
+    run = harness.run_cd_mamp
+
+    def recording(instance, Xi, prior, mamp_cfg):
+        seen.append((instance, Xi))
+        return run(instance, Xi, prior, mamp_cfg)
+
+    monkeypatch.setattr(harness, "run_cd_mamp", recording)
+    cfg = IfdmBerConfig(**dict(SMALL_BER, n_s_list=(16, 32), bases=("FFT", "FWHT"),
+                               snr_db_list=(float("inf"), 6.0, 12.0), max_iters=4))
+    rows, _ = run_ifdm_ber(cfg)
+    assert len(seen) == len(rows) == cfg.trials * 5 * 3
+    for (instance, Xi), row in zip(seen, rows):
+        snr_db = row[3]
+        want = simulate_observation(instance.A, Xi, instance.s_true, snr_db, instance.seed)
+        assert instance.noise_var == want.noise_var
+        assert (instance.noise_var == 0.0) == (snr_db == float("inf"))
+        assert np.array_equal(instance.y.view(np.uint64), want.y.view(np.uint64))
 
 
 def test_ber_is_zero_without_noise():

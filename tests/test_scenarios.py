@@ -150,6 +150,27 @@ def test_channel_applies_are_bit_identical_to_rolled_sums(n, delays):
         assert_same_bits(tv.apply_adjoint(v), roll_sum_time_varying(v, delays, tracks, True))
 
 
+@pytest.mark.parametrize("n, delays", [(1, [0]), (16, [0, 5, 14]), (8, [1, 7]),
+                                       (1024, None)])
+def test_time_varying_gram_from_taps_matches_dense_product(n, delays):
+    # delays=None: the default 4-tap Doppler channel.  The others put tap
+    # delay differences across the wrap at n.
+    if delays is None:
+        op = gen_multipath_channel(n, 4, doppler_preset_4ghz_100kmh_15khz(), seed=3).operator()
+    else:
+        rng = generator(n + len(delays))
+        tracks = rng.standard_normal((len(delays), n)) \
+            + 1j * rng.standard_normal((len(delays), n))
+        op = TimeVaryingChannelOperator(n, np.array(delays), tracks)
+    dense = materialize_dense(op)
+    want = dense @ dense.conj().T
+    got = op.dense_gram()
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    lam_got, lam_want = np.linalg.eigvalsh(got), np.linalg.eigvalsh(want)
+    assert np.max(np.abs(lam_got - lam_want)) <= 1e-13 * lam_want.max()
+
+
 def test_channels_freeze_copies_not_the_callers_arrays():
     delays = np.array([0, 3], dtype=np.int64)
     gains = np.array([1.0, 0.5j])

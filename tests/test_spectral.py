@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from ibsmamp.operators import DiagonalOperator, LinearOperator
+from ibsmamp.errors import MaterializationLimitError
+from ibsmamp.operators import DiagonalOperator, LinearOperator, materialize_dense
 from ibsmamp.scenarios import (CirculantOperator, doppler_preset_4ghz_100kmh_15khz,
                                gen_multipath_channel, gen_sensing_diagonal)
-from ibsmamp.spectral import (eigen_bounds, gram_eigenvalues, spectral_profile,
-                              trace_moments)
+from ibsmamp.spectral import (dense_gram, eigen_bounds, gram_eigenvalues,
+                              spectral_profile, trace_moments)
 
 
 def opaque_diagonal(weights: np.ndarray) -> LinearOperator:
@@ -112,6 +113,20 @@ def test_gram_eigenvalues_refuses_probe_only_operators():
     op = opaque_diagonal(np.ones(8))
     with pytest.raises(ValueError):
         gram_eigenvalues(op, dense_cap=1)
+
+
+def test_dense_gram_paths_and_limit():
+    # A generic operator goes through materialize_dense, a Doppler channel
+    # through its taps; both refuse sizes above the limit.
+    w = np.arange(1.0, 9.0) * (1 - 0.5j)
+    assert np.allclose(dense_gram(opaque_diagonal(w)), np.diag(np.abs(w) ** 2))
+    A = gen_multipath_channel(16, 3, doppler_preset_4ghz_100kmh_15khz(), seed=2).operator()
+    dense = materialize_dense(A)
+    assert np.array_equal(dense_gram(A), A.dense_gram())
+    assert np.allclose(dense_gram(A), dense @ dense.conj().T, rtol=0, atol=1e-14)
+    for op in (opaque_diagonal(w), A):
+        with pytest.raises(MaterializationLimitError):
+            dense_gram(op, limit=op.rows - 1)
 
 
 def test_profile_dim_renormalization():
