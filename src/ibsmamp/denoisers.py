@@ -1,12 +1,10 @@
 """Separable MMSE denoisers for the supported source priors.
 
-Each denoiser sees r = s + CN(0, v) componentwise, with v one scalar or
-one variance per coordinate, and returns the posterior mean, the
-per-coordinate posterior variance, and two scalar summaries: the average
-posterior variance and the average derivative of the mean with respect
-to the observation (the divergence used by orthogonalization).  For both
-priors the exact identity divergence = mean(posterior variance / v)
-holds, which the tests assert.
+Each denoiser sees r = s + CN(0, v) componentwise and returns the
+posterior mean and the per-coordinate posterior variance.  v is one
+scalar, or one variance per block of L equal contiguous blocks of r: the
+denoiser views r as an (L, n / L) array and computes the terms that
+depend on v once per block, broadcast over the block.
 """
 
 from __future__ import annotations
@@ -21,21 +19,25 @@ _EXP_CLIP = 700.0
 @dataclass(frozen=True)
 class DenoiserResult:
     posterior_mean: np.ndarray = field(repr=False)
-    posterior_var: float
-    divergence: float
-    coord_var: np.ndarray | None = field(default=None, repr=False)
+    coord_var: np.ndarray = field(repr=False)
 
 
-def _check_inputs(r: np.ndarray, v) -> np.ndarray:
+def _check_inputs(r: np.ndarray, v) -> tuple[np.ndarray, float | np.ndarray]:
+    """r as complex, and v as given for a scalar; for L block variances,
+    r as (L, n / L) rows and v as an (L, 1) column."""
     if np.any(np.asarray(v) <= 0.0) or not np.all(np.isfinite(v)):
         raise ValueError(f"noise variance must be positive and finite, got {v}")
     r = np.asarray(r)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("observation must be a non-empty 1-d array")
-    if np.ndim(v) not in (0, 1) or np.size(v) not in (1, r.size):
-        raise ValueError(f"noise variance must be a scalar or one per coordinate "
-                         f"({r.size}), got shape {np.shape(v)}")
-    return r.astype(np.complex128, copy=False)
+    r = r.astype(np.complex128, copy=False)
+    if np.ndim(v) == 0:
+        return r, v
+    if np.ndim(v) != 1 or np.size(v) == 0 or r.size % np.size(v):
+        raise ValueError(f"noise variance must be a scalar or one per block of equal "
+                         f"blocks of {r.size} coordinates, got shape {np.shape(v)}")
+    v = np.asarray(v)
+    return r.reshape(v.size, -1), v[:, None]
 
 
 def denoise_bernoulli_gaussian(r: np.ndarray, v: float | np.ndarray, rho: float,
@@ -46,7 +48,7 @@ def denoise_bernoulli_gaussian(r: np.ndarray, v: float | np.ndarray, rho: float,
     * ((sigma_s2 + v) / v) * exp(-|r|^2 sigma_s2 / (v (sigma_s2 + v)))),
     the mean pi(r) * sigma_s2 / (sigma_s2 + v) * r.
     """
-    r = _check_inputs(r, v)
+    r, v = _check_inputs(r, v)
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     if sigma_s2 <= 0.0:
@@ -60,11 +62,8 @@ def denoise_bernoulli_gaussian(r: np.ndarray, v: float | np.ndarray, rho: float,
     else:
         pi = np.ones_like(abs2)
     mean = pi * c * r
-    var_per_coord = pi * c * v + pi * (1.0 - pi) * c * c * abs2
-    divergence = float(np.mean(c * pi + beta * abs2 * c * pi * (1.0 - pi)))
-    return DenoiserResult(posterior_mean=mean,
-                          posterior_var=float(np.mean(var_per_coord)),
-                          divergence=divergence, coord_var=var_per_coord)
+    var = pi * c * v + pi * (1.0 - pi) * c * c * abs2
+    return DenoiserResult(posterior_mean=mean.ravel(), coord_var=var.ravel())
 
 
 def denoise_qpsk(r: np.ndarray, v: float | np.ndarray) -> DenoiserResult:
@@ -75,13 +74,10 @@ def denoise_qpsk(r: np.ndarray, v: float | np.ndarray) -> DenoiserResult:
     E[s_re | r] = tanh(sqrt(2) Re(r) / v) / sqrt(2) and likewise for the
     imaginary part.
     """
-    r = _check_inputs(r, v)
+    r, v = _check_inputs(r, v)
     b = 1.0 / np.sqrt(2.0)
     t_re = np.tanh(np.sqrt(2.0) * r.real / v)
     t_im = np.tanh(np.sqrt(2.0) * r.imag / v)
     mean = b * (t_re + 1j * t_im)
-    var_per_coord = 1.0 - np.abs(mean) ** 2
-    return DenoiserResult(posterior_mean=mean,
-                          posterior_var=float(np.mean(var_per_coord)),
-                          divergence=float(np.mean(var_per_coord / v)),
-                          coord_var=var_per_coord)
+    var = 1.0 - np.abs(mean) ** 2
+    return DenoiserResult(posterior_mean=mean.ravel(), coord_var=var.ravel())

@@ -15,11 +15,12 @@ gain is exactly one:
     r_t = (back(gamma_t) + sum_i p_{t,i} h_i) / eps_t,
     p_{t,i} = xi_i (prod_{j>i} theta_j) w_{t-i},   eps_t = sum_i p_{t,i}.
 
-``back`` lifts the measurement domain to the domain the history lives in.
-For a square transform this is the literal transform-domain recursion;
-for a wide transform (m < n) the history is kept in the source domain and
-``back = Xi^H A^H`` with the moments renormalized per source coordinate,
-which is what keeps the unmeasured subspace recoverable by the prior.
+``mle_step`` applies A^H itself, and ``back`` lifts the result to the
+domain the history lives in.  ``run_cd_mamp`` keeps the history in the
+source domain for every shape of the transform: dim = n, ``back = Xi^H``,
+and the moments renormalized per source coordinate.  For a wide transform
+(m < n) this is what keeps the unmeasured subspace recoverable by the
+prior.
 
 ``run_cd_mamp`` follows Memory AMP (Liu, Huang & Ping, IEEE TIT 2022) in
 its gain schedule, theta_t = relax / (lambda_dagger + sigma^2 / v_t), where
@@ -37,7 +38,8 @@ and Xi is a block transform, each source block reaches only its own rows
 of y and sees only their share of the Gram spectrum, so the error
 variance of r_t differs from block to block; the linear stage then
 estimates one variance per block from that block's residual rows, and the
-denoiser and its orthogonalization run with the block's variance.
+denoiser and its orthogonalization both take those L variances as they
+are.
 
 The memory sum skips the oldest rows that cannot change r_t beyond
 rounding.  With the row norms ||h_i|| stored once per row, step t keeps
@@ -126,12 +128,13 @@ class MampState:
     """Mutable state of the memory linear estimator.
 
     The state keeps the per-iteration estimates h_1, h_2, ... in the
-    lifted domain (transform domain for square systems, source domain for
-    wide ones), starting from the all-zero h_1, each with its norm and its
-    cached residual y - forward(h_i).  Only the trailing
-    ``damping_window`` residuals are kept; ``last_candidates`` and
-    ``last_residuals`` return up to that many trailing entries.  ``meter``
-    counts the channel applies and memory sums of ``mle_step``.
+    lifted domain of size ``dim`` (the source domain in ``run_cd_mamp``,
+    whatever the shape of the transform), starting from the all-zero h_1,
+    each with its norm and its cached residual y - forward(h_i).  Only
+    the trailing ``damping_window`` residuals are kept;
+    ``last_candidates`` and ``last_residuals`` return up to that many
+    trailing entries.  ``meter`` counts the channel applies and memory
+    sums of ``mle_step``.
 
     Without an explicit ``theta`` the schedule is the constant
     relax / lambda_dagger; ``run_cd_mamp`` overwrites ``theta[t - 1]``
@@ -285,23 +288,17 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
                       ) -> tuple[np.ndarray, float | np.ndarray, bool]:
     """Subtract the input component of a denoiser output.
 
-    Returns (s_next, v_phi, stalled).  With p = posterior_var / v_in the
-    orthogonalized message is (mean - p r) / (1 - p) with variance
-    1 / (1 / posterior_var - 1 / v_in).  A denoiser that did not reduce
-    variance (posterior_var >= v_in) passes r through unchanged and
-    reports a stall.
-
-    ``v_in`` may instead hold one variance per block of L equal contiguous
-    blocks of r.  The rule then applies block by block, with the block
-    means of ``den.coord_var`` as posterior_var; v_phi comes back per
-    block, and ``stalled`` reports whether any block stalled.
+    Returns (s_next, v_phi, stalled).  ``v_in`` is one scalar or one
+    variance per block of L equal contiguous blocks of r, and the rule
+    applies block by block with pv, the block mean of ``den.coord_var``.
+    With p = pv / v_in the orthogonalized message is (mean - p r) / (1 - p)
+    with variance 1 / (1 / pv - 1 / v_in).  A block whose denoiser did not
+    reduce variance (pv >= v_in) passes r through unchanged and stalls.
+    v_phi has the shape of ``v_in``, and ``stalled`` reports whether any
+    block stalled.
     """
     v = np.reshape(v_in, -1)
-    if np.ndim(v_in) == 0:
-        pv = np.array([den.posterior_var])
-    else:
-        pv = den.coord_var.reshape(v.size, -1).mean(axis=1)
-    pv = np.maximum(pv, variance_floor)
+    pv = np.maximum(den.coord_var.reshape(v.size, -1).mean(axis=1), variance_floor)
     stalled = pv >= v
     p = np.where(stalled, 0.0, pv / v)[:, None]
     rows = r.reshape(v.size, -1)
@@ -434,7 +431,7 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
     """
     A, y = instance.A, instance.y
     n = ibs.cols
-    profile = spectral_profile(A, depth=cfg.max_iters, dim=A.rows)
+    profile = spectral_profile(A, depth=cfg.max_iters)
 
     def forward(s):
         meter.transform(ibs)
@@ -463,7 +460,7 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
         state.theta[state.iteration] = cfg.relax / (state.lambda_dagger
                                                     + instance.noise_var / v_x)
         r, v_gamma = mle_step(state, A, y)
-        den = prior.denoise(r, np.repeat(v_gamma, n // np.size(v_gamma)))
+        den = prior.denoise(r, v_gamma)
         meter.vector_points += n
         s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma, cfg.variance_floor)
 

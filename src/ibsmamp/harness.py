@@ -216,13 +216,6 @@ def config_hash(cfg) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _mamp_config(cfg) -> MampConfig:
-    return MampConfig(max_iters=cfg.max_iters, damping_window=cfg.damping_window,
-                      stall_patience=cfg.stall_patience,
-                      stop_on_stall=getattr(cfg, "stop_on_stall", True),
-                      relax=getattr(cfg, "relax", 1.0))
-
-
 def _cs_transform_spec(cfg: CsMseConfig, variant: str, trial_seed: int) -> IbsSpec:
     n_s = cfg.n if variant == "full" else cfg.n_s
     real_variant = "BW_IBS" if variant == "full" else variant
@@ -237,11 +230,14 @@ def _cs_trial(cfg: CsMseConfig, trial_seed: int) -> list[tuple]:
     diag = gen_sensing_diagonal(cfg.rows, cfg.n, cfg.kappa)
     A = diag.operator()
     s = prior.sample(cfg.n, generator(trial_seed, STREAM_SOURCE))
+    mamp = MampConfig(max_iters=cfg.max_iters, damping_window=cfg.damping_window,
+                      stall_patience=cfg.stall_patience, stop_on_stall=cfg.stop_on_stall,
+                      relax=cfg.relax)
     rows = []
     for variant in cfg.variants:
         Xi = build_ibs_transform(_cs_transform_spec(cfg, variant, trial_seed))
         instance = simulate_observation(A, Xi, s, cfg.snr_db, trial_seed)
-        run = run_cd_mamp(instance, Xi, prior, _mamp_config(cfg))
+        run = run_cd_mamp(instance, Xi, prior, mamp)
         for pt in run.points:
             rows.append((variant, cfg.base, trial_seed, pt.t, float(pt.mse),
                          float(pt.mse_db), float(pt.v_gamma), float(pt.v_phi), pt.flags))
@@ -290,6 +286,8 @@ def _ber_trial(cfg: IfdmBerConfig, trial_seed: int) -> list[tuple]:
     noise = unit_noise(A.rows, trial_seed)
     block_seed_base = derive_subseed(trial_seed, STREAM_BLOCK_SEEDS)
     whole_seed = derive_subseed(trial_seed, STREAM_WHOLE_SEED)
+    mamp = MampConfig(max_iters=cfg.max_iters, damping_window=cfg.damping_window,
+                      stall_patience=cfg.stall_patience)
     # The schemes share their seeds, so each permutation is drawn once.
     perms = {}
     transforms, images = {}, {}
@@ -304,7 +302,7 @@ def _ber_trial(cfg: IfdmBerConfig, trial_seed: int) -> list[tuple]:
         for scheme, base, n_s in _ber_schemes(cfg):
             Xi = transforms[scheme]
             instance = observe(A, Xi, s, images[scheme], noise, snr_db, trial_seed)
-            run = run_cd_mamp(instance, Xi, prior, _mamp_config(cfg))
+            run = run_cd_mamp(instance, Xi, prior, mamp)
             rows.append((scheme, base, n_s, float(snr_db), trial_seed,
                          float(ber_qpsk(run.s_hat, s)), cfg.n))
     return rows

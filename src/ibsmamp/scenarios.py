@@ -233,9 +233,6 @@ class BernoulliGaussianPrior:
     The default keeps unit per-entry power (rho * sigma_s2 = 1).
     """
 
-    kind = "bernoulli-gaussian"
-    supports_ber = False
-
     def __init__(self, rho: float = 0.1, sigma_s2: float | None = None):
         if not 0.0 < rho <= 1.0:
             raise ConfigurationError(f"rho must lie in (0, 1], got {rho}")
@@ -255,7 +252,7 @@ class BernoulliGaussianPrior:
         vals = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.sqrt(self.sigma_s2 / 2.0)
         return np.where(mask, vals, 0.0).astype(np.complex128)
 
-    def denoise(self, r: np.ndarray, v: float):
+    def denoise(self, r: np.ndarray, v: float | np.ndarray):
         from .denoisers import denoise_bernoulli_gaussian
         return denoise_bernoulli_gaussian(r, v, self.rho, self.sigma_s2)
 
@@ -266,9 +263,6 @@ class BernoulliGaussianPrior:
 class QpskPrior:
     """Unit-power QPSK: entries uniform over (+-1 +-1j)/sqrt(2), Gray mapped."""
 
-    kind = "qpsk"
-    supports_ber = True
-
     @property
     def power(self) -> float:
         return 1.0
@@ -277,7 +271,7 @@ class QpskPrior:
         bits = rng.integers(0, 2, size=(2, n))
         return ((2.0 * bits[0] - 1.0) + 1j * (2.0 * bits[1] - 1.0)) / np.sqrt(2.0)
 
-    def denoise(self, r: np.ndarray, v: float):
+    def denoise(self, r: np.ndarray, v: float | np.ndarray):
         from .denoisers import denoise_qpsk
         return denoise_qpsk(r, v)
 
@@ -295,14 +289,6 @@ class SystemInstance:
     y: np.ndarray = field(repr=False)
     noise_var: float
     seed: int
-
-    @property
-    def source_dim(self) -> int:
-        return self.Xi.cols
-
-    @property
-    def measure_dim(self) -> int:
-        return self.A.rows
 
 
 def simulate_observation(A: LinearOperator, Xi: LinearOperator, s: np.ndarray,

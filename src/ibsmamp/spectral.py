@@ -5,7 +5,10 @@ All quantities refer to the Gram operator G = A A^H and the midpoint shift
 B = lambda_dagger I - G with lambda_dagger = (lambda_min + lambda_max) / 2,
 through the signal-gain moments
 
-    w_k = tr(G B^k) / dim.
+    w_k = tr(G B^k) / m,
+
+over the m = A.rows rows of A; ``MampState`` renormalizes them to the
+dimension of its history.
 
 Which operator gets which spectrum path:
 
@@ -147,9 +150,8 @@ def eigen_bounds(A: LinearOperator, dense_cap: int = DENSE_EIGEN_CAP,
 
 
 def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
-                  dim: int | None = None, dense_cap: int = DENSE_EIGEN_CAP,
-                  probes: int = _PROBES, seed: int = 0,
-                  scale: float = 1.0) -> tuple[np.ndarray, bool]:
+                  dense_cap: int = DENSE_EIGEN_CAP, probes: int = _PROBES,
+                  seed: int = 0, scale: float = 1.0) -> tuple[np.ndarray, bool]:
     """Moments w_k of scale*B for k = 0..depth, plus a probe flag.
 
     Exact from the spectrum whenever available; otherwise Hutchinson
@@ -160,13 +162,11 @@ def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if dim is None:
-        dim = A.rows
     lam = _exact_eigenvalues(A, dense_cap)
     if lam is not None:
         shifted = (lambda_dagger - lam) * scale
         powers = shifted[None, :] ** np.arange(depth + 1)[:, None]
-        return (powers * lam[None, :]).sum(axis=1) / dim, False
+        return (powers * lam[None, :]).sum(axis=1) / A.rows, False
     rng = generator(seed, stream=1)
     w_acc = np.zeros(depth + 1)
     for _ in range(probes):
@@ -176,31 +176,27 @@ def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
             g = _gram_apply(A, zk)
             w_acc[k] += np.real(np.vdot(z, g))
             zk = scale * (lambda_dagger * zk - g)
-    return w_acc / (probes * dim), True
+    return w_acc / (probes * A.rows), True
 
 
-def spectral_profile(A: LinearOperator, depth: int, dim: int | None = None,
-                     dense_cap: int = DENSE_EIGEN_CAP, probes: int = _PROBES,
-                     seed: int = 0) -> SpectralProfile:
+def spectral_profile(A: LinearOperator, depth: int, dense_cap: int = DENSE_EIGEN_CAP,
+                     probes: int = _PROBES, seed: int = 0) -> SpectralProfile:
     """Bundle eigen bounds and trace moments for the estimator.
 
     Computed once per operator and argument tuple: a repeated call returns
     the same profile, whose arrays are read-only.
     """
-    if dim is None:
-        dim = A.rows
-    return _memoized(A, ("profile", depth, dim, dense_cap, probes, seed),
-                     lambda: _profile(A, depth, dim, dense_cap, probes, seed))
+    return _memoized(A, ("profile", depth, dense_cap, probes, seed),
+                     lambda: _profile(A, depth, dense_cap, probes, seed))
 
 
-def _profile(A: LinearOperator, depth: int, dim: int, dense_cap: int, probes: int,
+def _profile(A: LinearOperator, depth: int, dense_cap: int, probes: int,
              seed: int) -> SpectralProfile:
     lam_min, lam_max = eigen_bounds(A, dense_cap=dense_cap, seed=seed)
     lam_dag = 0.5 * (lam_min + lam_max)
     scale = 1.0 / lam_dag if lam_dag > 0 else 1.0
     w_scaled, stochastic = trace_moments(
-        A, lam_dag, depth, dim=dim, dense_cap=dense_cap, probes=probes,
-        seed=seed, scale=scale)
+        A, lam_dag, depth, dense_cap=dense_cap, probes=probes, seed=seed, scale=scale)
     w_scaled.setflags(write=False)
     return SpectralProfile(lambda_min=lam_min, lambda_max=lam_max, lambda_dagger=lam_dag,
-                           w_scaled=w_scaled, dim=dim, stochastic=stochastic)
+                           w_scaled=w_scaled, dim=A.rows, stochastic=stochastic)

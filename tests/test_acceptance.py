@@ -194,7 +194,7 @@ def test_criterion_7_error_orthogonality_monte_carlo():
         Xi = build_ibs_transform(spec)
         s = prior.sample(n, generator(seed, STREAM_SOURCE))
         instance = simulate_observation(A, Xi, s, 30.0, seed)
-        profile = spectral_profile(A, depth=iters, dim=A.rows)
+        profile = spectral_profile(A, depth=iters)
         forward = lambda h: A.apply(Xi.apply(h))
         state = MampState(profile, instance.y, forward, Xi.apply_adjoint,
                           dim=n, noise_var=instance.noise_var, max_iters=iters)

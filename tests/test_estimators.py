@@ -35,7 +35,7 @@ def test_config_validation():
 def make_square_state(alpha, y, max_iters, theta=None, xi=None, relax=1.0,
                       damping_window=3):
     A = DiagonalOperator(np.asarray(alpha, dtype=complex))
-    profile = spectral_profile(A, depth=max_iters, dim=A.rows)
+    profile = spectral_profile(A, depth=max_iters)
     state = MampState(profile, y, forward=A.apply, back=lambda u: u,
                       dim=A.rows, noise_var=0.0, theta=theta, xi=xi,
                       max_iters=max_iters, relax=relax,
@@ -69,7 +69,7 @@ def test_state_buffers_and_views():
 
 def test_state_validates_depth_and_schedules():
     A = DiagonalOperator(np.array([2.0 + 0j, 1.0]))
-    profile = spectral_profile(A, depth=2, dim=2)
+    profile = spectral_profile(A, depth=2)
     y = np.ones(2, dtype=complex)
     with pytest.raises(ValueError):
         MampState(profile, y, forward=A.apply, back=lambda u: u, dim=2,
@@ -77,6 +77,19 @@ def test_state_validates_depth_and_schedules():
     with pytest.raises(ValueError):
         MampState(profile, y, forward=A.apply, back=lambda u: u, dim=2,
                   noise_var=0.0, theta=np.ones(1), max_iters=2)
+
+
+def test_state_renormalizes_moments_to_its_dim():
+    # The profile holds moments per row of A; a state lifted to a larger
+    # dimension scales them but not the eigen bounds or the Gram trace.
+    A = DiagonalOperator(np.array([1.0, 2.0]))
+    profile = spectral_profile(A, depth=1)
+    assert profile.dim == A.rows
+    state = MampState(profile, np.ones(2, dtype=complex), forward=A.apply,
+                      back=lambda u: u, dim=4, noise_var=0.0, max_iters=1)
+    assert state.lambda_dagger == profile.lambda_dagger
+    assert np.allclose(state.w, np.asarray(profile.w_scaled) / 2.0)
+    assert abs(state.trace_gram - 5.0) < 1e-12
 
 
 def test_default_schedule_scales_with_relax():
@@ -222,7 +235,7 @@ def test_degenerate_gain_normalizer_raises():
 def test_nle_orthogonalize_hand_case():
     r = np.array([1.0 + 1j, -2.0])
     den = DenoiserResult(posterior_mean=np.array([0.5 + 0.5j, -1.0]),
-                         posterior_var=0.2, divergence=0.2)
+                         coord_var=np.full(2, 0.2))
     s_next, v_phi, stalled = nle_orthogonalize(den, r, 1.0)
     assert not stalled
     assert np.max(np.abs(s_next - (den.posterior_mean - 0.2 * r) / 0.8)) < 1e-14
@@ -232,7 +245,7 @@ def test_nle_orthogonalize_hand_case():
 def test_nle_orthogonalize_stall_returns_input_copy():
     r = np.array([1.0 + 0j])
     den = DenoiserResult(posterior_mean=np.array([0.9 + 0j]),
-                         posterior_var=2.0, divergence=0.5)
+                         coord_var=np.array([2.0]))
     s_next, v_phi, stalled = nle_orthogonalize(den, r, 1.0)
     assert stalled
     assert v_phi == 1.0
@@ -245,11 +258,10 @@ def test_nle_orthogonalize_per_block_applies_the_scalar_rule_per_block():
     r = np.array([1.0 + 1j, -2.0, 0.5, 3.0 - 1j])
     mean = np.array([0.5 + 0.5j, -1.0, 0.4, 2.0])
     coord_var = np.array([0.1, 0.3, 2.0, 1.0])
-    den = DenoiserResult(posterior_mean=mean, posterior_var=0.85,
-                         divergence=0.0, coord_var=coord_var)
+    den = DenoiserResult(posterior_mean=mean, coord_var=coord_var)
     s_next, v_phi, stalled = nle_orthogonalize(den, r, np.array([1.0, 1.2]))
     assert stalled
-    want = nle_orthogonalize(DenoiserResult(mean[:2], 0.2, 0.2), r[:2], 1.0)
+    want = nle_orthogonalize(DenoiserResult(mean[:2], np.full(2, 0.2)), r[:2], 1.0)
     assert np.max(np.abs(s_next[:2] - want[0])) < 1e-15
     assert abs(v_phi[0] - want[1]) < 1e-15
     assert np.array_equal(s_next[2:], r[2:])
@@ -263,8 +275,7 @@ def test_nle_orthogonalize_matched_gaussian_returns_prior():
     rng = generator(13)
     r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     c = sigma_s2 / (sigma_s2 + v)
-    den = DenoiserResult(posterior_mean=c * r, posterior_var=c * v,
-                         divergence=c)
+    den = DenoiserResult(posterior_mean=c * r, coord_var=np.full(64, c * v))
     s_next, v_phi, stalled = nle_orthogonalize(den, r, v)
     assert not stalled
     assert np.max(np.abs(s_next)) < 1e-12

@@ -309,8 +309,7 @@ def test_selftest_passes_and_canary_trips():
     def sign_flipped(r, v, rho, sigma_s2):
         out = denoise_bernoulli_gaussian(r, v, rho=rho, sigma_s2=sigma_s2)
         return type(out)(posterior_mean=-out.posterior_mean,
-                         posterior_var=out.posterior_var,
-                         divergence=out.divergence)
+                         coord_var=out.coord_var)
 
     ok, _ = check_nle_orthogonality()
     assert ok

@@ -129,18 +129,6 @@ def test_dense_gram_paths_and_limit():
             dense_gram(op, limit=op.rows - 1)
 
 
-def test_profile_dim_renormalization():
-    # Reporting the moments against a larger ambient dimension scales the
-    # traces but not the eigen bounds.
-    A = DiagonalOperator(np.array([1.0, 2.0]))
-    half = spectral_profile(A, depth=1, dim=4)
-    full = spectral_profile(A, depth=1, dim=2)
-    assert half.lambda_dagger == full.lambda_dagger
-    assert np.allclose(half.w_scaled, np.asarray(full.w_scaled) / 2.0)
-    assert half.dim == 4
-    assert abs(half.trace_gram - full.trace_gram) < 1e-12
-
-
 def doppler_channel(n=32, seed=5):
     """A small time-varying channel: its spectrum takes the dense path."""
     return gen_multipath_channel(n, 3, doppler_preset_4ghz_100kmh_15khz(),
@@ -151,7 +139,6 @@ def test_profile_is_memoized_per_operator_and_arguments():
     A = doppler_channel()
     profile = spectral_profile(A, depth=4)
     assert spectral_profile(A, depth=4) is profile
-    assert spectral_profile(A, depth=4, dim=A.rows) is profile
     deeper = spectral_profile(A, depth=7)
     assert deeper is not profile
     assert deeper.depth == 7
