@@ -49,6 +49,22 @@ The dropped part is then smaller than the error bound
 gamma_t sum_i |p_{t,i}| ||h_i|| (gamma_t ~ t u) that the full floating-point
 sum already carries, whatever the decay of p; eps_t and p are unchanged.
 
+The damping step reads its window in place.  ``MampState`` stages the new
+candidate in the next free history row, so the trailing estimates and the
+candidate are one slice of the history, and ``push`` overwrites that row
+with the damped estimate.  Each residual is written twice, at rows
+i % w and i % w + w of a buffer of 2w rows (w = damping_window), so the
+trailing w - 1 pushed residuals and the candidate's residual are one slice
+of w rows as well.  Both combines are then ``zeta @ view``: the same
+contiguous rows in the same order as ``np.tensordot(zeta, np.vstack(...))``,
+hence the same zgemv call and the same bits.  The raw Gram Re<r_i, r_j> of
+the pushed residuals is carried across steps: ``push`` adds the products of
+the new residual with the pushed ones the next window keeps, and the step
+adds those of the candidate's residual.  Every entry is still one
+``np.vdot`` of the same two rows with the older one first, computed once
+instead of once per window it appears in, so the covariance is unchanged
+to the bit.
+
 Both estimators hand one iteration at a time to a shared driver, which
 records the trajectory and applies the tolerance, stall and iteration
 stops.
@@ -103,25 +119,41 @@ class MampConfig:
 
 @dataclass
 class CostMeter:
-    """Counts operator applications so tests can audit per-iteration cost."""
+    """Counts operator applications so tests can audit per-iteration cost.
+
+    The work of one apply depends only on the operator: it is read off an
+    operator at its first apply and reused while the same operator is
+    applied again, which is every apply of a run.
+    """
 
     channel_applies: int = 0
     channel_points: int = 0     # sum of taps-per-row * rows over channel applies
     transform_applies: int = 0
     transform_points: int = 0   # sum of n * log2(n_s) over transform applies
     vector_points: int = 0      # elementwise passes (memory sums, denoising)
+    _channel: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
+    _transform: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
 
     def channel(self, A: LinearOperator) -> None:
         """Count one apply of the channel A."""
+        op, points = self._channel
+        if op is not A:
+            points = getattr(A, "taps_per_row", 1) * A.rows
+            self._channel = (A, points)
         self.channel_applies += 1
-        self.channel_points += getattr(A, "taps_per_row", 1) * A.rows
+        self.channel_points += points
 
     def transform(self, Xi: LinearOperator) -> None:
-        """Count one apply of the transform Xi."""
-        spec = getattr(Xi, "spec", None)
-        n_s = spec.n_s if spec is not None else Xi.cols
+        """Count one apply of the transform Xi: n log2(n_s) points, at least n
+        (log2 rounded down for a size that is not a power of two)."""
+        op, points = self._transform
+        if op is not Xi:
+            spec = getattr(Xi, "spec", None)
+            n_s = spec.n_s if spec is not None else Xi.cols
+            points = Xi.cols * max(int(n_s).bit_length() - 1, 1)
+            self._transform = (Xi, points)
         self.transform_applies += 1
-        self.transform_points += Xi.cols * max(np.log2(n_s), 1.0)
+        self.transform_points += points
 
 
 class MampState:
@@ -131,10 +163,10 @@ class MampState:
     lifted domain of size ``dim`` (the source domain in ``run_cd_mamp``,
     whatever the shape of the transform), starting from the all-zero h_1,
     each with its norm and its cached residual y - forward(h_i).  Only
-    the trailing ``damping_window`` residuals are kept;
-    ``last_candidates`` and ``last_residuals`` return up to that many
-    trailing entries.  ``meter`` counts the channel applies and memory
-    sums of ``mle_step``.
+    the residuals of the trailing ``damping_window`` rows are kept, with
+    the raw Gram Re<r_i, r_j> of those the next damping window reads (see
+    the module docstring for the layout); ``window`` returns that window.
+    ``meter`` counts the channel applies and memory sums of ``mle_step``.
 
     Without an explicit ``theta`` the schedule is the constant
     relax / lambda_dagger; ``run_cd_mamp`` overwrites ``theta[t - 1]``
@@ -159,6 +191,9 @@ class MampState:
         if profile.depth < max_iters:
             raise ValueError(
                 f"spectral profile depth {profile.depth} < max_iters {max_iters}")
+        w = int(damping_window)
+        if w < 1:
+            raise ValueError(f"damping_window must be >= 1, got {damping_window}")
         self.profile = profile
         self.y = y
         self.forward = forward
@@ -185,40 +220,54 @@ class MampState:
         if self.theta.size < max_iters or self.xi.size < max_iters:
             raise ValueError("theta/xi schedules shorter than max_iters")
         self.variance_floor = float(variance_floor)
+        self.damping_window = w
         self.iteration = 0
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
         self.adj_gamma = None       # A^H gamma, reused by the next step
         # Row i of the history holds h_{i+1}, and _hist_norm[i] its norm.
         # The history keeps every row: how many the memory sum needs is not
-        # known in advance.  Residuals live in a ring: row i sits at
-        # i % damping_window.
+        # known in advance.  The residual of row i sits at rows i % w and
+        # i % w + w of _resid.  _gram[:q, :q] holds Re<r_i, r_j> of the q
+        # pushed residuals the next window reads, oldest first.
         self._hist = np.zeros((max_iters + 1, dim), dtype=np.complex128)
         self._hist_norm = np.zeros(max_iters + 1)
-        self._resid = np.zeros((damping_window, self.measure_dim), dtype=np.complex128)
-        self._resid[0] = y
-        self._count = 1
-        self.vartheta = np.zeros(0)
+        self._resid = np.zeros((2 * w, self.measure_dim), dtype=np.complex128)
+        self._gram = np.zeros((w, w))
+        self._count = 0
+        self.push(self._hist[0], y)
+        self.vartheta = np.zeros(max_iters)
         self.meter = CostMeter()
         self.row_blocks = row_blocks
         if row_blocks is not None:
             self.block_rows = np.bincount(row_blocks)
             self.block_trace = np.bincount(row_blocks, weights=gram_diag)
 
+    def window(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the damping window: the trailing min(w - 1, pushed)
+        estimates and their residuals, oldest first, then the next free row
+        of each, where the caller stages a new candidate and its residual."""
+        count, w = self._count, self.damping_window
+        k = min(w, count + 1)
+        end = (count + 1) % w + w       # one past the slot of row `count`
+        return self._hist[count - k + 1:count + 1], self._resid[end - k:end]
+
     def push(self, estimate: np.ndarray, residual: np.ndarray) -> None:
-        """Record the post-damping estimate and its cached residual."""
-        self._hist[self._count] = estimate
-        self._hist_norm[self._count] = np.linalg.norm(estimate)
-        self._resid[self._count % len(self._resid)] = residual
-        self._count += 1
-
-    def _trailing(self, k: int) -> range:
-        return range(max(self._count - min(k, len(self._resid)), 0), self._count)
-
-    def last_candidates(self, k: int) -> list[np.ndarray]:
-        return [self._hist[i] for i in self._trailing(k)]
-
-    def last_residuals(self, k: int) -> list[np.ndarray]:
-        return [self._resid[i % len(self._resid)] for i in self._trailing(k)]
+        """Record the post-damping estimate and its cached residual, and the
+        residual's inner products with the pushed residuals the next window
+        reads."""
+        count, w = self._count, self.damping_window
+        slot = count % w
+        self._hist[count] = estimate
+        self._hist_norm[count] = np.linalg.norm(estimate)
+        self._resid[slot] = self._resid[slot + w] = residual
+        kept = min(w - 1, count + 1)    # pushed rows of the next window
+        if kept:
+            if count >= w - 1:          # the window is full: drop its oldest row
+                self._gram[:kept - 1, :kept - 1] = self._gram[1:kept, 1:kept]
+            rows = self._resid[slot + w - kept + 1:slot + w + 1]
+            self._gram[kept - 1, :kept] = self._gram[:kept, kept - 1] = \
+                [np.vdot(r, rows[-1]).real for r in rows]
+        self._count = count + 1
 
 
 def _memory_sum(p: np.ndarray, hist: np.ndarray,
@@ -245,7 +294,7 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
     meter = state.meter
     theta_t = float(state.theta[t - 1])
     xi_t = float(state.xi[t - 1])
-    resid = state.last_residuals(1)[0]
+    resid = state._resid[(state._count - 1) % state.damping_window]
     if t == 1:
         gamma = xi_t * resid
     else:
@@ -254,9 +303,10 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
         gamma = theta_t * (state.lambda_dagger * state.gamma - gram) + xi_t * resid
     state.gamma = gamma
 
-    state.vartheta = np.concatenate(
-        [state.vartheta * (theta_t * state.lambda_dagger), [xi_t]])
-    p = state.vartheta * state.w[t - 1::-1]
+    vartheta = state.vartheta[:t]
+    vartheta[:-1] *= theta_t * state.lambda_dagger
+    vartheta[-1] = xi_t
+    p = vartheta * state.w[t - 1::-1]
     eps = float(p.sum())
     if abs(eps) < _EPS_MIN:
         raise NormalizationError(
@@ -311,35 +361,33 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
     return s_next.reshape(r.shape), v_phi, bool(stalled.any())
 
 
-def _cross_cov_from_residuals(residuals: Sequence[np.ndarray], measure_dim: int,
+def _cross_cov_from_residuals(gram: np.ndarray, measure_dim: int,
                               sigma2: float, trace_gram: float,
                               variance_floor: float) -> np.ndarray:
-    """Error cross-covariance of candidates from their residuals r_i = y - A c_i:
-    V_ij = (Re<r_i, r_j> - M sigma2) / tr(A A^H), projected onto the PSD cone
+    """Error cross-covariance of candidates from the raw Gram
+    gram_ij = Re<r_i, r_j> of their residuals r_i = y - A c_i:
+    V_ij = (gram_ij - M sigma2) / tr(A A^H), projected onto the PSD cone
     with its diagonal floored."""
-    k = len(residuals)
-    V = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            val = (np.vdot(residuals[i], residuals[j]).real
-                   - measure_dim * sigma2) / trace_gram
-            V[i, j] = V[j, i] = val
+    k = len(gram)
+    V = (gram - measure_dim * sigma2) / trace_gram
     lam, vecs = np.linalg.eigh(V)
     V = (vecs * np.maximum(lam, 0.0)) @ vecs.T
     V[np.diag_indices(k)] = np.maximum(V.diagonal(), variance_floor)
     return V
 
 
-def damping_update(candidates: Sequence[np.ndarray],
+def damping_update(candidates: np.ndarray,
                    V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-covariance combination of candidate estimates.
 
+    ``candidates`` is a (k, n) array with one candidate per row, such as a
+    view of the damping window; it is combined as ``zeta @ candidates``.
     Solves for zeta = V^{-1} 1 / (1^T V^{-1} 1) on a trace-scaled
     ridge-regularized copy of V, then falls back to the best single
     candidate if the analytic weights do not beat it under the original
     V, so zeta^T V zeta never exceeds min(diag(V)).
     """
-    k = len(candidates)
+    k = candidates.shape[0]
     if V.shape != (k, k):
         raise ValueError(f"V must be {k}x{k}, got {V.shape}")
     ones = np.ones(k)
@@ -357,8 +405,25 @@ def damping_update(candidates: Sequence[np.ndarray],
     if zeta is None:
         zeta = np.zeros(k)
         zeta[best] = 1.0
-    combined = np.tensordot(zeta, np.vstack(candidates), axes=1)
-    return zeta, combined
+    return zeta, zeta @ candidates
+
+
+def _damping_step(state: MampState, s_ext: np.ndarray) -> float:
+    """Damp the extrinsic estimate s_ext over the trailing window of the
+    state, push the damped estimate and its residual, and return the
+    variance zeta^T V zeta of the damped estimate, floored."""
+    cands, resids = state.window()
+    cands[-1] = s_ext
+    resids[-1] = state.y - state.forward(s_ext)
+    k = len(cands)
+    gram = state._gram[:k, :k]
+    gram[-1] = gram[:, -1] = [np.vdot(r, resids[-1]).real for r in resids]
+    V = _cross_cov_from_residuals(gram, state.measure_dim, state.noise_var,
+                                  state.trace_gram, state.variance_floor)
+    zeta, s_next = damping_update(cands, V)
+    state.push(s_next, zeta @ resids)
+    state.meter.vector_points += k * state.dim
+    return max(float(zeta @ V @ zeta), state.variance_floor)
 
 
 @dataclass(frozen=True)
@@ -383,6 +448,11 @@ class EstimatorRun:
         return self.points[-1].mse
 
 
+def _reduce(v: float | np.ndarray, reduce: Callable[[np.ndarray], float]) -> float:
+    """A float variance as it is, or reduce() of the block variances."""
+    return float(v) if isinstance(v, float) else float(reduce(v))
+
+
 def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
              meter: CostMeter) -> EstimatorRun:
     """Call step() once per iteration and record the trajectory.
@@ -401,9 +471,9 @@ def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
         s_hat, v_gamma, v_phi, stalled, flags = step()
         cur_mse = mse(s_hat, s_true)
         points.append(TrajectoryPoint(t=t, mse=cur_mse, mse_db=mse_db(cur_mse),
-                                      v_gamma=float(np.mean(v_gamma)),
-                                      v_phi=float(np.mean(v_phi)), flags=flags))
-        if np.max(v_phi) < cfg.stop_tolerance:
+                                      v_gamma=_reduce(v_gamma, np.mean),
+                                      v_phi=_reduce(v_phi, np.mean), flags=flags))
+        if _reduce(v_phi, np.max) < cfg.stop_tolerance:
             stop_reason = "tolerance"
             break
         if stalled or cur_mse > best_mse * (1.0 - _STALL_IMPROVEMENT):
@@ -464,17 +534,10 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
         meter.vector_points += n
         s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma, cfg.variance_floor)
 
-        cands = state.last_candidates(cfg.damping_window - 1) + [s_ext]
-        resids = state.last_residuals(cfg.damping_window - 1) + [y - forward(s_ext)]
-        V = _cross_cov_from_residuals(resids, state.measure_dim, instance.noise_var,
-                                      state.trace_gram, cfg.variance_floor)
-        zeta, s_next = damping_update(cands, V)
-        v_x = max(float(zeta @ V @ zeta), cfg.variance_floor)
-        state.push(s_next, np.tensordot(zeta, np.vstack(resids), axes=1))
-        meter.vector_points += len(cands) * n
+        v_x = _damping_step(state, s_ext)
 
         flags = ["nle-stall"] if stalled else []
-        if np.min(v_gamma) <= cfg.variance_floor:
+        if _reduce(v_gamma, np.min) <= cfg.variance_floor:
             flags.append("v-floor")
         return den.posterior_mean, v_gamma, v_phi, stalled, "|".join(flags)
 

@@ -161,7 +161,7 @@ def check_damping() -> tuple[bool, str]:
     for _ in range(50):
         g = rng.standard_normal((2, 2))
         V = g @ g.T + 1e-3 * np.eye(2)
-        zeta, _ = damping_update([np.zeros(1), np.zeros(1)], V)
+        zeta, _ = damping_update(np.zeros((2, 1)), V)
         obj = float(zeta @ V @ zeta)
         vals = (grid ** 2 * V[0, 0] + 2 * grid * (1 - grid) * V[0, 1]
                 + (1 - grid) ** 2 * V[1, 1])

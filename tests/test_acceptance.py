@@ -199,7 +199,8 @@ def test_criterion_7_error_orthogonality_monte_carlo():
         state = MampState(profile, instance.y, forward, Xi.apply_adjoint,
                           dim=n, noise_var=instance.noise_var, max_iters=iters)
         for _ in range(iters):
-            h_prev = state.last_candidates(1)[0].copy()
+            # The window ends in the free row; the row before it is h_prev.
+            h_prev = state.window()[0][-2].copy()
             r, v_gamma = mle_step(state, A, instance.y)
             mle_worst = max(mle_worst, corr(r - s, h_prev - s))
             den = prior.denoise(r, v_gamma)
@@ -277,7 +278,7 @@ def test_criterion_9_damping_weights_reach_grid_optimum():
         k = 2 + trial % 2
         g = rng.standard_normal((k, k))
         V = g @ g.T
-        cands = [np.zeros(1, dtype=complex) for _ in range(k)]
+        cands = np.zeros((k, 1), dtype=complex)
         zeta, _ = damping_update(cands, V)
         obj = float(zeta @ V @ zeta)
         grid = grid2 if k == 2 else grid3

@@ -45,26 +45,55 @@ def make_square_state(alpha, y, max_iters, theta=None, xi=None, relax=1.0,
 
 def test_state_buffers_and_views():
     y = np.array([1.0 + 0j, 2.0])
-    _, state = make_square_state([2.0, 1.0], y, max_iters=4, damping_window=2)
-    assert len(state.last_candidates(5)) == 1
-    assert np.array_equal(state.last_candidates(5)[0], np.zeros(2))
-    assert np.array_equal(state.last_residuals(5)[0], y)
-    assert state.last_candidates(0) == [] and state.last_residuals(0) == []
+    _, state = make_square_state([2.0, 1.0], y, max_iters=40, damping_window=2)
+    # The residual buffer and the Gram scale with the window, not with
+    # max_iters: 2 * damping_window rows of the measurement length.
+    assert state._resid.shape == (4, 2) and state._gram.shape == (2, 2)
+    cands, resids = state.window()
+    # h_1 = 0 with residual y, then the free row for the next candidate.
+    assert cands.shape == resids.shape == (2, 2)
+    assert np.array_equal(cands[0], np.zeros(2)) and np.array_equal(resids[0], y)
+    assert np.shares_memory(cands, state._hist) and np.shares_memory(resids, state._resid)
+    assert state._gram[0, 0] == np.vdot(y, y).real
+    # A candidate staged in the free rows is what push overwrites.
+    cands[1] = 9.0
+    resids[1] = -9.0
     h2 = np.array([0.5 + 0j, -0.5])
     state.push(h2, y - h2)
-    assert len(state.last_candidates(5)) == 2
-    assert np.array_equal(state.last_candidates(1)[0], h2)
-    assert np.array_equal(state.last_candidates(5)[0], np.zeros(2))
-    assert np.array_equal(state.last_residuals(1)[0], y - h2)
-    # Only the trailing damping_window residuals are kept: h3 overwrites
-    # the slot of h1's residual.
+    assert np.array_equal(state._hist[1], h2)
+    cands, resids = state.window()
+    assert np.array_equal(cands[0], h2) and np.array_equal(resids[0], y - h2)
+    assert state._gram[0, 0] == np.vdot(y - h2, y - h2).real
+    # Only the trailing damping_window - 1 pushed rows enter a window; each
+    # residual is written at i % w and i % w + w, so the window is one slice
+    # whichever slot the next row takes.
     h3 = np.array([1.0 + 0j, 1.0])
     state.push(h3, y - h3)
-    assert state._resid.shape == (2, 2)
-    assert [c[0] for c in state.last_candidates(5)] == [h2[0], h3[0]]
-    got = state.last_residuals(5)
-    assert len(got) == 2
-    assert np.array_equal(got[0], y - h2) and np.array_equal(got[1], y - h3)
+    assert np.array_equal(state._resid[0], y - h3) and np.array_equal(state._resid[2], y - h3)
+    cands, resids = state.window()
+    assert cands.shape == (2, 2)
+    assert np.array_equal(cands[0], h3) and np.array_equal(resids[0], y - h3)
+
+
+def test_state_carries_the_residual_gram_of_each_window():
+    # After every push the carried Gram equals the direct inner products
+    # of the pushed residuals the next window reads, oldest first.
+    rng = generator(5)
+    y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    for window in (1, 2, 3, 5):
+        _, state = make_square_state([2.0, 1.0, 0.5], y, max_iters=12,
+                                     damping_window=window)
+        pushed = [y]
+        for _ in range(12):
+            cands, resids = state.window()
+            held = len(resids) - 1
+            kept = pushed[len(pushed) - held:]
+            want = [[np.vdot(a, b).real for b in kept] for a in kept]
+            assert np.array_equal(state._gram[:held, :held], np.reshape(want, (held, held)))
+            assert np.array_equal(resids[:held], np.reshape(kept, (held, 3)))
+            h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            pushed.append(y - h)
+            state.push(h, y - h)
 
 
 def test_state_validates_depth_and_schedules():
@@ -77,6 +106,9 @@ def test_state_validates_depth_and_schedules():
     with pytest.raises(ValueError):
         MampState(profile, y, forward=A.apply, back=lambda u: u, dim=2,
                   noise_var=0.0, theta=np.ones(1), max_iters=2)
+    with pytest.raises(ValueError, match="damping_window"):
+        MampState(profile, y, forward=A.apply, back=lambda u: u, dim=2,
+                  noise_var=0.0, max_iters=2, damping_window=0)
 
 
 def test_state_renormalizes_moments_to_its_dim():
@@ -282,6 +314,10 @@ def test_nle_orthogonalize_matched_gaussian_returns_prior():
     assert abs(v_phi - sigma_s2) < 1e-12
 
 
+def residual_gram(resid):
+    return np.array([[np.vdot(ri, rj).real for rj in resid] for ri in resid])
+
+
 def test_cross_covariance_matches_direct_formula():
     # Without a noise correction the residual Gram is already PSD, so the
     # estimate equals the direct normalized inner products exactly.
@@ -292,7 +328,7 @@ def test_cross_covariance_matches_direct_formula():
     y = A.apply(s)
     cands = [s + 0.1 * rng.standard_normal(n) for _ in range(3)]
     resid = [y - A.apply(c) for c in cands]
-    V = _cross_cov_from_residuals(resid, n, 0.0, n * 1.0, 1e-13)
+    V = _cross_cov_from_residuals(residual_gram(resid), n, 0.0, n * 1.0, 1e-13)
     raw = np.array([[np.vdot(ri, rj).real / n for rj in resid]
                     for ri in resid])
     assert np.max(np.abs(V - raw)) < 1e-12
@@ -310,7 +346,7 @@ def test_cross_covariance_projects_indefinite_estimates():
     sigma2 = 0.01
     cands = [s + 0.1 * rng.standard_normal(n) for _ in range(3)]
     resid = [y - A.apply(c) for c in cands]
-    V = _cross_cov_from_residuals(resid, n, sigma2, n * 1.0, 1e-13)
+    V = _cross_cov_from_residuals(residual_gram(resid), n, sigma2, n * 1.0, 1e-13)
     raw = np.array([[(np.vdot(ri, rj).real - n * sigma2) / n for rj in resid]
                     for ri in resid])
     assert np.min(np.linalg.eigvalsh(raw)) < 0.0
@@ -326,7 +362,7 @@ def test_cross_covariance_floors_exact_candidates():
     A = DiagonalOperator(np.ones(n, dtype=complex))
     s = np.ones(n, dtype=complex)
     y = A.apply(s)
-    V = _cross_cov_from_residuals([y - A.apply(s)], n, 0.0, float(n), 1e-13)
+    V = _cross_cov_from_residuals(residual_gram([y - A.apply(s)]), n, 0.0, float(n), 1e-13)
     assert V.shape == (1, 1)
     assert V[0, 0] >= 1e-13
 
@@ -338,7 +374,7 @@ def test_damping_beats_grid_and_best_single():
         k = 2 + trial % 2
         g = rng.standard_normal((k, k))
         V = g @ g.T + 10.0 ** rng.uniform(-6, 0) * np.eye(k)
-        cands = [np.full(2, float(i), dtype=complex) for i in range(k)]
+        cands = np.repeat(np.arange(k, dtype=complex)[:, None], 2, axis=1)
         zeta, combined = damping_update(cands, V)
         assert abs(zeta.sum() - 1.0) < 1e-9
         obj = float(zeta @ V @ zeta)
@@ -352,11 +388,94 @@ def test_damping_beats_grid_and_best_single():
 
 def test_damping_handles_singular_covariance():
     V = np.ones((2, 2))  # perfectly correlated candidates
-    zeta, _ = damping_update([np.zeros(1, complex), np.ones(1, complex)], V)
+    zeta, _ = damping_update(np.array([[0.0], [1.0]], dtype=complex), V)
     assert np.all(np.isfinite(zeta))
     assert abs(zeta.sum() - 1.0) < 1e-9
     with pytest.raises(ValueError):
-        damping_update([np.zeros(1, complex)], np.eye(2))
+        damping_update(np.zeros((1, 1), complex), np.eye(2))
+
+
+def reference_damping_step():
+    """The damping step as it was before its window moved into the state's
+    buffers: Python lists of the trailing estimates and residuals, the window
+    rebuilt with np.vstack, both combines through np.tensordot and every
+    residual inner product recomputed in a double np.vdot loop.  It keeps
+    its own lists, so it reads nothing of the state's window or Gram."""
+    kept = {}
+
+    def step(state, s_ext):
+        ests, res = kept.setdefault(state, ([np.zeros(state.dim, complex)], [state.y]))
+        first = max(len(ests) - (state.damping_window - 1), 0)
+        cands = ests[first:] + [s_ext]
+        resids = res[first:] + [state.y - state.forward(s_ext)]
+        k = len(cands)
+        V = np.empty((k, k))
+        for i in range(k):
+            for j in range(i, k):
+                val = (np.vdot(resids[i], resids[j]).real
+                       - state.measure_dim * state.noise_var) / state.trace_gram
+                V[i, j] = V[j, i] = val
+        lam, vecs = np.linalg.eigh(V)
+        V = (vecs * np.maximum(lam, 0.0)) @ vecs.T
+        V[np.diag_indices(k)] = np.maximum(V.diagonal(), state.variance_floor)
+        ridge = 1e-8 * max(np.trace(V), 0.0) / k
+        try:
+            raw = np.linalg.solve(V + ridge * np.eye(k), np.ones(k))
+        except np.linalg.LinAlgError:
+            raw = None
+        best = int(np.argmin(V.diagonal()))
+        zeta = None
+        if raw is not None and abs(raw.sum()) > 1e-12:
+            zeta = raw / raw.sum()
+            if zeta @ V @ zeta > V[best, best]:
+                zeta = None
+        if zeta is None:
+            zeta = np.zeros(k)
+            zeta[best] = 1.0
+        s_next = np.tensordot(zeta, np.vstack(cands), axes=1)
+        r_next = np.tensordot(zeta, np.vstack(resids), axes=1)
+        state.push(s_next, r_next)
+        ests.append(s_next)
+        res.append(r_next)
+        state.meter.vector_points += k * state.dim
+        return max(float(zeta @ V @ zeta), state.variance_floor)
+
+    return step
+
+
+def damping_system(kind):
+    """(instance, Xi, prior) of a small system of the given kind."""
+    if kind == "diagonal-wide":
+        return cs_instance(n=256, m=128, kappa=10.0, snr_db=25.0, rho=0.2, seed=6, n_s=16)
+    n, prior = 128, QpskPrior()
+    if kind == "doppler":
+        A = gen_multipath_channel(n, 3, doppler_preset_4ghz_100kmh_15khz(), seed=4).operator()
+        base, snr_db = "FFT", 8.0
+    else:
+        A = gen_multipath_channel(n, 4, seed=3).operator()
+        base, snr_db = kind.removeprefix("circulant-"), 10.0
+    Xi = build_ibs_transform(IbsSpec(n=n, n_s=16, m=n, variant="BW_IBS", base=base,
+                                     direction="kernel-adjoint", whole_seed=7))
+    s = prior.sample(n, generator(5, 2))
+    return simulate_observation(A, Xi, s, snr_db, seed=5), Xi, prior
+
+
+@pytest.mark.parametrize("window", (1, 2, 3, 5))
+@pytest.mark.parametrize("kind", ("diagonal-wide", "circulant-FFT", "circulant-FWHT",
+                                  "doppler"))
+def test_damping_window_is_bit_identical_to_the_list_reference(monkeypatch, kind, window):
+    instance, Xi, prior = damping_system(kind)
+    for cfg in (MampConfig(max_iters=16, damping_window=window, stall_patience=6),
+                MampConfig(max_iters=16, damping_window=window,
+                           stop_tolerance=1e-300, stop_on_stall=False)):
+        got = run_cd_mamp(instance, Xi, prior, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "_damping_step", reference_damping_step())
+            want = run_cd_mamp(instance, Xi, prior, cfg)
+        assert got.s_hat.tobytes() == want.s_hat.tobytes()
+        assert got.points == want.points
+        assert got.stop_reason == want.stop_reason
+        assert got.meter == want.meter
 
 
 def cs_instance(n, m, kappa, snr_db, rho, seed, n_s=None, sigma_s2=None):
@@ -466,7 +585,6 @@ def test_cost_meters_count_channel_and_transform_applies():
     prior = QpskPrior()
     instance = simulate_observation(A, Xi, prior.sample(n, generator(2, 2)), 6.0, seed=2)
     cfg = MampConfig(max_iters=iters, stop_tolerance=1e-300, stop_on_stall=False)
-    transform_points = n * np.log2(16)
     for run, channel, transform in (
             (run_cd_mamp(instance, Xi, prior, cfg), 3 + 4 * (iters - 1), 3 * iters),
             (run_cd_oamp(instance, prior, cfg), 2 * iters, 2 * iters)):
@@ -474,7 +592,9 @@ def test_cost_meters_count_channel_and_transform_applies():
         assert run.meter.channel_applies == channel
         assert run.meter.channel_points == channel * 4 * n
         assert run.meter.transform_applies == transform
-        assert run.meter.transform_points == transform * transform_points
+        # n log2(n_s) with n_s = 16, as an exact Python int.
+        assert type(run.meter.transform_points) is int
+        assert run.meter.transform_points == transform * n * 4
 
 
 def test_gaussian_estimators_reach_the_lmmse_error():
