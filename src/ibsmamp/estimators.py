@@ -49,6 +49,27 @@ The dropped part is then smaller than the error bound
 gamma_t sum_i |p_{t,i}| ||h_i|| (gamma_t ~ t u) that the full floating-point
 sum already carries, whatever the decay of p; eps_t and p are unchanged.
 
+A long kept memory is summed in blocks of steps, so that each old row is
+read once per block instead of once per step.  Every step scales all
+existing weights vartheta_i by the same theta_t lambda_dagger, so for a
+row i < t0 the weight at step t0 + j factors as
+
+    p_{t0+j,i} = F_j vartheta_{t0,i} w_{t0+j-1-i},
+    F_j = prod_{s=t0+1}^{t0+j} theta_s lambda_dagger,   F_0 = 1.
+
+A step whose kept memory has more than _BLOCK rows, and that no block
+covers, starts one at t0 = t: a single real matrix product over the float64
+view of rows k0..t0-1 gives the partial sums
+B_j = sum_{k0<=i<t0} vartheta_{t0,i} w_{t0+j-1-i} h_i for the J steps
+j < min(_BLOCK, max_iters - t0 + 1), and step t0 + j then sums
+F_j B_j + sum_{t0<=i<t0+j} p_{t0+j,i} h_i.  The cut k0 is the smallest over
+j of the rounding cut above, applied to the weights of B_j against their
+own total.  That total leaves out the rows i >= t0 and the positive factor
+|F_j| scales both sides, so it is a lower bound on the total at step
+t0 + j, and k0 keeps every row that step's own cut keeps; a step whose own
+cut falls below k0 starts a new block.  A kept memory of at most _BLOCK
+rows is summed per step as above, to the bit.
+
 The damping step reads its window in place.  ``MampState`` stages the new
 candidate in the next free history row, so the trailing estimates and the
 candidate are one slice of the history, and ``push`` overwrites that row
@@ -90,6 +111,9 @@ _STALL_IMPROVEMENT = 0.01
 # Unit roundoff of float64: memory rows whose combined weight is below this
 # share of the total cannot change r_t beyond rounding.
 _ROUNDING = 2.0 ** -53
+# A kept memory longer than this many rows is summed in blocks of this
+# many steps (see the module docstring).
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -130,7 +154,7 @@ class CostMeter:
     channel_points: int = 0     # sum of taps-per-row * rows over channel applies
     transform_applies: int = 0
     transform_points: int = 0   # sum of n * log2(n_s) over transform applies
-    vector_points: int = 0      # elementwise passes (memory sums, denoising)
+    vector_points: int = 0      # elementwise passes (history rows read, denoising)
     _channel: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
     _transform: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
 
@@ -166,7 +190,8 @@ class MampState:
     the residuals of the trailing ``damping_window`` rows are kept, with
     the raw Gram Re<r_i, r_j> of those the next damping window reads (see
     the module docstring for the layout); ``window`` returns that window.
-    ``meter`` counts the channel applies and memory sums of ``mle_step``.
+    The state also holds the current block of the memory sum.  ``meter``
+    counts the channel applies and the history rows read by ``mle_step``.
 
     Without an explicit ``theta`` the schedule is the constant
     relax / lambda_dagger; ``run_cd_mamp`` overwrites ``theta[t - 1]``
@@ -236,6 +261,11 @@ class MampState:
         self._count = 0
         self.push(self._hist[0], y)
         self.vartheta = np.zeros(max_iters)
+        # The block of the memory sum: (t0, k0, J), F_j of the current step,
+        # and B_j in row j of _block_sums, allocated at the first block.
+        self._block = (0, 0, 0)
+        self._block_gain = 1.0
+        self._block_sums = None
         self.meter = CostMeter()
         self.row_blocks = row_blocks
         if row_blocks is not None:
@@ -270,15 +300,41 @@ class MampState:
         self._count = count + 1
 
 
-def _memory_sum(p: np.ndarray, hist: np.ndarray,
-                norms: np.ndarray) -> tuple[np.ndarray, int]:
-    """Return (sum_i p_i hist_i, rows summed), skipping the longest prefix
-    of rows whose weight sum |p_i| norms_i is below _ROUNDING of the total.
-    The comparison is strict so that an infinite or NaN total keeps every
-    row from its first non-finite weight on."""
-    weight = np.cumsum(np.abs(p) * norms)
+def _memory_term(state: MampState, p: np.ndarray,
+                 scale: float) -> tuple[np.ndarray, int]:
+    """Return (sum_i p_i h_i over the kept rows, history rows read) for step
+    t = len(p), whose update scaled every older weight by ``scale``.
+
+    The rounding cut k drops the longest prefix of rows whose weight sum
+    |p_i| ||h_i|| is below _ROUNDING of the total; the comparison is strict
+    so that an infinite or NaN total keeps every row from its first
+    non-finite weight on.  A kept memory longer than _BLOCK rows is summed
+    through the current block, or a new one (see the module docstring).
+    """
+    t = len(p)
+    hist = state._hist
+    weight = np.cumsum(np.abs(p) * state._hist_norm[:t])
     k = int(np.count_nonzero(weight < _ROUNDING * weight[-1]))
-    return p[k:] @ hist[k:], len(p) - k
+    state._block_gain *= scale
+    if t - k <= _BLOCK:
+        return p[k:] @ hist[k:t], t - k
+    t0, k0, rows = state._block
+    if t < t0 + rows and k >= k0:
+        j = t - t0
+        return state._block_gain * state._block_sums[j] + p[t0:] @ hist[t0:t], j
+    rows = min(_BLOCK, len(state.vartheta) - t + 1)
+    # coef[j, i] = vartheta_{t,i} w_{t+j-1-i}: the weights of B_j.
+    coef = state.vartheta[:t] * state.w[np.add.outer(np.arange(rows),
+                                                     np.arange(t - 1, -1, -1))]
+    weight = np.cumsum(np.abs(coef) * state._hist_norm[:t], axis=1)
+    k0 = int(np.count_nonzero(weight < _ROUNDING * weight[:, -1:], axis=1).min())
+    if state._block_sums is None:
+        state._block_sums = np.empty((_BLOCK, state.dim), dtype=np.complex128)
+    sums = state._block_sums[:rows]
+    np.matmul(coef[:, k0:], hist[k0:t].view(np.float64), out=sums.view(np.float64))
+    state._block = (t, k0, rows)
+    state._block_gain = 1.0
+    return sums[0].copy(), t - k0
 
 
 def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -304,7 +360,8 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
     state.gamma = gamma
 
     vartheta = state.vartheta[:t]
-    vartheta[:-1] *= theta_t * state.lambda_dagger
+    scale = theta_t * state.lambda_dagger
+    vartheta[:-1] *= scale
     vartheta[-1] = xi_t
     p = vartheta * state.w[t - 1::-1]
     eps = float(p.sum())
@@ -315,8 +372,8 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
     state.adj_gamma = A.apply_adjoint(gamma)
     meter.channel(A)
     lifted = state.back(state.adj_gamma)
-    memory, kept = _memory_sum(p, state._hist[:t], state._hist_norm[:t])
-    meter.vector_points += kept * state.dim
+    memory, read = _memory_term(state, p, scale)
+    meter.vector_points += read * state.dim
     r = (lifted + memory) / eps
 
     # state.forward is responsible for metering its own operator calls.

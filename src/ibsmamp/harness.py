@@ -74,6 +74,15 @@ def _check_integer_fields(cfg) -> None:
             require_integer(f.name, value)
 
 
+def _check_estimator_fields(cfg) -> None:
+    """Refuse, when the config is loaded, the estimator settings that
+    MampConfig would refuse inside a trial."""
+    try:
+        cfg.mamp
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
 def _from_dict(cls, data: dict, overrides: dict | None = None):
     _check_keys(data, cls)
     merged = dict(data)
@@ -127,7 +136,14 @@ class CsMseConfig:
                 "ber is undefined for the bernoulli-gaussian prior; use metric=mse")
         if self.metric != "mse":
             raise ConfigurationError(f"unknown metric {self.metric!r}")
+        _check_estimator_fields(self)
         object.__setattr__(self, "variants", tuple(self.variants))
+
+    @property
+    def mamp(self) -> MampConfig:
+        return MampConfig(max_iters=self.max_iters, damping_window=self.damping_window,
+                          stall_patience=self.stall_patience,
+                          stop_on_stall=self.stop_on_stall, relax=self.relax)
 
     @property
     def rows(self) -> int:
@@ -164,9 +180,15 @@ class IfdmBerConfig:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if not self.snr_db_list:
             raise ConfigurationError("snr_db_list must be non-empty")
+        _check_estimator_fields(self)
         object.__setattr__(self, "snr_db_list", tuple(float(x) for x in self.snr_db_list))
         object.__setattr__(self, "n_s_list", tuple(int(x) for x in self.n_s_list))
         object.__setattr__(self, "bases", tuple(self.bases))
+
+    @property
+    def mamp(self) -> MampConfig:
+        return MampConfig(max_iters=self.max_iters, damping_window=self.damping_window,
+                          stall_patience=self.stall_patience)
 
 
 @dataclass(frozen=True)
@@ -230,9 +252,7 @@ def _cs_trial(cfg: CsMseConfig, trial_seed: int) -> list[tuple]:
     diag = gen_sensing_diagonal(cfg.rows, cfg.n, cfg.kappa)
     A = diag.operator()
     s = prior.sample(cfg.n, generator(trial_seed, STREAM_SOURCE))
-    mamp = MampConfig(max_iters=cfg.max_iters, damping_window=cfg.damping_window,
-                      stall_patience=cfg.stall_patience, stop_on_stall=cfg.stop_on_stall,
-                      relax=cfg.relax)
+    mamp = cfg.mamp
     rows = []
     for variant in cfg.variants:
         Xi = build_ibs_transform(_cs_transform_spec(cfg, variant, trial_seed))
@@ -286,8 +306,7 @@ def _ber_trial(cfg: IfdmBerConfig, trial_seed: int) -> list[tuple]:
     noise = unit_noise(A.rows, trial_seed)
     block_seed_base = derive_subseed(trial_seed, STREAM_BLOCK_SEEDS)
     whole_seed = derive_subseed(trial_seed, STREAM_WHOLE_SEED)
-    mamp = MampConfig(max_iters=cfg.max_iters, damping_window=cfg.damping_window,
-                      stall_patience=cfg.stall_patience)
+    mamp = cfg.mamp
     # The schemes share their seeds, so each permutation is drawn once.
     perms = {}
     transforms, images = {}, {}

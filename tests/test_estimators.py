@@ -220,40 +220,129 @@ def test_memory_sum_weighs_rows_by_coefficient_and_norm():
     assert summed[1e30] == steps - 1      # only the zero row h_1 is skipped
 
 
-def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch):
-    # A converging wide BW_IBS run: at every step the truncated sum agrees
-    # with the full p @ hist[:t] within the error bound of a floating-point
-    # sum, and once the weights have decayed fewer than t rows are summed.
+def per_step_memory(state, p, scale):
+    """The memory sum as it was before blocking: every step sums its kept
+    rows k..t-1 with one product, k the rounding cut of its own weights."""
+    t = len(p)
+    weight = np.cumsum(np.abs(p) * state._hist_norm[:t])
+    k = int(np.count_nonzero(weight < 2.0 ** -53 * weight[-1]))
+    return p[k:] @ state._hist[k:t], t - k
+
+
+def wide_instance(variant):
     n, m = 512, 256
     A = gen_sensing_diagonal(m, n, 10.0).operator()
     prior = BernoulliGaussianPrior(rho=0.1)
     s = prior.sample(n, generator(3, 2))
-    Xi = build_ibs_transform(IbsSpec(n=n, n_s=64, m=m, variant="BW_IBS",
+    Xi = build_ibs_transform(IbsSpec(n=n, n_s=64, m=m, variant=variant,
                                      block_seed_base=5, whole_seed=6))
-    instance = simulate_observation(A, Xi, s, 30.0, 3)
-    memory_sum, step = estimators._memory_sum, estimators.mle_step
-    errors, summed = [], []
+    return simulate_observation(A, Xi, s, 30.0, 3), Xi, prior
 
-    def checked_sum(p, hist, norms):
-        memory, rows = memory_sum(p, hist, norms)
-        bound = 4 * len(p) * 2.0 ** -53 * np.sum(np.abs(p) * norms)
-        errors.append(np.linalg.norm(memory - p @ hist) <= bound)
+
+@pytest.mark.parametrize("variant, window", (("BW_IBS", 3), ("W_IBS", 5), ("BS", 5)))
+def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch, variant, window):
+    # Long wide runs, converging (BW_IBS) or not (W_IBS, BS): at every step
+    # the memory term, per step or through a block, agrees with the full
+    # p @ hist[:t] within the error bound of a floating-point sum.  On most
+    # steps a block serves it and fewer rows are read than the step keeps.
+    instance, Xi, prior = wide_instance(variant)
+    memory_term = estimators._memory_term
+    errors, steps = [], []
+
+    def checked_term(state, p, scale):
+        t = len(p)
+        memory, read = memory_term(state, p, scale)
+        norms = state._hist_norm[:t]
+        bound = 4 * t * 2.0 ** -53 * np.sum(np.abs(p) * norms)
+        errors.append(np.linalg.norm(memory - p @ state._hist[:t]) <= bound)
+        steps.append((t, read, per_step_memory(state, p, scale)[1]))
+        return memory, read
+
+    monkeypatch.setattr(estimators, "_memory_term", checked_term)
+    run = run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=160, damping_window=window,
+                                                      stop_on_stall=False))
+    assert len(run.points) == 160 and len(errors) == 160 and all(errors)
+    assert all(read <= t for t, read, _ in steps)
+    blocked = [t for t, read, kept in steps if read < kept]
+    assert len(blocked) > 120, len(blocked)
+    if variant == "BW_IBS":
+        assert run.points[-1].mse_db < -30.0
+        # Once the weights have decayed a step keeps fewer than t rows.
+        assert all(kept < t // 2 for t, _, kept in steps[120:]), steps[120:]
+    else:
+        assert run.points[-1].mse_db > -15.0
+
+
+def recorded_run(monkeypatch, instance, Xi, prior, cfg, memory_term=None):
+    """run_cd_mamp with the bytes of r_t of every step, optionally with
+    another memory term."""
+    step, outputs = estimators.mle_step, []
+
+    def recording_step(state, *args):
+        r, v_gamma = step(state, *args)
+        outputs.append(r.tobytes())
+        return r, v_gamma
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "mle_step", recording_step)
+        if memory_term is not None:
+            patch.setattr(estimators, "_memory_term", memory_term)
+        return run_cd_mamp(instance, Xi, prior, cfg), outputs
+
+
+@pytest.mark.parametrize("kind", ("circulant-FFT", "circulant-FWHT", "doppler"))
+def test_short_memories_are_summed_per_step_to_the_bit(monkeypatch, kind):
+    # Under the ifdm-ber stop rules no kept memory exceeds the block size,
+    # so the run matches the per-step sum to the bit.
+    instance, Xi, prior = damping_system(kind)
+    cfg = MampConfig(max_iters=32, damping_window=3, stall_patience=6)
+    got, _ = recorded_run(monkeypatch, instance, Xi, prior, cfg)
+    want, _ = recorded_run(monkeypatch, instance, Xi, prior, cfg, per_step_memory)
+    assert got.s_hat.tobytes() == want.s_hat.tobytes()
+    assert got.points == want.points
+    assert got.stop_reason == want.stop_reason
+    assert got.meter == want.meter
+
+
+def test_blocked_run_matches_per_step_bits_until_the_first_long_memory(monkeypatch):
+    instance, Xi, prior = wide_instance("BW_IBS")
+    kept = []
+
+    def reference(state, p, scale):
+        memory, rows = per_step_memory(state, p, scale)
+        kept.append(rows)
         return memory, rows
 
-    def metered_step(state, *args):
-        before = state.meter.vector_points
-        out = step(state, *args)
-        summed.append((state.iteration, (state.meter.vector_points - before) // n))
-        return out
+    cfg = MampConfig(max_iters=48, stop_on_stall=False)
+    _, got = recorded_run(monkeypatch, instance, Xi, prior, cfg)
+    _, want = recorded_run(monkeypatch, instance, Xi, prior, cfg, reference)
+    first = next(i for i, rows in enumerate(kept) if rows > estimators._BLOCK)
+    assert first >= 10
+    assert got[:first] == want[:first]
 
-    monkeypatch.setattr(estimators, "_memory_sum", checked_sum)
-    monkeypatch.setattr(estimators, "mle_step", metered_step)
-    run = run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=160,
-                                                      stop_on_stall=False))
-    assert len(run.points) == 160 and run.points[-1].mse_db < -30.0
-    assert len(errors) == 160 and all(errors)
-    assert all(rows <= t for t, rows in summed)
-    assert all(rows < t // 2 for t, rows in summed[120:]), summed[120:]
+
+def test_meter_counts_the_history_rows_each_step_reads():
+    # From step 2 on the zero row h_1 is cut, and no other weight decays
+    # below rounding in 40 steps, so step t keeps t - 1 rows.  Steps 1..17
+    # read them (1, then 1..16 rows); step 18 starts a block of 16 steps,
+    # reading its 17 rows once, and step 18 + j reads only the j rows pushed
+    # since; step 34 starts the last block, of 7 steps, with 33 rows.
+    steps = 40
+    y = np.array([1.0 + 0j, 2.0])
+    A, state = make_square_state([2.0, 1.0], y, max_iters=steps)
+    rng = generator(8)
+    read = []
+    for t in range(1, steps + 1):
+        before = state.meter.vector_points
+        r, _ = mle_step(state, A, y)
+        read.append((state.meter.vector_points - before) // state.dim)
+        p = state.vartheta[:t] * state.w[t - 1::-1]
+        full = (state.back(state.adj_gamma) + p @ state._hist[:t]) / p.sum()
+        assert np.allclose(r, full, rtol=1e-13, atol=0.0)
+        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        state.push(h, y - A.apply(h))
+    assert read == [1] + list(range(1, 17)) + [17] + list(range(1, 16)) + [33] + list(range(1, 7))
+    assert sum(read) == 328 < 1 + sum(range(steps))
 
 
 def test_degenerate_gain_normalizer_raises():

@@ -297,6 +297,22 @@ def test_cli_rejects_non_integer_sizes_with_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("experiment, field, value", (
+    ("cs-mse", "max_iters", 0), ("cs-mse", "damping_window", 0),
+    ("cs-mse", "relax", 0.0), ("cs-mse", "stall_patience", 0),
+    ("ifdm-ber", "max_iters", 0), ("ifdm-ber", "damping_window", 0),
+    ("ifdm-ber", "stall_patience", 0)))
+def test_cli_rejects_bad_estimator_settings_with_exit_2(tmp_path, capsys,
+                                                        experiment, field, value):
+    # ifdm-ber has no relax field: its estimator runs at MampConfig's relax.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
