@@ -9,11 +9,13 @@ depend on v once per block, broadcast over the block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _EXP_CLIP = 700.0
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -24,14 +26,20 @@ class DenoiserResult:
 
 def _check_inputs(r: np.ndarray, v) -> tuple[np.ndarray, float | np.ndarray]:
     """r as complex, and v as given for a scalar; for L block variances,
-    r as (L, n / L) rows and v as an (L, 1) column."""
-    if np.any(np.asarray(v) <= 0.0) or not np.all(np.isfinite(v)):
+    r as (L, n / L) rows and v as an (L, 1) column.  A float v is checked
+    with one comparison, which refuses NaN as the array check does."""
+    scalar = isinstance(v, float)
+    if scalar:
+        bad = not 0.0 < v < math.inf
+    else:
+        bad = np.any(np.asarray(v) <= 0.0) or not np.all(np.isfinite(v))
+    if bad:
         raise ValueError(f"noise variance must be positive and finite, got {v}")
     r = np.asarray(r)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("observation must be a non-empty 1-d array")
     r = r.astype(np.complex128, copy=False)
-    if np.ndim(v) == 0:
+    if scalar or np.ndim(v) == 0:
         return r, v
     if np.ndim(v) != 1 or np.size(v) == 0 or r.size % np.size(v):
         raise ValueError(f"noise variance must be a scalar or one per block of equal "
@@ -75,9 +83,8 @@ def denoise_qpsk(r: np.ndarray, v: float | np.ndarray) -> DenoiserResult:
     imaginary part.
     """
     r, v = _check_inputs(r, v)
-    b = 1.0 / np.sqrt(2.0)
-    t_re = np.tanh(np.sqrt(2.0) * r.real / v)
-    t_im = np.tanh(np.sqrt(2.0) * r.imag / v)
-    mean = b * (t_re + 1j * t_im)
+    t_re = np.tanh(_SQRT2 * r.real / v)
+    t_im = np.tanh(_SQRT2 * r.imag / v)
+    mean = (1.0 / _SQRT2) * (t_re + 1j * t_im)
     var = 1.0 - np.abs(mean) ** 2
     return DenoiserResult(posterior_mean=mean.ravel(), coord_var=var.ravel())

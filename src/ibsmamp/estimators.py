@@ -41,6 +41,13 @@ estimates one variance per block from that block's residual rows, and the
 denoiser and its orthogonalization both take those L variances as they
 are.
 
+A scalar variance is the case L = 1 of that contract, computed on floats
+rather than on one-element arrays: the linear stage's residual variance,
+the denoiser's input check, and the orthogonalization's block mean and
+combine.  Every full transform, every non-diagonal channel and the OAMP
+oracle take this path.  Each float step performs the same IEEE operations
+in the same order as its array form, so the bits are the same.
+
 The memory sum skips the oldest rows that cannot change r_t beyond
 rounding.  With the row norms ||h_i|| stored once per row, step t keeps
 rows k..t-1 for the largest k whose dropped weight
@@ -93,6 +100,7 @@ stops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -287,8 +295,10 @@ class MampState:
         reads."""
         count, w = self._count, self.damping_window
         slot = count % w
-        self._hist[count] = estimate
-        self._hist_norm[count] = np.linalg.norm(estimate)
+        row = self._hist[count]
+        row[:] = estimate
+        # np.linalg.norm's own sum for a complex vector, without its dispatch.
+        self._hist_norm[count] = math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))
         self._resid[slot] = self._resid[slot + w] = residual
         kept = min(w - 1, count + 1)    # pushed rows of the next window
         if kept:
@@ -379,8 +389,10 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
     # state.forward is responsible for metering its own operator calls.
     fit = y - state.forward(r)
     if state.row_blocks is None:
-        v_gamma = (np.linalg.norm(fit) ** 2 - state.measure_dim * state.noise_var) \
-            / state.trace_gram
+        # np.linalg.norm(fit) ** 2 without its dispatch.  The rounded root is
+        # squared, not skipped, so the bits stay those of the norm.
+        norm = math.sqrt(fit.real.dot(fit.real) + fit.imag.dot(fit.imag))
+        v_gamma = (norm ** 2 - state.measure_dim * state.noise_var) / state.trace_gram
         v_gamma = max(float(v_gamma), state.variance_floor)
     else:
         energy = np.bincount(state.row_blocks, weights=np.abs(fit) ** 2)
@@ -402,9 +414,19 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
     with variance 1 / (1 / pv - 1 / v_in).  A block whose denoiser did not
     reduce variance (pv >= v_in) passes r through unchanged and stalls.
     v_phi has the shape of ``v_in``, and ``stalled`` reports whether any
-    block stalled.
+    block stalled.  A scalar ``v_in`` is the case L = 1, computed on floats.
     """
-    v = np.reshape(v_in, -1)
+    if not isinstance(v_in, np.ndarray) or v_in.ndim == 0:
+        v = float(v_in)
+        coord_var = den.coord_var
+        # np.mean's sum and division, without its dispatch.
+        pv = max(float(np.add.reduce(coord_var, axis=None)) / coord_var.size, variance_floor)
+        if pv >= v:
+            return r.copy(), v, True
+        p = pv / v
+        return ((den.posterior_mean - p * r) / (1.0 - p),
+                max(pv * v / (v - pv), variance_floor), False)
+    v = v_in.reshape(-1)
     pv = np.maximum(den.coord_var.reshape(v.size, -1).mean(axis=1), variance_floor)
     stalled = pv >= v
     p = np.where(stalled, 0.0, pv / v)[:, None]
@@ -413,8 +435,6 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
                       (den.posterior_mean.reshape(rows.shape) - p * rows) / (1.0 - p))
     v_phi = np.where(stalled, v, np.maximum(pv * v / np.where(stalled, 1.0, v - pv),
                                             variance_floor))
-    if np.ndim(v_in) == 0:
-        v_phi = float(v_phi[0])
     return s_next.reshape(r.shape), v_phi, bool(stalled.any())
 
 
@@ -429,12 +449,12 @@ def _cross_cov_from_residuals(gram: np.ndarray, measure_dim: int,
     V = (gram - measure_dim * sigma2) / trace_gram
     lam, vecs = np.linalg.eigh(V)
     V = (vecs * np.maximum(lam, 0.0)) @ vecs.T
-    V[np.diag_indices(k)] = np.maximum(V.diagonal(), variance_floor)
+    V.flat[::k + 1] = np.maximum(V.diagonal(), variance_floor)
     return V
 
 
 def damping_update(candidates: np.ndarray,
-                   V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   V: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Inverse-covariance combination of candidate estimates.
 
     ``candidates`` is a (k, n) array with one candidate per row, such as a
@@ -442,27 +462,31 @@ def damping_update(candidates: np.ndarray,
     Solves for zeta = V^{-1} 1 / (1^T V^{-1} 1) on a trace-scaled
     ridge-regularized copy of V, then falls back to the best single
     candidate if the analytic weights do not beat it under the original
-    V, so zeta^T V zeta never exceeds min(diag(V)).
+    V, so zeta^T V zeta never exceeds min(diag(V)).  Returns zeta, the
+    combination and its variance zeta^T V zeta.
     """
     k = candidates.shape[0]
     if V.shape != (k, k):
         raise ValueError(f"V must be {k}x{k}, got {V.shape}")
-    ones = np.ones(k)
-    ridge = 1e-8 * max(np.trace(V), 0.0) / k
+    ridge = 1e-8 * max(V.trace(), 0.0) / k
     try:
-        raw = np.linalg.solve(V + ridge * np.eye(k), ones)
+        raw = np.linalg.solve(V + ridge * np.eye(k), np.ones(k))
     except np.linalg.LinAlgError:
         raw = None
-    best = int(np.argmin(V.diagonal()))
+    best = int(V.diagonal().argmin())
     zeta = None
-    if raw is not None and abs(raw.sum()) > _EPS_MIN:
-        zeta = raw / raw.sum()
-        if zeta @ V @ zeta > V[best, best]:
-            zeta = None
+    if raw is not None:
+        total = raw.sum()
+        if abs(total) > _EPS_MIN:
+            zeta = raw / total
+            quad = zeta @ V @ zeta
+            if quad > V[best, best]:
+                zeta = None
     if zeta is None:
         zeta = np.zeros(k)
         zeta[best] = 1.0
-    return zeta, zeta @ candidates
+        quad = zeta @ V @ zeta
+    return zeta, zeta @ candidates, float(quad)
 
 
 def _damping_step(state: MampState, s_ext: np.ndarray) -> float:
@@ -477,10 +501,10 @@ def _damping_step(state: MampState, s_ext: np.ndarray) -> float:
     gram[-1] = gram[:, -1] = [np.vdot(r, resids[-1]).real for r in resids]
     V = _cross_cov_from_residuals(gram, state.measure_dim, state.noise_var,
                                   state.trace_gram, state.variance_floor)
-    zeta, s_next = damping_update(cands, V)
+    zeta, s_next, var = damping_update(cands, V)
     state.push(s_next, zeta @ resids)
     state.meter.vector_points += k * state.dim
-    return max(float(zeta @ V @ zeta), state.variance_floor)
+    return max(var, state.variance_floor)
 
 
 @dataclass(frozen=True)
@@ -505,11 +529,6 @@ class EstimatorRun:
         return self.points[-1].mse
 
 
-def _reduce(v: float | np.ndarray, reduce: Callable[[np.ndarray], float]) -> float:
-    """A float variance as it is, or reduce() of the block variances."""
-    return float(v) if isinstance(v, float) else float(reduce(v))
-
-
 def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
              meter: CostMeter) -> EstimatorRun:
     """Call step() once per iteration and record the trajectory.
@@ -527,10 +546,15 @@ def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
     for t in range(1, cfg.max_iters + 1):
         s_hat, v_gamma, v_phi, stalled, flags = step()
         cur_mse = mse(s_hat, s_true)
+        if isinstance(v_phi, float):
+            gamma_mean, phi_mean = float(v_gamma), float(v_phi)
+            phi_max = phi_mean
+        else:
+            gamma_mean, phi_mean = float(np.mean(v_gamma)), float(np.mean(v_phi))
+            phi_max = float(np.max(v_phi))
         points.append(TrajectoryPoint(t=t, mse=cur_mse, mse_db=mse_db(cur_mse),
-                                      v_gamma=_reduce(v_gamma, np.mean),
-                                      v_phi=_reduce(v_phi, np.mean), flags=flags))
-        if _reduce(v_phi, np.max) < cfg.stop_tolerance:
+                                      v_gamma=gamma_mean, v_phi=phi_mean, flags=flags))
+        if phi_max < cfg.stop_tolerance:
             stop_reason = "tolerance"
             break
         if stalled or cur_mse > best_mse * (1.0 - _STALL_IMPROVEMENT):
@@ -594,7 +618,7 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
         v_x = _damping_step(state, s_ext)
 
         flags = ["nle-stall"] if stalled else []
-        if _reduce(v_gamma, np.min) <= cfg.variance_floor:
+        if (v_gamma if isinstance(v_gamma, float) else v_gamma.min()) <= cfg.variance_floor:
             flags.append("v-floor")
         return den.posterior_mean, v_gamma, v_phi, stalled, "|".join(flags)
 

@@ -14,10 +14,12 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,9 @@ SCHEMA_VERSION = 1
 STREAM_TRIALS = 10
 STREAM_BLOCK_SEEDS = 11
 STREAM_WHOLE_SEED = 12
+
+# Float fields that may be +inf: an infinite SNR means a noiseless observation.
+_NOISELESS_FIELDS = ("snr_db", "snr_db_list")
 
 TRAJECTORY_COLUMNS = ("variant", "base", "trial_seed", "t", "mse", "mse_db",
                       "v_gamma", "v_phi", "flags")
@@ -72,6 +77,41 @@ def _check_integer_fields(cfg) -> None:
                 require_integer(f.name, x)
         elif f.type == "int" or (f.type == "int | None" and value is not None):
             require_integer(f.name, value)
+
+
+def _check_float_fields(cfg) -> None:
+    """Refuse non-numbers, NaN and infinities in the fields annotated as
+    floats, such as a NaN SNR from a JSON config, before they reach a trial.
+    An SNR may be +inf."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "tuple[float, ...]":
+            values = value
+        elif f.type == "float" or (f.type == "float | None" and value is not None):
+            values = (value,)
+        else:
+            continue
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, Real):
+                raise ConfigurationError(f"{f.name} must be a number, got {x!r}")
+            if f.name in _NOISELESS_FIELDS:
+                if math.isnan(x) or x == -math.inf:
+                    raise ConfigurationError(
+                        f"{f.name} must be finite or +inf (noiseless), got {x!r}")
+            elif not math.isfinite(x):
+                raise ConfigurationError(f"{f.name} must be finite, got {x!r}")
+
+
+def _check_list_fields(cfg) -> None:
+    """Refuse empty lists, which would write header-only CSVs, and repeated
+    entries, which would write every row of that entry twice."""
+    for f in dataclasses.fields(cfg):
+        if f.type.startswith("tuple["):
+            values = getattr(cfg, f.name)
+            if not values:
+                raise ConfigurationError(f"{f.name} must be non-empty")
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{f.name} must be distinct, got {list(values)!r}")
 
 
 def _check_estimator_fields(cfg) -> None:
@@ -121,6 +161,7 @@ class CsMseConfig:
 
     def __post_init__(self):
         _check_integer_fields(self)
+        _check_float_fields(self)
         if self.trials < 1 or self.threads < 1:
             raise ConfigurationError("trials and threads must be >= 1")
         if self.base not in BASES:
@@ -136,6 +177,7 @@ class CsMseConfig:
                 "ber is undefined for the bernoulli-gaussian prior; use metric=mse")
         if self.metric != "mse":
             raise ConfigurationError(f"unknown metric {self.metric!r}")
+        _check_list_fields(self)
         _check_estimator_fields(self)
         object.__setattr__(self, "variants", tuple(self.variants))
 
@@ -171,6 +213,7 @@ class IfdmBerConfig:
 
     def __post_init__(self):
         _check_integer_fields(self)
+        _check_float_fields(self)
         if self.trials < 1 or self.threads < 1:
             raise ConfigurationError("trials and threads must be >= 1")
         for b in self.bases:
@@ -178,8 +221,7 @@ class IfdmBerConfig:
                 raise ConfigurationError(f"unknown base {b!r}")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        if not self.snr_db_list:
-            raise ConfigurationError("snr_db_list must be non-empty")
+        _check_list_fields(self)
         _check_estimator_fields(self)
         object.__setattr__(self, "snr_db_list", tuple(float(x) for x in self.snr_db_list))
         object.__setattr__(self, "n_s_list", tuple(int(x) for x in self.n_s_list))
@@ -204,6 +246,7 @@ class ComplexityConfig:
 
     def __post_init__(self):
         _check_integer_fields(self)
+        _check_list_fields(self)
         object.__setattr__(self, "n_s_list", tuple(int(x) for x in self.n_s_list))
 
 

@@ -159,13 +159,15 @@ def _tap_sum(v, taps):
     Each tap adds the two pieces of its product into the two slices of the
     output they land on, so every output entry receives the same products
     in the same tap order as the rolled sum: the result is bit-identical.
+    A tap of shift 0 lands on the whole output and has no wrapped piece.
     """
     n = v.shape[0]
-    out = np.zeros_like(v, dtype=np.complex128)
+    out = np.zeros(n, dtype=np.complex128)
     for s, g in taps:
         w = g * v
         out[s:] += w[:n - s]
-        out[:s] += w[n - s:]
+        if s:
+            out[:s] += w[n - s:]
     return out
 
 
@@ -331,7 +333,9 @@ def mse(s_hat: np.ndarray, s_true: np.ndarray) -> float:
     """Per-entry mean squared error |s_hat - s_true|^2."""
     if s_hat.shape != s_true.shape:
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s_true.shape}")
-    return float(np.mean(np.abs(s_hat - s_true) ** 2))
+    err = np.abs(s_hat - s_true) ** 2
+    # np.mean's sum and division, without its dispatch.
+    return float(np.add.reduce(err, axis=None) / err.size)
 
 
 def mse_db(value: float) -> float:

@@ -279,7 +279,7 @@ def test_criterion_9_damping_weights_reach_grid_optimum():
         g = rng.standard_normal((k, k))
         V = g @ g.T
         cands = np.zeros((k, 1), dtype=complex)
-        zeta, _ = damping_update(cands, V)
+        zeta, _, _ = damping_update(cands, V)
         obj = float(zeta @ V @ zeta)
         grid = grid2 if k == 2 else grid3
         grid_min = float(np.einsum("pi,ij,pj->p", grid, V, grid).min())

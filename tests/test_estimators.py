@@ -464,9 +464,10 @@ def test_damping_beats_grid_and_best_single():
         g = rng.standard_normal((k, k))
         V = g @ g.T + 10.0 ** rng.uniform(-6, 0) * np.eye(k)
         cands = np.repeat(np.arange(k, dtype=complex)[:, None], 2, axis=1)
-        zeta, combined = damping_update(cands, V)
+        zeta, combined, var = damping_update(cands, V)
         assert abs(zeta.sum() - 1.0) < 1e-9
         obj = float(zeta @ V @ zeta)
+        assert var == obj
         assert obj <= np.min(np.diag(V)) + 1e-12
         assert np.max(np.abs(combined - sum(z * c for z, c in zip(zeta, cands)))) < 1e-12
         if k == 2:
@@ -477,7 +478,8 @@ def test_damping_beats_grid_and_best_single():
 
 def test_damping_handles_singular_covariance():
     V = np.ones((2, 2))  # perfectly correlated candidates
-    zeta, _ = damping_update(np.array([[0.0], [1.0]], dtype=complex), V)
+    zeta, _, var = damping_update(np.array([[0.0], [1.0]], dtype=complex), V)
+    assert var == float(zeta @ V @ zeta)
     assert np.all(np.isfinite(zeta))
     assert abs(zeta.sum() - 1.0) < 1e-9
     with pytest.raises(ValueError):

@@ -313,6 +313,53 @@ def test_cli_rejects_bad_estimator_settings_with_exit_2(tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+# Small sizes, so that a case the CLI wrongly accepts runs in a moment.
+TINY = {"cs-mse": dict(trials=1, n=64, n_s=16, max_iters=4),
+        "ifdm-ber": dict(trials=1, n=64, taps=2, n_s_list=[16], bases=["FFT"],
+                         snr_db_list=[10.0], max_iters=4)}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("experiment, data", (
+    ("cs-mse", {"snr_db": NAN}), ("cs-mse", {"snr_db": -INF}),
+    ("cs-mse", {"kappa": NAN}), ("cs-mse", {"sigma_s2": NAN}),
+    ("ifdm-ber", {"snr_db_list": [10.0, NAN]}), ("ifdm-ber", {"snr_db_list": [-INF]}),
+    ("ifdm-ber", {"doppler_spread": NAN}), ("ifdm-ber", {"doppler_spread": INF})),
+    ids=lambda x: x if isinstance(x, str) else json.dumps(x))
+def test_cli_rejects_non_finite_floats_with_exit_2(tmp_path, capsys, experiment, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY[experiment], **data)))    # NaN, Infinity
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{next(iter(data))} must be finite" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, data", (
+    ("cs-mse", {"variants": []}), ("cs-mse", {"variants": ["full", "full"]}),
+    ("ifdm-ber", {"bases": [], "include_full": False}), ("ifdm-ber", {"bases": []}),
+    ("ifdm-ber", {"bases": ["FFT", "FFT"]}), ("ifdm-ber", {"n_s_list": []}),
+    ("ifdm-ber", {"n_s_list": [16, 16]}), ("ifdm-ber", {"snr_db_list": [10.0, 10]})),
+    ids=lambda x: x if isinstance(x, str) else json.dumps(x))
+def test_cli_rejects_empty_or_repeated_lists_with_exit_2(tmp_path, capsys, experiment, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY[experiment], **data)))
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    field = next(iter(data))
+    assert err.startswith("error: ")
+    assert f"{field} must be {'distinct' if data[field] else 'non-empty'}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_float_fields_refuse_non_finite_values_but_a_noiseless_snr():
+    assert CsMseConfig(snr_db=INF).snr_db == INF
+    assert IfdmBerConfig(snr_db_list=(INF, 10.0)).snr_db_list == (INF, 10.0)
+    for bad in (dict(kappa=INF), dict(rho=NAN), dict(relax=NAN), dict(kappa="10")):
+        with pytest.raises(ConfigurationError):
+            CsMseConfig(**bad)
+
+
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
