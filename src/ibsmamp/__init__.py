@@ -8,8 +8,7 @@ from .estimators import (CostMeter, EstimatorRun, MampConfig, MampState, Traject
                          mle_step, nle_orthogonalize, run_cd_mamp, run_cd_oamp)
 from .ibs import (BASES, DIRECTIONS, VARIANTS, IbsOperator, IbsSpec, build_ibs_transform,
                   relative_complexity)
-from .kernels import (fft_adjoint, fft_forward, fft_operator, fwht_forward, fwht_operator,
-                      is_power_of_two)
+from .kernels import fft_adjoint, fft_forward, fft_operator, fwht_forward, is_power_of_two
 from .operators import DiagonalOperator, LinearOperator, materialize_dense
 from .rng import Permutation, generator, make_permutation, raw_words
 from .scenarios import (BernoulliGaussianPrior, CirculantOperator, MultipathChannel,

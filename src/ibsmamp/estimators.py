@@ -15,12 +15,14 @@ gain is exactly one:
     r_t = (back(gamma_t) + sum_i p_{t,i} h_i) / eps_t,
     p_{t,i} = xi_i (prod_{j>i} theta_j) w_{t-i},   eps_t = sum_i p_{t,i}.
 
-``mle_step`` applies A^H itself, and ``back`` lifts the result to the
-domain the history lives in.  ``run_cd_mamp`` keeps the history in the
-source domain for every shape of the transform: dim = n, ``back = Xi^H``,
-and the moments renormalized per source coordinate.  For a wide transform
-(m < n) this is what keeps the unmeasured subspace recoverable by the
-prior.
+``MampState(A, Xi, y, noise_var, cfg)`` wires this stage up from the
+channel A and the transform Xi.  It owns the metered maps
+forward(s) = A Xi s and back(u) = Xi^H u, and keeps the history in the
+source domain for every shape of the transform: dim = n = Xi.cols, with
+the moments renormalized per source coordinate.  ``mle_step`` applies A^H
+itself, and ``back`` lifts the result to the source domain.  For a wide
+transform (m < n) this is what keeps the unmeasured subspace recoverable
+by the prior.
 
 ``run_cd_mamp`` follows Memory AMP (Liu, Huang & Ping, IEEE TIT 2022) in
 its gain schedule, theta_t = relax / (lambda_dagger + sigma^2 / v_t), where
@@ -39,7 +41,9 @@ of y and sees only their share of the Gram spectrum, so the error
 variance of r_t differs from block to block; the linear stage then
 estimates one variance per block from that block's residual rows, and the
 denoiser and its orthogonalization both take those L variances as they
-are.
+are.  ``MampState`` makes this choice itself: one variance per block
+exactly when A is a ``DiagonalOperator`` and Xi an ``IbsOperator`` with
+more than one block.
 
 A scalar variance is the case L = 1 of that contract, computed on floats
 rather than on one-element arrays: the linear stage's residual variance,
@@ -102,7 +106,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -111,7 +115,7 @@ from .errors import NormalizationError
 from .ibs import IbsOperator
 from .operators import DiagonalOperator, LinearOperator
 from .scenarios import CirculantOperator, SystemInstance, mse, mse_db
-from .spectral import SpectralProfile, dense_gram, gram_eigenvalues, spectral_profile
+from .spectral import dense_gram, gram_eigenvalues, spectral_profile
 
 _EPS_MIN = 1e-12
 # An iteration that lowers the best mse by less than this share counts as a stall.
@@ -151,90 +155,45 @@ class MampConfig:
 
 @dataclass
 class CostMeter:
-    """Counts operator applications so tests can audit per-iteration cost.
-
-    The work of one apply depends only on the operator: it is read off an
-    operator at its first apply and reused while the same operator is
-    applied again, which is every apply of a run.
-    """
+    """Counts operator applies and vector passes, so tests and benchmarks
+    can audit the cost of an iteration."""
 
     channel_applies: int = 0
-    channel_points: int = 0     # sum of taps-per-row * rows over channel applies
     transform_applies: int = 0
-    transform_points: int = 0   # sum of n * log2(n_s) over transform applies
     vector_points: int = 0      # elementwise passes (history rows read, denoising)
-    _channel: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
-    _transform: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
-
-    def channel(self, A: LinearOperator) -> None:
-        """Count one apply of the channel A."""
-        op, points = self._channel
-        if op is not A:
-            points = getattr(A, "taps_per_row", 1) * A.rows
-            self._channel = (A, points)
-        self.channel_applies += 1
-        self.channel_points += points
-
-    def transform(self, Xi: LinearOperator) -> None:
-        """Count one apply of the transform Xi: n log2(n_s) points, at least n
-        (log2 rounded down for a size that is not a power of two)."""
-        op, points = self._transform
-        if op is not Xi:
-            spec = getattr(Xi, "spec", None)
-            n_s = spec.n_s if spec is not None else Xi.cols
-            points = Xi.cols * max(int(n_s).bit_length() - 1, 1)
-            self._transform = (Xi, points)
-        self.transform_applies += 1
-        self.transform_points += points
 
 
 class MampState:
-    """Mutable state of the memory linear estimator.
+    """Mutable state of the memory linear estimator of channel A behind
+    transform Xi (see the module docstring).
 
     The state keeps the per-iteration estimates h_1, h_2, ... in the
-    lifted domain of size ``dim`` (the source domain in ``run_cd_mamp``,
-    whatever the shape of the transform), starting from the all-zero h_1,
-    each with its norm and its cached residual y - forward(h_i).  Only
-    the residuals of the trailing ``damping_window`` rows are kept, with
-    the raw Gram Re<r_i, r_j> of those the next damping window reads (see
-    the module docstring for the layout); ``window`` returns that window.
-    The state also holds the current block of the memory sum.  ``meter``
-    counts the channel applies and the history rows read by ``mle_step``.
+    source domain of size ``dim = Xi.cols``, starting from the all-zero
+    h_1, each with its norm and its cached residual y - forward(h_i).
+    Only the residuals of the trailing ``cfg.damping_window`` rows are
+    kept, with the raw Gram Re<r_i, r_j> of those the next damping window
+    reads; ``window`` returns that window.  The state also holds the
+    current block of the memory sum, and ``meter`` counts every apply of
+    A and Xi and the history rows read by ``mle_step``.
 
-    Without an explicit ``theta`` the schedule is the constant
-    relax / lambda_dagger; ``run_cd_mamp`` overwrites ``theta[t - 1]``
-    before step t with MAMP's variance-dependent value.  ``row_blocks``
-    (the source block of each measurement row) with ``gram_diag`` (the
-    diagonal of A A^H) makes ``mle_step`` return one error variance per
-    block instead of one scalar.
+    ``theta`` (cfg.relax / lambda_dagger) and ``xi`` (ones) are the gain
+    schedules, one entry per iteration.  Callers write them in place, as
+    ``run_cd_mamp`` does with ``theta[t - 1]`` before step t.
     """
 
-    def __init__(self, profile: SpectralProfile, y: np.ndarray,
-                 forward: Callable[[np.ndarray], np.ndarray],
-                 back: Callable[[np.ndarray], np.ndarray],
-                 dim: int, noise_var: float,
-                 theta: Sequence[float] | None = None,
-                 xi: Sequence[float] | None = None,
-                 max_iters: int = 32,
-                 variance_floor: float = 1e-13,
-                 relax: float = 1.0,
-                 damping_window: int = 3,
-                 row_blocks: np.ndarray | None = None,
-                 gram_diag: np.ndarray | None = None):
-        if profile.depth < max_iters:
-            raise ValueError(
-                f"spectral profile depth {profile.depth} < max_iters {max_iters}")
-        w = int(damping_window)
-        if w < 1:
-            raise ValueError(f"damping_window must be >= 1, got {damping_window}")
-        self.profile = profile
+    def __init__(self, A: LinearOperator, Xi: LinearOperator, y: np.ndarray,
+                 noise_var: float, cfg: MampConfig):
+        profile = spectral_profile(A, depth=cfg.max_iters)
+        if profile.lambda_dagger <= 0:
+            raise ValueError("lambda_dagger must be positive")
+        max_iters, w = cfg.max_iters, cfg.damping_window
+        self.A = A
+        self.Xi = Xi
         self.y = y
-        self.forward = forward
-        self.back = back
-        self.dim = int(dim)
+        self.dim = dim = Xi.cols
         self.measure_dim = int(y.shape[0])
         self.noise_var = float(noise_var)
-        # Moments are renormalized to the lifted dimension so the mean
+        # Moments are renormalized to the source dimension so the mean
         # signal gain of r_t is exactly one in that domain.  The scaled
         # form (moments of B / lambda_dagger) keeps every entry bounded;
         # the matching lambda_dagger factor is restored in the vartheta
@@ -242,17 +201,9 @@ class MampState:
         self.w = profile.w_scaled * (profile.dim / dim)
         self.trace_gram = profile.trace_gram
         self.lambda_dagger = profile.lambda_dagger
-        if theta is None:
-            if profile.lambda_dagger <= 0:
-                raise ValueError("lambda_dagger must be positive for the default schedule")
-            theta = np.full(max_iters, relax / profile.lambda_dagger)
-        if xi is None:
-            xi = np.ones(max_iters)
-        self.theta = np.asarray(theta, dtype=np.float64)
-        self.xi = np.asarray(xi, dtype=np.float64)
-        if self.theta.size < max_iters or self.xi.size < max_iters:
-            raise ValueError("theta/xi schedules shorter than max_iters")
-        self.variance_floor = float(variance_floor)
+        self.theta = np.full(max_iters, cfg.relax / profile.lambda_dagger)
+        self.xi = np.ones(max_iters)
+        self.variance_floor = float(cfg.variance_floor)
         self.damping_window = w
         self.iteration = 0
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
@@ -275,10 +226,26 @@ class MampState:
         self._block_gain = 1.0
         self._block_sums = None
         self.meter = CostMeter()
-        self.row_blocks = row_blocks
-        if row_blocks is not None:
-            self.block_rows = np.bincount(row_blocks)
-            self.block_trace = np.bincount(row_blocks, weights=gram_diag)
+        self.row_blocks = None
+        if (isinstance(A, DiagonalOperator) and isinstance(Xi, IbsOperator)
+                and Xi.spec.blocks > 1):
+            # Each source block reaches only its own rows of y and their share
+            # of the Gram spectrum: one error variance per block.
+            self.row_blocks = Xi.row_blocks
+            self.block_rows = np.bincount(self.row_blocks)
+            self.block_trace = np.bincount(self.row_blocks, weights=np.abs(A.weights) ** 2)
+
+    def forward(self, s: np.ndarray) -> np.ndarray:
+        """A Xi s: one transform and one channel apply."""
+        meter = self.meter
+        meter.transform_applies += 1
+        meter.channel_applies += 1
+        return self.A.apply(self.Xi.apply(s))
+
+    def back(self, u: np.ndarray) -> np.ndarray:
+        """Xi^H u: one transform apply."""
+        self.meter.transform_applies += 1
+        return self.Xi.apply_adjoint(u)
 
     def window(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the damping window: the trailing min(w - 1, pushed)
@@ -347,17 +314,17 @@ def _memory_term(state: MampState, p: np.ndarray,
     return sums[0].copy(), t - k0
 
 
-def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.ndarray, float]:
+def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
     """Advance the memory recursion one step and return (r_t, v_gamma).
 
-    r_t has unit mean gain on the true signal in the lifted domain;
+    r_t has unit mean gain on the true signal in the source domain;
     v_gamma is the residual-based estimate of its per-coordinate error
     variance, floored at the configured variance floor: a float, or one
-    value per block when the state has ``row_blocks``.  Raises
+    value per block when the state keeps one per block.  Raises
     NormalizationError if the gain normalizer degenerates.
     """
     t = state.iteration + 1
-    meter = state.meter
+    A, meter = state.A, state.meter
     theta_t = float(state.theta[t - 1])
     xi_t = float(state.xi[t - 1])
     resid = state._resid[(state._count - 1) % state.damping_window]
@@ -365,7 +332,7 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
         gamma = xi_t * resid
     else:
         gram = A.apply(state.adj_gamma)
-        meter.channel(A)
+        meter.channel_applies += 1
         gamma = theta_t * (state.lambda_dagger * state.gamma - gram) + xi_t * resid
     state.gamma = gamma
 
@@ -380,14 +347,13 @@ def mle_step(state: MampState, A: LinearOperator, y: np.ndarray) -> tuple[np.nda
             f"gain normalizer eps_gamma = {eps:.3e} degenerated at iteration {t}")
 
     state.adj_gamma = A.apply_adjoint(gamma)
-    meter.channel(A)
+    meter.channel_applies += 1
     lifted = state.back(state.adj_gamma)
     memory, read = _memory_term(state, p, scale)
     meter.vector_points += read * state.dim
     r = (lifted + memory) / eps
 
-    # state.forward is responsible for metering its own operator calls.
-    fit = y - state.forward(r)
+    fit = state.y - state.forward(r)
     if state.row_blocks is None:
         # np.linalg.norm(fit) ** 2 without its dispatch.  The rounded root is
         # squared, not skipped, so the bits stay those of the norm.
@@ -580,37 +546,16 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
     instance.s_true feeds only the reported mse and the stall stop.
     Trajectory points report the block mean of per-block variances.
     """
-    A, y = instance.A, instance.y
-    n = ibs.cols
-    profile = spectral_profile(A, depth=cfg.max_iters)
-
-    def forward(s):
-        meter.transform(ibs)
-        meter.channel(A)
-        return A.apply(ibs.apply(s))
-
-    def back(u):
-        meter.transform(ibs)
-        return ibs.apply_adjoint(u)
-
-    row_blocks = gram_diag = None
-    if (isinstance(A, DiagonalOperator) and isinstance(ibs, IbsOperator)
-            and ibs.spec.blocks > 1):
-        # Each source block reaches only its own rows of y and their share
-        # of the Gram spectrum: one error variance per block.
-        row_blocks, gram_diag = ibs.row_blocks, np.abs(A.weights) ** 2
-    state = MampState(profile, y, forward, back, dim=n, noise_var=instance.noise_var,
-                      max_iters=cfg.max_iters, variance_floor=cfg.variance_floor,
-                      relax=cfg.relax, damping_window=cfg.damping_window,
-                      row_blocks=row_blocks, gram_diag=gram_diag)
+    state = MampState(instance.A, ibs, instance.y, instance.noise_var, cfg)
     meter = state.meter
+    n = state.dim
     v_x = prior.power
 
     def step():
         nonlocal v_x
         state.theta[state.iteration] = cfg.relax / (state.lambda_dagger
                                                     + instance.noise_var / v_x)
-        r, v_gamma = mle_step(state, A, y)
+        r, v_gamma = mle_step(state)
         den = prior.denoise(r, v_gamma)
         meter.vector_points += n
         s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma, cfg.variance_floor)
@@ -660,9 +605,8 @@ def run_cd_oamp(instance: SystemInstance, prior,
         resid = y - A.apply(Xi.apply(s_msg))
         z = solve_shifted(v_t, sigma2, resid)
         lifted = Xi.apply_adjoint(A.apply_adjoint(z))
-        for _ in range(2):      # Xi and A, once forward and once adjoint
-            meter.transform(Xi)
-            meter.channel(A)
+        meter.transform_applies += 2        # Xi and A, once forward and once adjoint
+        meter.channel_applies += 2
         eta = (v_t / n) * float(np.sum(lam / (v_t * lam + sigma2)))
         r = s_msg + (v_t / eta) * lifted
         v_gamma = max(v_t * (1.0 - eta) / eta, cfg.variance_floor)

@@ -29,7 +29,7 @@ from .estimators import MampConfig, run_cd_mamp
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
 from .rng import generator, raw_words
 from .scenarios import (BernoulliGaussianPrior, QpskPrior, STREAM_SOURCE, ber_qpsk,
-                        gen_multipath_channel, gen_sensing_diagonal, observe,
+                        gen_multipath_channel, gen_sensing_diagonal, mse_db, observe,
                         simulate_observation, unit_noise)
 
 SCHEMA_VERSION = 1
@@ -237,9 +237,6 @@ class IfdmBerConfig:
 class ComplexityConfig:
     """Relative per-iteration cost table for block sizes under one n."""
 
-    seed: int = 1
-    trials: int = 1
-    threads: int = 1
     n: int = 4096
     n_s_list: tuple[int, ...] = (4096, 128, 32, 8, 4)
     taps: int = 8
@@ -325,8 +322,7 @@ def run_cs_mse(cfg: CsMseConfig) -> tuple[list[tuple], list[tuple]]:
             half = float(1.96 * np.std(finals, ddof=1) / np.sqrt(cfg.trials))
         else:
             half = 0.0
-        summary.append((variant, cfg.base, cfg.trials, mean_mse,
-                        float(10.0 * np.log10(mean_mse)), half))
+        summary.append((variant, cfg.base, cfg.trials, mean_mse, mse_db(mean_mse), half))
     return rows, summary
 
 

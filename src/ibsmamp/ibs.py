@@ -22,7 +22,6 @@ DFT).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,13 +36,10 @@ VARIANTS = ("BS", "W_IBS", "B_IBS", "BW_IBS")
 BASES = ("FFT", "FWHT")
 DIRECTIONS = ("kernel", "kernel-adjoint")
 
-_SPEC_FIELDS = ("n", "n_s", "m", "variant", "base", "direction",
-                "block_seed_base", "whole_seed")
-
 
 @dataclass(frozen=True)
 class IbsSpec:
-    """Complete description of one IBS transform; (de)serializes to JSON."""
+    """Complete description of one IBS transform."""
 
     n: int
     n_s: int
@@ -85,21 +81,6 @@ class IbsSpec:
     @property
     def block_rows(self) -> int:
         return self.m // self.blocks
-
-    def to_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in _SPEC_FIELDS})
-
-    @classmethod
-    def from_json(cls, text: str) -> "IbsSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ConfigurationError("IbsSpec JSON must be an object")
-        if set(data) != set(_SPEC_FIELDS):
-            missing = set(_SPEC_FIELDS) - set(data)
-            extra = set(data) - set(_SPEC_FIELDS)
-            raise ConfigurationError(
-                f"IbsSpec JSON keys mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        return cls(**data)
 
 
 class IbsOperator(LinearOperator):

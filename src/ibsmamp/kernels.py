@@ -76,9 +76,3 @@ def fft_operator(n: int, adjoint: bool = False) -> LinearOperator:
     if adjoint:
         return LinearOperator(n, n, fft_adjoint, fft_forward)
     return LinearOperator(n, n, fft_forward, fft_adjoint)
-
-
-def fwht_operator(n: int, adjoint: bool = False) -> LinearOperator:
-    """The n-point unitary Walsh-Hadamard transform (self-adjoint)."""
-    _check_size(n)
-    return LinearOperator(n, n, fwht_forward, fwht_forward)

@@ -13,7 +13,6 @@ observation y = A Xi s + noise.  Two families are covered:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 

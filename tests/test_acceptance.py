@@ -21,7 +21,6 @@ from ibsmamp.operators import materialize_dense
 from ibsmamp.rng import generator
 from ibsmamp.scenarios import (STREAM_SOURCE, BernoulliGaussianPrior,
                                gen_sensing_diagonal, mse, simulate_observation)
-from ibsmamp.spectral import spectral_profile
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float) -> str:
@@ -194,18 +193,15 @@ def test_criterion_7_error_orthogonality_monte_carlo():
         Xi = build_ibs_transform(spec)
         s = prior.sample(n, generator(seed, STREAM_SOURCE))
         instance = simulate_observation(A, Xi, s, 30.0, seed)
-        profile = spectral_profile(A, depth=iters)
-        forward = lambda h: A.apply(Xi.apply(h))
-        state = MampState(profile, instance.y, forward, Xi.apply_adjoint,
-                          dim=n, noise_var=instance.noise_var, max_iters=iters)
+        state = MampState(A, Xi, instance.y, instance.noise_var, MampConfig(max_iters=iters))
         for _ in range(iters):
             # The window ends in the free row; the row before it is h_prev.
             h_prev = state.window()[0][-2].copy()
-            r, v_gamma = mle_step(state, A, instance.y)
+            r, v_gamma = mle_step(state)
             mle_worst = max(mle_worst, corr(r - s, h_prev - s))
             den = prior.denoise(r, v_gamma)
             s_ext, _, _ = nle_orthogonalize(den, r, v_gamma)
-            state.push(s_ext, instance.y - forward(s_ext))
+            state.push(s_ext, instance.y - state.forward(s_ext))
     elapsed = time.perf_counter() - t0
     ok = mle_worst < 0.05 and nle_worst < 0.02 and elapsed < 300.0
     line = report(7, ok, f"max |corr|: linear stage {mle_worst:.4f} "

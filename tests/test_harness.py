@@ -274,6 +274,16 @@ def test_cli_runs_complexity_and_selftest_paths(tmp_path, capsys):
     assert (tmp_path / "complexity.csv").exists()
 
 
+def test_cli_complexity_has_no_monte_carlo_flags(tmp_path, capsys):
+    # The complexity table has no trials, seed or workers to override.
+    for flag in ("--threads", "--trials", "--seed"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["complexity", flag, "0", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*"))
+
+
 def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"metric": "ber"}))

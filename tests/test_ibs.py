@@ -72,27 +72,6 @@ def test_spec_block_accounting():
     assert spec.block_rows == 4
 
 
-def test_spec_json_round_trip():
-    spec = IbsSpec(n=64, n_s=8, m=32, variant="BW_IBS", base="FWHT",
-                   direction="kernel-adjoint", block_seed_base=5, whole_seed=9)
-    assert IbsSpec.from_json(spec.to_json()) == spec
-
-
-def test_spec_json_rejects_wrong_keys():
-    spec = IbsSpec(n=16, n_s=4, m=8, variant="BS")
-    import json
-    data = json.loads(spec.to_json())
-    del data["m"]
-    with pytest.raises(ConfigurationError):
-        IbsSpec.from_json(json.dumps(data))
-    data["m"] = 8
-    data["extra"] = 1
-    with pytest.raises(ConfigurationError):
-        IbsSpec.from_json(json.dumps(data))
-    with pytest.raises(ConfigurationError):
-        IbsSpec.from_json("[1, 2]")
-
-
 def test_plain_block_selection_hand_example():
     # Two 4-point DFT blocks, first two rows each, no interleaving.
     spec = IbsSpec(n=8, n_s=4, m=4, variant="BS")

@@ -20,7 +20,7 @@ from ibsmamp.rng import generator
 from ibsmamp.scenarios import (BernoulliGaussianPrior, QpskPrior,
                                doppler_preset_4ghz_100kmh_15khz, gen_multipath_channel,
                                gen_sensing_diagonal, mse, simulate_observation)
-from ibsmamp.spectral import spectral_profile
+from test_estimators import identity
 
 
 # Reference copies: every variance through one-element arrays.
@@ -164,10 +164,10 @@ def test_scalar_lane_runs_match_the_array_code_to_the_bit(monkeypatch, kind):
     instance, Xi, prior, cfg = system(kind)
     v_gammas = []
 
-    def checked_step(state, A, y):
+    def checked_step(state):
         # The inlined norm of mle_step against np.linalg.norm, every step.
-        r, v_gamma = mle_step(state, A, y)
-        v_gammas.append((v_gamma, ref_v_gamma(state, r, lambda s: A.apply(Xi.apply(s)))))
+        r, v_gamma = mle_step(state)
+        v_gammas.append((v_gamma, ref_v_gamma(state, r, lambda s: state.A.apply(Xi.apply(s)))))
         return r, v_gamma
 
     with monkeypatch.context() as patch:
@@ -198,9 +198,8 @@ def test_inlined_norm_and_mean_match_numpy_to_the_bit():
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert mse(a, b) == ref_mse(a, b)
         A = DiagonalOperator(np.ones(n))
-        state = MampState(spectral_profile(A, depth=2), np.zeros(n, dtype=complex),
-                          forward=A.apply, back=lambda u: u, dim=n, noise_var=0.0,
-                          max_iters=2)
+        state = MampState(A, identity(n), np.zeros(n, dtype=complex), 0.0,
+                          MampConfig(max_iters=2))
         state.push(a, b)
         assert state._hist_norm[1] == np.linalg.norm(a)
 
@@ -209,13 +208,12 @@ def test_mle_step_variance_matches_np_linalg_norm_to_the_bit():
     # pow(x, 2) and x * x differ in the last bit for about one x in a
     # thousand, so many draws are needed to tell the two squares apart.
     A = DiagonalOperator(np.array([2.0, 1.0, 0.5]))
-    profile = spectral_profile(A, depth=1)
+    Xi, cfg = identity(3), MampConfig(max_iters=1)
     rng = generator(47)
     for _ in range(10000):
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        state = MampState(profile, y, forward=A.apply, back=lambda u: u, dim=3,
-                          noise_var=1e-3, max_iters=1)
-        r, v_gamma = mle_step(state, A, y)
+        state = MampState(A, Xi, y, 1e-3, cfg)
+        r, v_gamma = mle_step(state)
         assert v_gamma == ref_v_gamma(state, r, A.apply)
 
 
