@@ -126,6 +126,8 @@ _ROUNDING = 2.0 ** -53
 # A kept memory longer than this many rows is summed in blocks of this
 # many steps (see the module docstring).
 _BLOCK = 16
+# Every error variance the estimators report or divide by is at least this.
+_VARIANCE_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,6 @@ class MampConfig:
     max_iters: int = 32
     damping_window: int = 3
     relax: float = 1.0            # scales run_cd_mamp's gain schedule theta_t
-    variance_floor: float = 1e-13
     stop_tolerance: float = 1e-12
     stall_patience: int = 3
     stop_on_stall: bool = True
@@ -147,8 +148,8 @@ class MampConfig:
             raise ValueError(f"damping_window must be >= 1, got {self.damping_window}")
         if not 0.0 < self.relax <= 1.0:
             raise ValueError(f"relax must be in (0, 1], got {self.relax}")
-        if self.variance_floor <= 0 or self.stop_tolerance <= 0:
-            raise ValueError("variance_floor and stop_tolerance must be positive")
+        if self.stop_tolerance <= 0:
+            raise ValueError(f"stop_tolerance must be positive, got {self.stop_tolerance}")
         if self.stall_patience < 1:
             raise ValueError(f"stall_patience must be >= 1, got {self.stall_patience}")
 
@@ -203,7 +204,6 @@ class MampState:
         self.lambda_dagger = profile.lambda_dagger
         self.theta = np.full(max_iters, cfg.relax / profile.lambda_dagger)
         self.xi = np.ones(max_iters)
-        self.variance_floor = float(cfg.variance_floor)
         self.damping_window = w
         self.iteration = 0
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
@@ -319,7 +319,7 @@ def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
 
     r_t has unit mean gain on the true signal in the source domain;
     v_gamma is the residual-based estimate of its per-coordinate error
-    variance, floored at the configured variance floor: a float, or one
+    variance, floored at _VARIANCE_FLOOR: a float, or one
     value per block when the state keeps one per block.  Raises
     NormalizationError if the gain normalizer degenerates.
     """
@@ -359,17 +359,16 @@ def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
         # squared, not skipped, so the bits stay those of the norm.
         norm = math.sqrt(fit.real.dot(fit.real) + fit.imag.dot(fit.imag))
         v_gamma = (norm ** 2 - state.measure_dim * state.noise_var) / state.trace_gram
-        v_gamma = max(float(v_gamma), state.variance_floor)
+        v_gamma = max(float(v_gamma), _VARIANCE_FLOOR)
     else:
         energy = np.bincount(state.row_blocks, weights=np.abs(fit) ** 2)
         v_gamma = np.maximum((energy - state.block_rows * state.noise_var)
-                             / state.block_trace, state.variance_floor)
+                             / state.block_trace, _VARIANCE_FLOOR)
     state.iteration = t
     return r, v_gamma
 
 
-def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarray,
-                      variance_floor: float = 1e-13
+def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarray
                       ) -> tuple[np.ndarray, float | np.ndarray, bool]:
     """Subtract the input component of a denoiser output.
 
@@ -386,27 +385,26 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
         v = float(v_in)
         coord_var = den.coord_var
         # np.mean's sum and division, without its dispatch.
-        pv = max(float(np.add.reduce(coord_var, axis=None)) / coord_var.size, variance_floor)
+        pv = max(float(np.add.reduce(coord_var, axis=None)) / coord_var.size, _VARIANCE_FLOOR)
         if pv >= v:
             return r.copy(), v, True
         p = pv / v
         return ((den.posterior_mean - p * r) / (1.0 - p),
-                max(pv * v / (v - pv), variance_floor), False)
+                max(pv * v / (v - pv), _VARIANCE_FLOOR), False)
     v = v_in.reshape(-1)
-    pv = np.maximum(den.coord_var.reshape(v.size, -1).mean(axis=1), variance_floor)
+    pv = np.maximum(den.coord_var.reshape(v.size, -1).mean(axis=1), _VARIANCE_FLOOR)
     stalled = pv >= v
     p = np.where(stalled, 0.0, pv / v)[:, None]
     rows = r.reshape(v.size, -1)
     s_next = np.where(stalled[:, None], rows,
                       (den.posterior_mean.reshape(rows.shape) - p * rows) / (1.0 - p))
     v_phi = np.where(stalled, v, np.maximum(pv * v / np.where(stalled, 1.0, v - pv),
-                                            variance_floor))
+                                            _VARIANCE_FLOOR))
     return s_next.reshape(r.shape), v_phi, bool(stalled.any())
 
 
 def _cross_cov_from_residuals(gram: np.ndarray, measure_dim: int,
-                              sigma2: float, trace_gram: float,
-                              variance_floor: float) -> np.ndarray:
+                              sigma2: float, trace_gram: float) -> np.ndarray:
     """Error cross-covariance of candidates from the raw Gram
     gram_ij = Re<r_i, r_j> of their residuals r_i = y - A c_i:
     V_ij = (gram_ij - M sigma2) / tr(A A^H), projected onto the PSD cone
@@ -415,7 +413,7 @@ def _cross_cov_from_residuals(gram: np.ndarray, measure_dim: int,
     V = (gram - measure_dim * sigma2) / trace_gram
     lam, vecs = np.linalg.eigh(V)
     V = (vecs * np.maximum(lam, 0.0)) @ vecs.T
-    V.flat[::k + 1] = np.maximum(V.diagonal(), variance_floor)
+    V.flat[::k + 1] = np.maximum(V.diagonal(), _VARIANCE_FLOOR)
     return V
 
 
@@ -465,12 +463,11 @@ def _damping_step(state: MampState, s_ext: np.ndarray) -> float:
     k = len(cands)
     gram = state._gram[:k, :k]
     gram[-1] = gram[:, -1] = [np.vdot(r, resids[-1]).real for r in resids]
-    V = _cross_cov_from_residuals(gram, state.measure_dim, state.noise_var,
-                                  state.trace_gram, state.variance_floor)
+    V = _cross_cov_from_residuals(gram, state.measure_dim, state.noise_var, state.trace_gram)
     zeta, s_next, var = damping_update(cands, V)
     state.push(s_next, zeta @ resids)
     state.meter.vector_points += k * state.dim
-    return max(var, state.variance_floor)
+    return max(var, _VARIANCE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -558,12 +555,12 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
         r, v_gamma = mle_step(state)
         den = prior.denoise(r, v_gamma)
         meter.vector_points += n
-        s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma, cfg.variance_floor)
+        s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma)
 
         v_x = _damping_step(state, s_ext)
 
         flags = ["nle-stall"] if stalled else []
-        if (v_gamma if isinstance(v_gamma, float) else v_gamma.min()) <= cfg.variance_floor:
+        if (v_gamma if isinstance(v_gamma, float) else v_gamma.min()) <= _VARIANCE_FLOOR:
             flags.append("v-floor")
         return den.posterior_mean, v_gamma, v_phi, stalled, "|".join(flags)
 
@@ -609,9 +606,9 @@ def run_cd_oamp(instance: SystemInstance, prior,
         meter.channel_applies += 2
         eta = (v_t / n) * float(np.sum(lam / (v_t * lam + sigma2)))
         r = s_msg + (v_t / eta) * lifted
-        v_gamma = max(v_t * (1.0 - eta) / eta, cfg.variance_floor)
+        v_gamma = max(v_t * (1.0 - eta) / eta, _VARIANCE_FLOOR)
         den = prior.denoise(r, v_gamma)
-        s_msg, v_t, stalled = nle_orthogonalize(den, r, v_gamma, cfg.variance_floor)
+        s_msg, v_t, stalled = nle_orthogonalize(den, r, v_gamma)
         return den.posterior_mean, v_gamma, v_t, stalled, "nle-stall" if stalled else ""
 
     return _iterate(step, instance.s_true, cfg, meter)

@@ -114,6 +114,15 @@ def _check_list_fields(cfg) -> None:
                 raise ConfigurationError(f"{f.name} must be distinct, got {list(values)!r}")
 
 
+def _check_run_fields(cfg) -> None:
+    """Refuse trial and worker counts below one, and a master seed outside
+    [0, 2**64), the generator's key range: a larger seed would alias a smaller one."""
+    if cfg.trials < 1 or cfg.threads < 1:
+        raise ConfigurationError("trials and threads must be >= 1")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {cfg.seed}")
+
+
 def _check_estimator_fields(cfg) -> None:
     """Refuse, when the config is loaded, the estimator settings that
     MampConfig would refuse inside a trial."""
@@ -162,8 +171,7 @@ class CsMseConfig:
     def __post_init__(self):
         _check_integer_fields(self)
         _check_float_fields(self)
-        if self.trials < 1 or self.threads < 1:
-            raise ConfigurationError("trials and threads must be >= 1")
+        _check_run_fields(self)
         if self.base not in BASES:
             raise ConfigurationError(f"unknown base {self.base!r}")
         for v in self.variants:
@@ -214,8 +222,7 @@ class IfdmBerConfig:
     def __post_init__(self):
         _check_integer_fields(self)
         _check_float_fields(self)
-        if self.trials < 1 or self.threads < 1:
-            raise ConfigurationError("trials and threads must be >= 1")
+        _check_run_fields(self)
         for b in self.bases:
             if b not in BASES:
                 raise ConfigurationError(f"unknown base {b!r}")

@@ -179,24 +179,21 @@ def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
     return w_acc / (probes * A.rows), True
 
 
-def spectral_profile(A: LinearOperator, depth: int, dense_cap: int = DENSE_EIGEN_CAP,
-                     probes: int = _PROBES, seed: int = 0) -> SpectralProfile:
-    """Bundle eigen bounds and trace moments for the estimator.
+def spectral_profile(A: LinearOperator, depth: int) -> SpectralProfile:
+    """Eigen bounds and trace moments to ``depth`` for the estimator, at the
+    default cap, probes and seed of ``eigen_bounds`` and ``trace_moments``.
 
-    Computed once per operator and argument tuple: a repeated call returns
-    the same profile, whose arrays are read-only.
+    Computed once per operator and depth: a repeated call returns the same
+    profile, whose arrays are read-only.
     """
-    return _memoized(A, ("profile", depth, dense_cap, probes, seed),
-                     lambda: _profile(A, depth, dense_cap, probes, seed))
+    return _memoized(A, ("profile", depth), lambda: _profile(A, depth))
 
 
-def _profile(A: LinearOperator, depth: int, dense_cap: int, probes: int,
-             seed: int) -> SpectralProfile:
-    lam_min, lam_max = eigen_bounds(A, dense_cap=dense_cap, seed=seed)
+def _profile(A: LinearOperator, depth: int) -> SpectralProfile:
+    lam_min, lam_max = eigen_bounds(A)
     lam_dag = 0.5 * (lam_min + lam_max)
     scale = 1.0 / lam_dag if lam_dag > 0 else 1.0
-    w_scaled, stochastic = trace_moments(
-        A, lam_dag, depth, dense_cap=dense_cap, probes=probes, seed=seed, scale=scale)
+    w_scaled, stochastic = trace_moments(A, lam_dag, depth, scale=scale)
     w_scaled.setflags(write=False)
     return SpectralProfile(lambda_min=lam_min, lambda_max=lam_max, lambda_dagger=lam_dag,
                            w_scaled=w_scaled, dim=A.rows, stochastic=stochastic)

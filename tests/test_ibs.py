@@ -7,22 +7,11 @@ from scipy.linalg import block_diag
 from ibsmamp.errors import ConfigurationError
 from ibsmamp.ibs import (BASES, VARIANTS, IbsOperator, IbsSpec, build_ibs_transform,
                          relative_complexity)
-from ibsmamp.kernels import fft_adjoint, fft_forward, fft_operator, fwht_forward
+from ibsmamp.kernels import fft_adjoint, fft_forward, fwht_forward
 from ibsmamp.operators import materialize_dense
 from ibsmamp.rng import Permutation, generator, make_permutation
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-
-
-def hadamard_matrix(n: int) -> np.ndarray:
-    h = np.array([[1.0]])
-    h2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    while h.shape[0] < n:
-        h = np.kron(h2, h)
-    return h
+from ibsmamp.selftest import (check_degenerate_single_block, check_unitarity, dft_matrix,
+                              hadamard_matrix)
 
 
 def dense_oracle(spec: IbsSpec) -> np.ndarray:
@@ -147,13 +136,10 @@ def test_flat_index_applies_are_bit_identical_to_select_and_interleave(variant, 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("base", BASES)
 def test_row_orthonormality_small_grid(variant, base):
-    for seed in range(3):
-        for n, n_s, m in ((64, 8, 32), (64, 16, 64), (128, 128, 64)):
-            spec = IbsSpec(n=n, n_s=n_s, m=m, variant=variant, base=base,
-                           block_seed_base=1000 * seed, whole_seed=seed)
-            dense = materialize_dense(build_ibs_transform(spec))
-            gram = dense @ dense.conj().T
-            assert np.max(np.abs(gram - np.eye(m))) < 1e-10
+    ok, detail = check_unitarity(shapes=((64, 8, 32), (64, 16, 64), (128, 128, 64)),
+                                 seed_pairs=[(1000 * seed, seed) for seed in range(3)],
+                                 variants=(variant,), bases=(base,))
+    assert ok, detail
 
 
 def test_square_transform_is_unitary_both_ways():
@@ -195,13 +181,8 @@ def test_assemble_validates_permutation_shapes():
 
 
 def test_single_block_square_case_is_bit_identical_to_plain_kernel():
-    n = 256
-    op = build_ibs_transform(IbsSpec(n=n, n_s=n, m=n, variant="BS"))
-    full = fft_operator(n)
-    rng = generator(12)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.array_equal(op.apply(v), full.apply(v))
-    assert np.array_equal(op.apply_adjoint(v), full.apply_adjoint(v))
+    ok, detail = check_degenerate_single_block(n=256, seed=12)
+    assert ok, detail
 
 
 def test_block_seeds_differ_across_blocks():

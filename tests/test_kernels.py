@@ -7,21 +7,9 @@ from ibsmamp.kernels import (fft_adjoint, fft_forward, fft_operator, fwht_forwar
                              is_power_of_two)
 from ibsmamp.operators import materialize_dense
 from ibsmamp.rng import generator
+from ibsmamp.selftest import check_kernels_against_naive, dft_matrix
 
 SIZES = [2 ** k for k in range(1, 11)]
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-
-
-def hadamard_matrix(n: int) -> np.ndarray:
-    h = np.array([[1.0]])
-    h2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    while h.shape[0] < n:
-        h = np.kron(h2, h)
-    return h
 
 
 def random_vectors(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -37,17 +25,16 @@ def test_is_power_of_two():
 
 @pytest.mark.parametrize("n", SIZES)
 def test_fft_matches_naive_dft(n):
-    W = dft_matrix(n)
-    for v in random_vectors(n, 3, seed=n):
-        assert np.max(np.abs(fft_forward(v) - W @ v)) < 1e-12
-        assert np.max(np.abs(fft_adjoint(v) - W.conj().T @ v)) < 1e-12
+    ok, detail = check_kernels_against_naive(sizes=(n,), vectors=3, seed=n,
+                                             kernels=("fft", "fft-adjoint"))
+    assert ok, detail
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_fwht_matches_naive_hadamard(n):
-    H = hadamard_matrix(n)
-    for v in random_vectors(n, 3, seed=n + 1):
-        assert np.max(np.abs(fwht_forward(v) - H @ v)) < 1e-12
+    ok, detail = check_kernels_against_naive(sizes=(n,), vectors=3, seed=n + 1,
+                                             kernels=("fwht",))
+    assert ok, detail
 
 
 def reshape_concatenate_fwht(v):

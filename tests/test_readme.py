@@ -1,9 +1,11 @@
-"""The README's library quick start runs as written."""
+"""The README runs and reads as written: its quick start and its self-test list."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+
+from ibsmamp import selftest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +17,10 @@ def test_readme_quick_start_runs(capsys):
     final_mse, final_db = map(float, capsys.readouterr().out.split())
     assert 0.0 < final_mse < 1e-3
     assert np.isclose(final_db, 10 * np.log10(final_mse))
+
+
+def test_readme_self_test_lists_every_check():
+    section = README.read_text().split("## Self test\n", 1)[1].split("\n## ", 1)[0]
+    names = [fn.__name__.removeprefix("check_") for fn in selftest._CHECKS]
+    assert int(re.search(r"runs (\d+) ", section).group(1)) == len(names)
+    assert [name for name in names if f"`{name}`" not in section] == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ibsmamp.rng import Permutation, generator, make_permutation, raw_words
+from ibsmamp.selftest import check_permutations
 
 
 def test_generator_is_deterministic_per_key():
@@ -100,10 +101,8 @@ def test_make_permutation_is_deterministic_and_seed_sensitive():
 
 
 def test_make_permutation_is_bijective_over_sizes():
-    for size in (1, 2, 3, 8, 100, 257):
-        for seed in (0, 1, 99):
-            p = make_permutation(size, seed)
-            assert np.array_equal(np.sort(p.indices), np.arange(size))
+    ok, detail = check_permutations(sizes=(1, 2, 3, 8, 100, 257), seeds=(0, 1, 99))
+    assert ok, detail
 
 
 def test_make_permutation_matches_swap_by_swap_replay():

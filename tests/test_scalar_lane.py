@@ -12,7 +12,7 @@ import pytest
 
 from ibsmamp import denoisers, estimators, scenarios
 from ibsmamp.denoisers import DenoiserResult, denoise_bernoulli_gaussian, denoise_qpsk
-from ibsmamp.estimators import (MampConfig, MampState, _EPS_MIN, mle_step,
+from ibsmamp.estimators import (MampConfig, MampState, _EPS_MIN, _VARIANCE_FLOOR, mle_step,
                                 nle_orthogonalize, run_cd_mamp)
 from ibsmamp.ibs import IbsSpec, build_ibs_transform
 from ibsmamp.operators import DiagonalOperator
@@ -50,27 +50,27 @@ def ref_denoise_qpsk(r, v):
     return DenoiserResult(posterior_mean=mean.ravel(), coord_var=var.ravel())
 
 
-def ref_nle_orthogonalize(den, r, v_in, variance_floor=1e-13):
+def ref_nle_orthogonalize(den, r, v_in):
     v = np.reshape(v_in, -1)
-    pv = np.maximum(den.coord_var.reshape(v.size, -1).mean(axis=1), variance_floor)
+    pv = np.maximum(den.coord_var.reshape(v.size, -1).mean(axis=1), _VARIANCE_FLOOR)
     stalled = pv >= v
     p = np.where(stalled, 0.0, pv / v)[:, None]
     rows = r.reshape(v.size, -1)
     s_next = np.where(stalled[:, None], rows,
                       (den.posterior_mean.reshape(rows.shape) - p * rows) / (1.0 - p))
     v_phi = np.where(stalled, v, np.maximum(pv * v / np.where(stalled, 1.0, v - pv),
-                                            variance_floor))
+                                            _VARIANCE_FLOOR))
     if np.ndim(v_in) == 0:
         v_phi = float(v_phi[0])
     return s_next.reshape(r.shape), v_phi, bool(stalled.any())
 
 
-def ref_cross_cov(gram, measure_dim, sigma2, trace_gram, variance_floor):
+def ref_cross_cov(gram, measure_dim, sigma2, trace_gram):
     k = len(gram)
     V = (gram - measure_dim * sigma2) / trace_gram
     lam, vecs = np.linalg.eigh(V)
     V = (vecs * np.maximum(lam, 0.0)) @ vecs.T
-    V[np.diag_indices(k)] = np.maximum(V.diagonal(), variance_floor)
+    V[np.diag_indices(k)] = np.maximum(V.diagonal(), _VARIANCE_FLOOR)
     return V
 
 
@@ -130,7 +130,7 @@ def ref_v_gamma(state, r, forward):
     fit = state.y - forward(r)
     v_gamma = (np.linalg.norm(fit) ** 2 - state.measure_dim * state.noise_var) \
         / state.trace_gram
-    return max(float(v_gamma), state.variance_floor)
+    return max(float(v_gamma), _VARIANCE_FLOOR)
 
 
 def system(kind):
