@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, UnsupportedMetricError, require_integer
 from .estimators import MampConfig, run_cd_mamp
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
-from .rng import generator, raw_words
+from .rng import _MASK64, generator, raw_words
 from .scenarios import (BernoulliGaussianPrior, QpskPrior, STREAM_SOURCE, ber_qpsk,
                         gen_multipath_channel, gen_sensing_diagonal, mse_db, observe,
                         simulate_observation, unit_noise)
@@ -116,10 +116,11 @@ def _check_list_fields(cfg) -> None:
 
 def _check_run_fields(cfg) -> None:
     """Refuse trial and worker counts below one, and a master seed outside
-    [0, 2**64), the generator's key range: a larger seed would alias a smaller one."""
+    [0, 2**64), the generator's key range, when the config is loaded rather
+    than inside a trial."""
     if cfg.trials < 1 or cfg.threads < 1:
         raise ConfigurationError("trials and threads must be >= 1")
-    if not 0 <= cfg.seed < 2 ** 64:
+    if not 0 <= cfg.seed <= _MASK64:
         raise ConfigurationError(f"seed must be in [0, 2**64), got {cfg.seed}")
 
 

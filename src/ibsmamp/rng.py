@@ -20,12 +20,13 @@ _MASK64 = (1 << 64) - 1
 
 
 def _philox_key(seed: int, stream: int = 0) -> int:
-    """Pack (seed, stream) into the 128-bit Philox key."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if stream < 0:
-        raise ValueError(f"stream must be a non-negative integer, got {stream}")
-    return (seed & _MASK64) | ((stream & _MASK64) << 64)
+    """Pack (seed, stream) into the 128-bit Philox key.  Each half is 64
+    bits, so a seed or stream outside [0, 2**64) is refused rather than
+    aliased onto a smaller one."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value <= _MASK64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return seed | (stream << 64)
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:

@@ -143,7 +143,7 @@ def check_denoisers(r=(0.3 - 0.1j, 1.2 + 0.8j, -2.0 + 0.4j), v=0.5) -> tuple[boo
 
 
 @_check
-def check_nle_orthogonality(dim=16384, v=0.8, seeds=(77,), rho=0.1, sigma_s2=10.0,
+def check_nle_orthogonality(dim=16384, v=0.8, seeds=(77,),
                             denoise_fn=denoise_bernoulli_gaussian) -> tuple[bool, str]:
     """Orthogonalized denoiser output error is uncorrelated with its input
     error: the largest normalized |corr| over the seeds stays below 0.02.
@@ -151,13 +151,13 @@ def check_nle_orthogonality(dim=16384, v=0.8, seeds=(77,), rho=0.1, sigma_s2=10.
     ``denoise_fn`` is injectable so a deliberately broken denoiser can be
     shown to trip this check.
     """
-    prior = BernoulliGaussianPrior(rho=rho, sigma_s2=sigma_s2)
+    prior = BernoulliGaussianPrior(rho=0.1, sigma_s2=10.0)
     worst = 0.0
     for seed in seeds:
         rng = generator(seed, 5)
         s = prior.sample(dim, rng)
         r = s + np.sqrt(v / 2.0) * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        den = denoise_fn(r, v, rho=rho, sigma_s2=sigma_s2)
+        den = denoise_fn(r, v, rho=prior.rho, sigma_s2=prior.sigma_s2)
         s_next, _, stalled = nle_orthogonalize(den, r, v)
         if stalled:
             return False, f"nle stalled on a well-posed input (seed {seed})"
@@ -193,25 +193,31 @@ def check_mle_normalization(alpha=(2.0, 1.0)) -> tuple[bool, str]:
 def check_damping(trials=50, seed=31) -> tuple[bool, str]:
     """Analytic damping weights of random PSD covariances of k = 2 and 3
     candidates reach the minimum of zeta^T V zeta over a grid of weights in
-    [-1, 2] that sum to one, and never exceed the best single candidate."""
+    [-1, 2] that sum to one, and never exceed the best single candidate.
+    The weights sum to one, and the returned variance and combination are
+    zeta^T V zeta and zeta @ candidates."""
     line2 = np.linspace(-1.0, 2.0, 601)
     line3 = np.linspace(-1.0, 2.0, 151)
     a, b = np.meshgrid(line3, line3)
     grids = {2: np.stack([line2, 1.0 - line2], axis=1),
              3: np.stack([a.ravel(), b.ravel(), 1.0 - a.ravel() - b.ravel()], axis=1)}
     rng = generator(seed)
-    worst_gap, diag_ok = -np.inf, True
+    worst_gap, diag_ok, consistent = -np.inf, True, True
     for trial in range(trials):
         k = 2 + trial % 2
         g = rng.standard_normal((k, k))
         V = g @ g.T
-        zeta, _, _ = damping_update(np.zeros((k, 1), dtype=complex), V)
+        cands = np.arange(2 * k, dtype=complex).reshape(k, 2)
+        zeta, combined, var = damping_update(cands, V)
         obj = float(zeta @ V @ zeta)
         grid = grids[k]
         worst_gap = max(worst_gap, obj - float(np.einsum("pi,ij,pj->p", grid, V, grid).min()))
         diag_ok = diag_ok and obj <= float(np.min(np.diag(V))) + 1e-12
-    return (worst_gap <= 1e-3 and diag_ok, f"max objective gap to grid {worst_gap:.2e}, "
-            f"never above best single candidate: {diag_ok}")
+        consistent = (consistent and abs(zeta.sum() - 1.0) < 1e-9 and var == obj
+                      and float(np.max(np.abs(combined - zeta @ cands))) < 1e-12)
+    return (worst_gap <= 1e-3 and diag_ok and consistent,
+            f"max objective gap to grid {worst_gap:.2e}, never above best single "
+            f"candidate: {diag_ok}" + ("" if consistent else ", inconsistent zeta or outputs"))
 
 
 @_check

@@ -55,6 +55,8 @@ def test_bg_dense_case_is_wiener():
     c = sigma_s2 / (sigma_s2 + v)
     assert np.max(np.abs(out.posterior_mean - c * r)) < 1e-14
     assert abs(np.mean(out.coord_var) - c * v) < 1e-14
+    mid = denoise_bernoulli_gaussian(np.array([0.0 + 0j]), 1.0, 1.0, 1.0)
+    assert abs(np.mean(mid.coord_var) - 0.5) < 1e-14
 
 
 def test_bg_extremes_keep_finite_outputs():

@@ -19,8 +19,8 @@ from ibsmamp.rng import generator
 from ibsmamp.scenarios import (BernoulliGaussianPrior, CirculantOperator, QpskPrior,
                                doppler_preset_4ghz_100kmh_15khz, gen_multipath_channel,
                                gen_sensing_diagonal, mse, simulate_observation)
-from ibsmamp.selftest import (check_degenerate_single_block, check_mle_normalization,
-                              check_trivial_recovery)
+from ibsmamp.selftest import (check_damping, check_degenerate_single_block,
+                              check_mle_normalization, check_trivial_recovery)
 from ibsmamp.spectral import spectral_profile
 
 
@@ -476,23 +476,8 @@ def test_cross_covariance_floors_exact_candidates():
 
 
 def test_damping_beats_grid_and_best_single():
-    rng = generator(23)
-    grid = np.linspace(0.0, 1.0, 401)
-    for trial in range(100):
-        k = 2 + trial % 2
-        g = rng.standard_normal((k, k))
-        V = g @ g.T + 10.0 ** rng.uniform(-6, 0) * np.eye(k)
-        cands = np.repeat(np.arange(k, dtype=complex)[:, None], 2, axis=1)
-        zeta, combined, var = damping_update(cands, V)
-        assert abs(zeta.sum() - 1.0) < 1e-9
-        obj = float(zeta @ V @ zeta)
-        assert var == obj
-        assert obj <= np.min(np.diag(V)) + 1e-12
-        assert np.max(np.abs(combined - sum(z * c for z, c in zip(zeta, cands)))) < 1e-12
-        if k == 2:
-            vals = (grid ** 2 * V[0, 0] + 2 * grid * (1 - grid) * V[0, 1]
-                    + (1 - grid) ** 2 * V[1, 1])
-            assert obj <= vals.min() + 1e-3
+    ok, detail = check_damping(trials=100, seed=23)
+    assert ok, detail
 
 
 def test_damping_handles_singular_covariance():

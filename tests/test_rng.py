@@ -34,6 +34,14 @@ def test_generator_rejects_negative_keys():
         generator(0, -2)
 
 
+def test_keys_outside_64_bits_are_refused_not_aliased():
+    assert generator(2 ** 64 - 1, 2 ** 64 - 1).random() >= 0.0
+    for call in (lambda: generator(2 ** 64 + 1), lambda: generator(1, 2 ** 64),
+                 lambda: raw_words(2 ** 64, 1), lambda: make_permutation(16, 2 ** 64 + 3)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_raw_words_frozen_values():
     assert raw_words(3, 4).tolist() == [
         17234461323001060555, 1460271564492649549,
