@@ -1,8 +1,7 @@
 """Interleaved block-sparse transforms and cross-domain memory AMP."""
 
 from .denoisers import DenoiserResult, denoise_bernoulli_gaussian, denoise_qpsk
-from .errors import (ConfigurationError, MaterializationLimitError, NormalizationError,
-                     UnsupportedMetricError)
+from .errors import ConfigurationError, MaterializationLimitError, NormalizationError
 from .estimators import (CostMeter, EstimatorRun, MampConfig, MampState, TrajectoryPoint,
                          damping_update, lmmse_estimate_gaussian, lmmse_mse_gaussian,
                          mle_step, nle_orthogonalize, run_cd_mamp, run_cd_oamp)

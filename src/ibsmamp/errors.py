@@ -15,10 +15,6 @@ class NormalizationError(ArithmeticError):
     """An orthogonalization normalizer degenerated below working precision."""
 
 
-class UnsupportedMetricError(ConfigurationError):
-    """A metric was requested for a source prior that cannot produce it."""
-
-
 def require_integer(name: str, value) -> None:
     """Raise ConfigurationError unless value is an integer; bools are refused."""
     if isinstance(value, bool) or not isinstance(value, Integral):

@@ -25,13 +25,12 @@ transform (m < n) this is what keeps the unmeasured subspace recoverable
 by the prior.
 
 ``run_cd_mamp`` follows Memory AMP (Liu, Huang & Ping, IEEE TIT 2022) in
-its gain schedule, theta_t = relax / (lambda_dagger + sigma^2 / v_t), where
+its gain schedule, theta_t = 1 / (lambda_dagger + sigma^2 / v_t), where
 v_t is the estimator's own error variance of the damped iterate x_t: the
-prior power at t = 1, then zeta^T V zeta from the damping step.  The
-noiseless member theta_t = relax / lambda_dagger (the ``MampState``
-default) expands the zero-forcing inverse (A A^H)^{-1} instead of the
-LMMSE (A A^H + sigma^2 / v_t)^{-1}; it amplifies noise once v_t is small,
-and the error drifts back up after its minimum.
+prior power at t = 1, then zeta^T V zeta from the damping step.  A bare
+``MampState`` keeps the noiseless member theta_t = 1 / lambda_dagger, which
+expands the zero-forcing inverse (A A^H)^{-1} instead of the LMMSE
+(A A^H + sigma^2 / v_t)^{-1} and amplifies noise once v_t is small.
 
 The denoiser stage subtracts its input component (``nle_orthogonalize``),
 and consecutive candidates are combined by inverse-covariance damping.
@@ -98,8 +97,7 @@ instead of once per window it appears in, so the covariance is unchanged
 to the bit.
 
 Both estimators hand one iteration at a time to a shared driver, which
-records the trajectory and applies the tolerance, stall and iteration
-stops.
+records the trajectory and applies the tolerance and iteration stops.
 """
 
 from __future__ import annotations
@@ -118,8 +116,6 @@ from .scenarios import CirculantOperator, SystemInstance, mse, mse_db
 from .spectral import dense_gram, gram_eigenvalues, spectral_profile
 
 _EPS_MIN = 1e-12
-# An iteration that lowers the best mse by less than this share counts as a stall.
-_STALL_IMPROVEMENT = 0.01
 # Unit roundoff of float64: memory rows whose combined weight is below this
 # share of the total cannot change r_t beyond rounding.
 _ROUNDING = 2.0 ** -53
@@ -136,22 +132,15 @@ class MampConfig:
 
     max_iters: int = 32
     damping_window: int = 3
-    relax: float = 1.0            # scales run_cd_mamp's gain schedule theta_t
     stop_tolerance: float = 1e-12
-    stall_patience: int = 3
-    stop_on_stall: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.damping_window < 1:
             raise ValueError(f"damping_window must be >= 1, got {self.damping_window}")
-        if not 0.0 < self.relax <= 1.0:
-            raise ValueError(f"relax must be in (0, 1], got {self.relax}")
         if self.stop_tolerance <= 0:
             raise ValueError(f"stop_tolerance must be positive, got {self.stop_tolerance}")
-        if self.stall_patience < 1:
-            raise ValueError(f"stall_patience must be >= 1, got {self.stall_patience}")
 
 
 @dataclass
@@ -177,7 +166,7 @@ class MampState:
     current block of the memory sum, and ``meter`` counts every apply of
     A and Xi and the history rows read by ``mle_step``.
 
-    ``theta`` (cfg.relax / lambda_dagger) and ``xi`` (ones) are the gain
+    ``theta`` (1 / lambda_dagger) and ``xi`` (ones) are the gain
     schedules, one entry per iteration.  Callers write them in place, as
     ``run_cd_mamp`` does with ``theta[t - 1]`` before step t.
     """
@@ -202,7 +191,7 @@ class MampState:
         self.w = profile.w_scaled * (profile.dim / dim)
         self.trace_gram = profile.trace_gram
         self.lambda_dagger = profile.lambda_dagger
-        self.theta = np.full(max_iters, cfg.relax / profile.lambda_dagger)
+        self.theta = np.full(max_iters, 1.0 / profile.lambda_dagger)
         self.xi = np.ones(max_iters)
         self.damping_window = w
         self.iteration = 0
@@ -496,18 +485,14 @@ def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
              meter: CostMeter) -> EstimatorRun:
     """Call step() once per iteration and record the trajectory.
 
-    step() returns (s_hat, v_gamma, v_phi, stalled, flags) for its
-    iteration.  The run stops after max_iters iterations, once every v_phi
-    is below the stop tolerance, or, with stop_on_stall, after
-    stall_patience iterations in a row that stalled or did not improve the
-    best mse.  s_true feeds only the reported mse and the stall stop.
+    step() returns (s_hat, v_gamma, v_phi, flags) for its iteration.  The
+    run stops once every v_phi is below the stop tolerance, or after
+    max_iters iterations.  s_true feeds only the reported mse.
     """
     points: list[TrajectoryPoint] = []
-    best_mse = np.inf
-    stall_run = 0
     stop_reason = "max-iters"
     for t in range(1, cfg.max_iters + 1):
-        s_hat, v_gamma, v_phi, stalled, flags = step()
+        s_hat, v_gamma, v_phi, flags = step()
         cur_mse = mse(s_hat, s_true)
         if isinstance(v_phi, float):
             gamma_mean, phi_mean = float(v_gamma), float(v_phi)
@@ -519,14 +504,6 @@ def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
                                       v_gamma=gamma_mean, v_phi=phi_mean, flags=flags))
         if phi_max < cfg.stop_tolerance:
             stop_reason = "tolerance"
-            break
-        if stalled or cur_mse > best_mse * (1.0 - _STALL_IMPROVEMENT):
-            stall_run += 1
-        else:
-            stall_run = 0
-        best_mse = min(best_mse, cur_mse)
-        if cfg.stop_on_stall and stall_run >= cfg.stall_patience:
-            stop_reason = "stall"
             break
     return EstimatorRun(points=tuple(points), s_hat=s_hat,
                         stop_reason=stop_reason, meter=meter)
@@ -540,7 +517,7 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
     orthogonalize, transform back, damp over the trailing window.  ``ibs``
     must act identically to instance.Xi (it is a parameter so equivalent
     constructions of the same transform can be compared bit-for-bit).
-    instance.s_true feeds only the reported mse and the stall stop.
+    instance.s_true feeds only the reported mse.
     Trajectory points report the block mean of per-block variances.
     """
     state = MampState(instance.A, ibs, instance.y, instance.noise_var, cfg)
@@ -550,8 +527,7 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
 
     def step():
         nonlocal v_x
-        state.theta[state.iteration] = cfg.relax / (state.lambda_dagger
-                                                    + instance.noise_var / v_x)
+        state.theta[state.iteration] = 1.0 / (state.lambda_dagger + instance.noise_var / v_x)
         r, v_gamma = mle_step(state)
         den = prior.denoise(r, v_gamma)
         meter.vector_points += n
@@ -562,7 +538,7 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
         flags = ["nle-stall"] if stalled else []
         if (v_gamma if isinstance(v_gamma, float) else v_gamma.min()) <= _VARIANCE_FLOOR:
             flags.append("v-floor")
-        return den.posterior_mean, v_gamma, v_phi, stalled, "|".join(flags)
+        return den.posterior_mean, v_gamma, v_phi, "|".join(flags)
 
     return _iterate(step, instance.s_true, cfg, meter)
 
@@ -609,7 +585,7 @@ def run_cd_oamp(instance: SystemInstance, prior,
         v_gamma = max(v_t * (1.0 - eta) / eta, _VARIANCE_FLOOR)
         den = prior.denoise(r, v_gamma)
         s_msg, v_t, stalled = nle_orthogonalize(den, r, v_gamma)
-        return den.posterior_mean, v_gamma, v_t, stalled, "nle-stall" if stalled else ""
+        return den.posterior_mean, v_gamma, v_t, "nle-stall" if stalled else ""
 
     return _iterate(step, instance.s_true, cfg, meter)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedMetricError, require_integer
+from .errors import ConfigurationError, require_integer
 from .estimators import MampConfig, run_cd_mamp
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
 from .rng import _MASK64, generator, raw_words
@@ -147,7 +147,8 @@ def _from_dict(cls, data: dict, overrides: dict | None = None):
 
 @dataclass(frozen=True)
 class CsMseConfig:
-    """Compressed-sensing MSE experiment over the transform variant family."""
+    """Compressed-sensing MSE experiment over the transform variant family,
+    on a Bernoulli-Gaussian source."""
 
     seed: int = 1
     trials: int = 4
@@ -157,17 +158,12 @@ class CsMseConfig:
     m: int | None = None            # default n // 2
     kappa: float = 10.0
     snr_db: float = 30.0
-    prior: str = "bernoulli-gaussian"
     rho: float = 0.1
     sigma_s2: float | None = None   # default 1 / rho (unit power)
     base: str = "FFT"
     variants: tuple[str, ...] = ("full", "BS", "W_IBS", "B_IBS", "BW_IBS")
-    metric: str = "mse"
     max_iters: int = 600
     damping_window: int = 5
-    stall_patience: int = 8
-    stop_on_stall: bool = False
-    relax: float = 1.0
 
     def __post_init__(self):
         _check_integer_fields(self)
@@ -178,23 +174,13 @@ class CsMseConfig:
         for v in self.variants:
             if v != "full" and v not in VARIANTS:
                 raise ConfigurationError(f"unknown variant {v!r}")
-        if self.prior != "bernoulli-gaussian":
-            raise ConfigurationError(
-                f"cs-mse supports the bernoulli-gaussian prior, got {self.prior!r}")
-        if self.metric == "ber":
-            raise UnsupportedMetricError(
-                "ber is undefined for the bernoulli-gaussian prior; use metric=mse")
-        if self.metric != "mse":
-            raise ConfigurationError(f"unknown metric {self.metric!r}")
         _check_list_fields(self)
         _check_estimator_fields(self)
         object.__setattr__(self, "variants", tuple(self.variants))
 
     @property
     def mamp(self) -> MampConfig:
-        return MampConfig(max_iters=self.max_iters, damping_window=self.damping_window,
-                          stall_patience=self.stall_patience,
-                          stop_on_stall=self.stop_on_stall, relax=self.relax)
+        return MampConfig(max_iters=self.max_iters, damping_window=self.damping_window)
 
     @property
     def rows(self) -> int:
@@ -218,7 +204,6 @@ class IfdmBerConfig:
     variant: str = "BW_IBS"
     max_iters: int = 32
     damping_window: int = 3
-    stall_patience: int = 6
 
     def __post_init__(self):
         _check_integer_fields(self)
@@ -237,8 +222,7 @@ class IfdmBerConfig:
 
     @property
     def mamp(self) -> MampConfig:
-        return MampConfig(max_iters=self.max_iters, damping_window=self.damping_window,
-                          stall_patience=self.stall_patience)
+        return MampConfig(max_iters=self.max_iters, damping_window=self.damping_window)
 
 
 @dataclass(frozen=True)

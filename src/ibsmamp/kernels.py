@@ -36,16 +36,16 @@ def _check_size(n: int) -> None:
         raise ValueError(f"transform size must be a power of two, got {n}")
 
 
-def fft_forward(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unitary DFT along the given axis: entries exp(-2j pi k n / N) / sqrt(N)."""
-    _check_size(v.shape[axis])
-    return np.fft.fft(v, axis=axis, norm="ortho")
+def fft_forward(v: np.ndarray) -> np.ndarray:
+    """Unitary DFT along the last axis: entries exp(-2j pi k n / N) / sqrt(N)."""
+    _check_size(v.shape[-1])
+    return np.fft.fft(v, norm="ortho")
 
 
-def fft_adjoint(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Adjoint (= inverse) of the unitary DFT."""
-    _check_size(v.shape[axis])
-    return np.fft.ifft(v, axis=axis, norm="ortho")
+def fft_adjoint(v: np.ndarray) -> np.ndarray:
+    """Adjoint (= inverse) of the unitary DFT along the last axis."""
+    _check_size(v.shape[-1])
+    return np.fft.ifft(v, norm="ortho")
 
 
 def fwht_forward(v: np.ndarray) -> np.ndarray:
@@ -70,9 +70,7 @@ def fwht_forward(v: np.ndarray) -> np.ndarray:
     return (a / np.sqrt(n)).reshape(*lead, n)
 
 
-def fft_operator(n: int, adjoint: bool = False) -> LinearOperator:
-    """The n-point unitary DFT (or its adjoint) as a LinearOperator."""
+def fft_operator(n: int) -> LinearOperator:
+    """The n-point unitary DFT as a LinearOperator."""
     _check_size(n)
-    if adjoint:
-        return LinearOperator(n, n, fft_adjoint, fft_forward)
     return LinearOperator(n, n, fft_forward, fft_adjoint)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import MaterializationLimitError
 
-_DENSE_LIMIT = 4096
+# Largest dimension of an operator that is materialized or eigendecomposed densely.
+DENSE_LIMIT = 4096
 
 
 def _freeze(obj, **fields):
@@ -88,7 +89,7 @@ class DiagonalOperator(LinearOperator):
         _freeze(self, weights=w)
 
 
-def materialize_dense(op: LinearOperator, limit: int = _DENSE_LIMIT) -> np.ndarray:
+def materialize_dense(op: LinearOperator, limit: int = DENSE_LIMIT) -> np.ndarray:
     """Dense complex matrix of op, by applying it to the standard basis.
 
     Refuses operators with any dimension above ``limit`` so accidental

@@ -74,16 +74,6 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(np.arange(size))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Return the permuted vector v[indices]."""
-        if v.shape[0] != self.size:
-            raise ValueError(f"vector length {v.shape[0]} != permutation size {self.size}")
-        return v[self.indices]
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(self.indices, other.indices)
 

@@ -23,7 +23,7 @@ from .harness import ComplexityConfig, run_complexity_table
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform
 from .kernels import fft_adjoint, fft_forward, fft_operator, fwht_forward
 from .operators import DiagonalOperator, LinearOperator, materialize_dense
-from .rng import Permutation, generator, make_permutation
+from .rng import generator, make_permutation
 from .scenarios import (STREAM_SOURCE, BernoulliGaussianPrior, gen_sensing_diagonal,
                         simulate_observation)
 
@@ -117,15 +117,13 @@ def check_kernels_against_naive(sizes=(16,), vectors=1, seed=1,
 
 @_check
 def check_permutations(sizes=(257,), seeds=(1234,)) -> tuple[bool, str]:
-    """Permutations are bijections, drawn alike from equal seeds, and the
-    identity permutation leaves a vector as it is."""
+    """Permutations are bijections, drawn alike from equal seeds."""
     for size, seed in itertools.product(sizes, seeds):
         p = make_permutation(size, seed)
         if p != make_permutation(size, seed) or not np.array_equal(np.sort(p.indices),
                                                                     np.arange(size)):
             return False, f"size {size}, seed {seed}: no reproducible bijection"
-    ok = np.array_equal(Permutation.identity(4).apply(np.arange(4.0)), np.arange(4.0))
-    return ok, "bijection, identity"
+    return True, "reproducible bijections"
 
 
 @_check
@@ -233,7 +231,7 @@ def check_trivial_recovery(n=256, n_s=32, seed=12, spec_seeds=(3, 9)) -> tuple[b
     run = run_cd_mamp(simulate_observation(A, Xi, s, None, seed), Xi, prior,
                       MampConfig(max_iters=60))
     well_formed = ([p.t for p in run.points] == list(range(1, len(run.points) + 1))
-                   and run.stop_reason in ("tolerance", "stall", "max-iters")
+                   and run.stop_reason in ("tolerance", "max-iters")
                    and run.meter.channel_applies > 0 and run.meter.transform_applies > 0)
     return (run.final_mse < 1e-8 and well_formed,
             f"final mse {run.final_mse:.2e}, stop {run.stop_reason}")
@@ -255,7 +253,7 @@ def check_degenerate_single_block(n=64, seed=3, iters=10, rho=0.1,
     A = gen_sensing_diagonal(n, n, 10.0).operator()
     prior = BernoulliGaussianPrior(rho=rho)
     s = prior.sample(n, generator(seed, STREAM_SOURCE))
-    cfg = MampConfig(max_iters=iters, stop_on_stall=False)
+    cfg = MampConfig(max_iters=iters)
     runs = [run_cd_mamp(simulate_observation(A, Xi, s, snr_db, seed), Xi, prior, cfg)
             for Xi in (ibs, full)]
     traj_a, traj_b = ([(p.t, p.mse, p.v_gamma, p.v_phi) for p in run.points] for run in runs)

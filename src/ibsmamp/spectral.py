@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MaterializationLimitError
-from .operators import DiagonalOperator, LinearOperator, _memoized, materialize_dense
+from .operators import (DENSE_LIMIT, DiagonalOperator, LinearOperator, _memoized,
+                        materialize_dense)
 from .rng import generator
 from .scenarios import CirculantOperator, TimeVaryingChannelOperator
 
-DENSE_EIGEN_CAP = 4096
 _PROBES = 64
 _POWER_ITERS = 300
 
@@ -91,7 +91,7 @@ def _eigenvalues(A: LinearOperator, dense_cap: int) -> np.ndarray | None:
     return lam
 
 
-def dense_gram(A: LinearOperator, limit: int = DENSE_EIGEN_CAP) -> np.ndarray:
+def dense_gram(A: LinearOperator, limit: int = DENSE_LIMIT) -> np.ndarray:
     """Dense A A^H: from the taps for a time-varying channel, else from the
     materialized operator times its adjoint.
 
@@ -106,7 +106,7 @@ def dense_gram(A: LinearOperator, limit: int = DENSE_EIGEN_CAP) -> np.ndarray:
     return dense @ dense.conj().T
 
 
-def gram_eigenvalues(A: LinearOperator, dense_cap: int = DENSE_EIGEN_CAP) -> np.ndarray:
+def gram_eigenvalues(A: LinearOperator, dense_cap: int = DENSE_LIMIT) -> np.ndarray:
     """Exact eigenvalues of A A^H, or raise if only probes are possible."""
     lam = _exact_eigenvalues(A, dense_cap)
     if lam is None:
@@ -119,7 +119,7 @@ def _gram_apply(A: LinearOperator, z: np.ndarray) -> np.ndarray:
     return A.apply(A.apply_adjoint(z))
 
 
-def eigen_bounds(A: LinearOperator, dense_cap: int = DENSE_EIGEN_CAP,
+def eigen_bounds(A: LinearOperator, dense_cap: int = DENSE_LIMIT,
                  seed: int = 0) -> tuple[float, float]:
     """(lambda_min, lambda_max) of A A^H.
 
@@ -150,7 +150,7 @@ def eigen_bounds(A: LinearOperator, dense_cap: int = DENSE_EIGEN_CAP,
 
 
 def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
-                  dense_cap: int = DENSE_EIGEN_CAP, probes: int = _PROBES,
+                  dense_cap: int = DENSE_LIMIT, probes: int = _PROBES,
                   seed: int = 0, scale: float = 1.0) -> tuple[np.ndarray, bool]:
     """Moments w_k of scale*B for k = 0..depth, plus a probe flag.
 

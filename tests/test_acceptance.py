@@ -65,8 +65,7 @@ def test_criterion_4_gaussian_estimators_hit_closed_form_lmmse():
     anchor = mse(lmmse_estimate_gaussian(instance, 1.0), instance.s_true)
     oamp = run_cd_oamp(instance, prior, MampConfig(max_iters=16))
     oamp_gap = abs(oamp.final_mse - anchor)
-    mamp = run_cd_mamp(instance, Xi, prior,
-                       MampConfig(max_iters=200, stop_on_stall=False))
+    mamp = run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=200))
     mamp_rel = abs(mamp.final_mse - anchor) / anchor
     elapsed = time.perf_counter() - t0
     ok = mamp_rel < 0.05 and oamp_gap <= 1e-8 and elapsed < 120.0
@@ -80,7 +79,7 @@ def test_criterion_4_gaussian_estimators_hit_closed_form_lmmse():
 
 def test_criterion_5_variant_mse_ordering_and_full_transform_gap():
     t0 = time.perf_counter()
-    cfg = CsMseConfig(seed=1, trials=20, threads=4, max_iters=128, relax=1.0)
+    cfg = CsMseConfig(seed=1, trials=20, threads=4, max_iters=128)
     _, summary = run_cs_mse(cfg)
     means = {row[0]: row[3] for row in summary}
     order_ok = (means["BS"] >= means["W_IBS"] >= means["B_IBS"]

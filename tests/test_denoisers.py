@@ -229,7 +229,7 @@ def test_block_diagonal_run_matches_repeat_then_denoise(monkeypatch):
                                      block_seed_base=31, whole_seed=32))
     prior = BernoulliGaussianPrior(rho=0.1)
     instance = simulate_observation(A, Xi, prior.sample(n, generator(3, 2)), 30.0, 3)
-    cfg = MampConfig(max_iters=24, stop_on_stall=False)
+    cfg = MampConfig(max_iters=24)
     run = run_cd_mamp(instance, Xi, prior, cfg)
     shapes = record_shapes(monkeypatch, "denoise_bernoulli_gaussian",
                            repeat_then_denoise_bg)
@@ -248,7 +248,7 @@ def test_circulant_qpsk_run_matches_repeat_then_denoise(monkeypatch):
                                      block_seed_base=41, whole_seed=42))
     prior = QpskPrior()
     instance = simulate_observation(A, Xi, prior.sample(n, generator(5, 2)), 10.0, 5)
-    cfg = MampConfig(max_iters=12, stop_on_stall=False)
+    cfg = MampConfig(max_iters=12)
     run = run_cd_mamp(instance, Xi, prior, cfg)
     shapes = record_shapes(monkeypatch, "denoise_qpsk", repeat_then_denoise_qpsk)
     want = run_cd_mamp(instance, Xi, prior, cfg)

@@ -8,7 +8,7 @@ import pytest
 from ibsmamp import harness, ibs, operators, selftest, spectral
 from ibsmamp.cli import main
 from ibsmamp.denoisers import denoise_bernoulli_gaussian
-from ibsmamp.errors import ConfigurationError, UnsupportedMetricError
+from ibsmamp.errors import ConfigurationError
 from ibsmamp.harness import (CS_SUMMARY_COLUMNS, SCHEMA_VERSION,
                              STREAM_TRIALS, ComplexityConfig, CsMseConfig,
                              IfdmBerConfig, config_hash, derive_trial_seeds,
@@ -38,12 +38,6 @@ def test_config_validation_errors():
         CsMseConfig(base="DCT")
     with pytest.raises(ConfigurationError):
         CsMseConfig(variants=("full", "nope"))
-    with pytest.raises(ConfigurationError):
-        CsMseConfig(prior="qpsk")
-    with pytest.raises(ConfigurationError):
-        CsMseConfig(metric="psnr")
-    with pytest.raises(UnsupportedMetricError):
-        CsMseConfig(metric="ber")
     with pytest.raises(ConfigurationError):
         IfdmBerConfig(bases=("DCT",))
     with pytest.raises(ConfigurationError):
@@ -195,7 +189,7 @@ def test_doppler_ber_trial_forms_its_channel_gram_once(monkeypatch):
 def test_doppler_ber_rows_match_the_materialized_gram(monkeypatch):
     # The from-taps Gram differs from D D^H only in the last bits; the
     # rows must not notice.
-    def materialized_gram(op, limit=spectral.DENSE_EIGEN_CAP):
+    def materialized_gram(op, limit=operators.DENSE_LIMIT):
         dense = operators.materialize_dense(op, limit=limit)
         return dense @ dense.conj().T
 
@@ -286,7 +280,7 @@ def test_cli_complexity_has_no_monte_carlo_flags(tmp_path, capsys):
 
 def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"metric": "ber"}))
+    bad.write_text(json.dumps({"base": "DCT"}))
     assert main(["cs-mse", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["cs-mse", "--config", str(tmp_path / "none.json"),
@@ -309,12 +303,9 @@ def test_cli_rejects_non_integer_sizes_with_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("experiment, field, value", (
     ("cs-mse", "max_iters", 0), ("cs-mse", "damping_window", 0),
-    ("cs-mse", "relax", 0.0), ("cs-mse", "stall_patience", 0),
-    ("ifdm-ber", "max_iters", 0), ("ifdm-ber", "damping_window", 0),
-    ("ifdm-ber", "stall_patience", 0)))
+    ("ifdm-ber", "max_iters", 0), ("ifdm-ber", "damping_window", 0)))
 def test_cli_rejects_bad_estimator_settings_with_exit_2(tmp_path, capsys,
                                                         experiment, field, value):
-    # ifdm-ber has no relax field: its estimator runs at MampConfig's relax.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({field: value}))
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -380,7 +371,7 @@ def test_cli_rejects_seeds_outside_64_bits_with_exit_2(tmp_path, capsys, experim
 def test_float_fields_refuse_non_finite_values_but_a_noiseless_snr():
     assert CsMseConfig(snr_db=INF).snr_db == INF
     assert IfdmBerConfig(snr_db_list=(INF, 10.0)).snr_db_list == (INF, 10.0)
-    for bad in (dict(kappa=INF), dict(rho=NAN), dict(relax=NAN), dict(kappa="10")):
+    for bad in (dict(kappa=INF), dict(rho=NAN), dict(kappa="10")):
         with pytest.raises(ConfigurationError):
             CsMseConfig(**bad)
 

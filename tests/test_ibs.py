@@ -163,21 +163,21 @@ def test_assemble_with_identity_permutations_collapses_to_plain_selection():
     base_spec = IbsSpec(n=32, n_s=8, m=16, variant="BS")
     want = materialize_dense(build_ibs_transform(base_spec))
     spec = IbsSpec(n=32, n_s=8, m=16, variant="BW_IBS")
-    op = IbsOperator(spec, tuple(Permutation.identity(8) for _ in range(4)),
-                     Permutation.identity(16))
+    op = IbsOperator(spec, tuple(Permutation(np.arange(8)) for _ in range(4)),
+                     Permutation(np.arange(16)))
     assert np.max(np.abs(materialize_dense(op) - want)) < 1e-14
 
 
 def test_assemble_validates_permutation_shapes():
     spec = IbsSpec(n=32, n_s=8, m=16, variant="BW_IBS")
-    good_blocks = tuple(Permutation.identity(8) for _ in range(4))
+    good_blocks = tuple(Permutation(np.arange(8)) for _ in range(4))
     with pytest.raises(ConfigurationError):
-        IbsOperator(spec, good_blocks[:3], Permutation.identity(16))
+        IbsOperator(spec, good_blocks[:3], Permutation(np.arange(16)))
     with pytest.raises(ConfigurationError):
-        IbsOperator(spec, tuple(Permutation.identity(4) for _ in range(4)),
-                    Permutation.identity(16))
+        IbsOperator(spec, tuple(Permutation(np.arange(4)) for _ in range(4)),
+                    Permutation(np.arange(16)))
     with pytest.raises(ConfigurationError):
-        IbsOperator(spec, good_blocks, Permutation.identity(8))
+        IbsOperator(spec, good_blocks, Permutation(np.arange(8)))
 
 
 def test_single_block_square_case_is_bit_identical_to_plain_kernel():

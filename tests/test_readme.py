@@ -1,11 +1,13 @@
-"""The README runs and reads as written: its quick start and its self-test list."""
+"""The README runs and reads as written: its quick start, its config keys
+and its self-test list."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 
-from ibsmamp import selftest
+from ibsmamp import harness, selftest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +26,10 @@ def test_readme_self_test_lists_every_check():
     names = [fn.__name__.removeprefix("check_") for fn in selftest._CHECKS]
     assert int(re.search(r"runs (\d+) ", section).group(1)) == len(names)
     assert [name for name in names if f"`{name}`" not in section] == []
+
+
+def test_readme_lists_every_config_key():
+    text = " ".join(README.read_text().split())
+    for experiment, cls in harness.CONFIG_TYPES.items():
+        listed = re.search(rf"`{experiment}` accepts: (.*?)\. ", text).group(1)
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(cls)]

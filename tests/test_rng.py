@@ -60,18 +60,6 @@ def test_raw_words_prefix_consistency():
     assert raw_words(9, 16)[:5].tolist() == raw_words(9, 5).tolist()
 
 
-def test_permutation_apply_gathers_forward_indices():
-    p = Permutation(np.array([2, 0, 1]))
-    v = np.array([10.0, 11.0, 12.0])
-    assert p.apply(v).tolist() == [12.0, 10.0, 11.0]
-
-
-def test_permutation_identity():
-    p = Permutation.identity(5)
-    v = np.arange(5.0)
-    assert np.array_equal(p.apply(v), v)
-
-
 def test_permutation_validates_indices():
     with pytest.raises(ValueError):
         Permutation(np.array([0, 0, 1]))  # not a bijection
@@ -83,14 +71,8 @@ def test_permutation_validates_indices():
         Permutation(np.arange(4).reshape(2, 2))
 
 
-def test_permutation_rejects_wrong_length_vector():
-    p = Permutation.identity(4)
-    with pytest.raises(ValueError):
-        p.apply(np.zeros(5))
-
-
 def test_permutation_is_immutable():
-    p = Permutation.identity(4)
+    p = Permutation(np.arange(4))
     with pytest.raises(AttributeError):
         p.size = 5
     with pytest.raises(ValueError):

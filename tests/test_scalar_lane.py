@@ -142,8 +142,7 @@ def system(kind):
         Xi = build_ibs_transform(IbsSpec(n=n, n_s=n, m=m, variant="BW_IBS",
                                          block_seed_base=11, whole_seed=12))
         s = prior.sample(n, generator(9, 2))
-        cfg = MampConfig(max_iters=40, damping_window=5, stall_patience=8,
-                         stop_on_stall=False)
+        cfg = MampConfig(max_iters=40, damping_window=5)
         return simulate_observation(A, Xi, s, 30.0, seed=9), Xi, prior, cfg
     n, prior = 128, QpskPrior()
     if kind == "doppler":
@@ -155,7 +154,7 @@ def system(kind):
     Xi = build_ibs_transform(IbsSpec(n=n, n_s=16, m=n, variant="BW_IBS", base=base,
                                      direction="kernel-adjoint", whole_seed=7))
     s = prior.sample(n, generator(5, 2))
-    cfg = MampConfig(max_iters=32, damping_window=3, stall_patience=6)
+    cfg = MampConfig(max_iters=32, damping_window=3)
     return simulate_observation(A, Xi, s, snr_db, seed=5), Xi, prior, cfg
 
 
