@@ -214,6 +214,10 @@ class IfdmBerConfig:
                 raise ConfigurationError(f"unknown base {b!r}")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
+        # A truthy string such as "no" would silently run the full scheme.
+        if not isinstance(self.include_full, bool):
+            raise ConfigurationError(
+                f"include_full must be true or false, got {self.include_full!r}")
         _check_list_fields(self)
         _check_estimator_fields(self)
         object.__setattr__(self, "snr_db_list", tuple(float(x) for x in self.snr_db_list))

@@ -1,5 +1,7 @@
 """Experiment harness: config parsing, seed fan-out, deterministic files, CLI."""
 
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -189,14 +191,74 @@ def test_doppler_ber_trial_forms_its_channel_gram_once(monkeypatch):
 def test_doppler_ber_rows_match_the_materialized_gram(monkeypatch):
     # The from-taps Gram differs from D D^H only in the last bits; the
     # rows must not notice.
-    def materialized_gram(op, limit=operators.DENSE_LIMIT):
-        dense = operators.materialize_dense(op, limit=limit)
+    def materialized_gram(op):
+        dense = operators.materialize_dense(op)
         return dense @ dense.conj().T
 
     cfg = IfdmBerConfig(**dict(DOPPLER_BER, trials=2, max_iters=32))
     from_taps = run_ifdm_ber(cfg)
     monkeypatch.setattr(spectral, "dense_gram", materialized_gram)
     assert run_ifdm_ber(cfg) == from_taps
+
+
+def test_doppler_ber_above_the_dense_cap_runs_on_lanczos_quadrature(monkeypatch, tmp_path):
+    # With the cap below n, the channel's spectrum comes from one Lanczos
+    # quadrature per run, shared by its six estimator runs.  Every row is
+    # written, a second run repeats the files byte for byte, and each mean
+    # BER stays within 12 of the trial's 256 bits of the exact-spectrum
+    # run's.  On seeds 2-25 the largest gap was 6 bits.
+    cfg = IfdmBerConfig(**DOPPLER_BER)
+    _, exact = run_ifdm_ber(cfg)
+    measured = []
+    lanczos = spectral._lanczos_measure
+
+    def counting(op):
+        measured.append(op)
+        return lanczos(op)
+
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", cfg.n // 2)
+    monkeypatch.setattr(spectral, "_lanczos_measure", counting)
+    first = run_experiment("ifdm-ber", cfg, tmp_path / "a")
+    second = run_experiment("ifdm-ber", cfg, tmp_path / "b")
+    assert len(measured) == 2
+    for a, b in zip(first, second):
+        if a.suffix == ".csv":
+            assert a.read_bytes() == b.read_bytes()
+    with open(first[0]) as fh:
+        assert len(list(csv.reader(fh))) == 1 + cfg.trials * 3 * len(cfg.snr_db_list)
+    with open(first[1]) as fh:
+        summary = list(csv.reader(fh))[1:]
+    assert len(summary) == len(exact)
+    for row, want in zip(summary, exact):
+        assert abs(float(row[5]) - want[5]) <= 12 / (2 * cfg.n)
+
+
+# sha256 of each CSV of three toy runs.  A deliberate numerics change
+# re-pins them and says so.
+TOY_DIGESTS = {
+    "cs-mse": ("cs-mse", SMALL_CS, {
+        "cs_mse_trajectories.csv": "6382ad1978e95d652a5eb8b0bbf6c17f7cbc68db970e2d3b60f31295c79f0468",
+        "cs_mse_summary.csv": "97c5fbfd39bb2302b425fcecc8627a40ca309d003b2c6ce88c3fca6a784fe6ea"}),
+    "ber-static": ("ifdm-ber", SMALL_BER, {
+        "ifdm_ber.csv": "7473c0b1217666686311e5eac466379857c8499551294eb06a2ec7a9af7c5820",
+        "ifdm_ber_summary.csv": "879e9b2472bc49767ba5673f40649dab3e6143855b39c9c80aa1ec3de58f9474"}),
+    "ber-doppler": ("ifdm-ber", DOPPLER_BER, {
+        "ifdm_ber.csv": "eeb24c6ebe1b5b92fa2671d97a71acec4c51b93076518081407c5e3ea361a9ef",
+        "ifdm_ber_summary.csv": "56a8f2ea2c85c21a355ba791a446159996dedf80720f6f68cc2d72fc4a43b380"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_DIGESTS))
+def test_toy_csv_digests_are_pinned(tmp_path, name):
+    """The toy CSVs hash to the digests taken with numpy 2.4.6 on Linux
+    x86_64 (Python 3.11.7, OpenBLAS).  Another platform or BLAS may round
+    the dense eigendecomposition differently."""
+    experiment, fields, digests = TOY_DIGESTS[name]
+    cfg = harness.CONFIG_TYPES[experiment](**fields)
+    written = run_experiment(experiment, cfg, tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in written if p.suffix == ".csv"}
+    assert got == digests
 
 
 def test_ber_trial_draws_each_permutation_once(monkeypatch):
@@ -289,15 +351,20 @@ def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
 
 
 def test_cli_rejects_non_integer_sizes_with_exit_2(tmp_path, capsys):
-    cases = [("ifdm-ber", {"n": 1024.0}), ("ifdm-ber", {"n_s_list": [32.5]}),
-             ("ifdm-ber", {"taps": True}), ("cs-mse", {"m": 64.0}),
-             ("complexity", {"n_s_list": [128, 32.0]})]
-    for experiment, data in cases:
+    # include_full takes only true or false: "no" is truthy and would run
+    # the full scheme, and 0 is an integer, not a boolean.
+    integer, boolean = "must be an integer", "include_full must be true or false"
+    cases = [("ifdm-ber", {"n": 1024.0}, integer), ("ifdm-ber", {"n_s_list": [32.5]}, integer),
+             ("ifdm-ber", {"taps": True}, integer), ("cs-mse", {"m": 64.0}, integer),
+             ("complexity", {"n_s_list": [128, 32.0]}, integer),
+             ("ifdm-ber", dict(TINY["ifdm-ber"], include_full="no"), boolean),
+             ("ifdm-ber", dict(TINY["ifdm-ber"], include_full=0), boolean)]
+    for experiment, data, message in cases:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "must be an integer" in err
+        assert err.startswith("error: ") and message in err
     assert not list(tmp_path.glob("*.csv"))
 
 
