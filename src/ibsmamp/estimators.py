@@ -80,6 +80,28 @@ t0 + j, and k0 keeps every row that step's own cut keeps; a step whose own
 cut falls below k0 starts a new block.  A kept memory of at most _BLOCK
 rows is summed per step as above, to the bit.
 
+The history holds only the rows that a step can still read.  The same
+factorization bounds every cut from step t on from below: at t' >= t the
+rows i < t weigh vartheta_{t,i} |w_{t'-1-i}| ||h_i|| times a factor
+common to all of them, and the rows pushed after t only raise the total.
+So the rounding cut of those weights against their own total is at most
+the cut of step t', and at most the k0 of any block that starts at t'.
+Every _BLOCK steps from t = 2 _BLOCK on, before its sum, step t takes the
+minimum of that cut over t <= t' <= max_iters, with the share u / 4 as a
+margin for the rounding of the weights, of their running sums and of the
+scaling steps between t and t'; a non-finite weight makes it zero.  The
+rows below it, below the cut of step t and below the oldest row of the
+next damping window are released once they number at least _COMPACT
+blocks and 1/_COMPACT of the rows kept: the kept rows move to the front
+of the same buffer.  A block serves a step t' from its start t0 on only
+when t' keeps more than _BLOCK rows, so the cut of t', and with it the
+bound, lies below t0.  Only the row storage moves: the norms, the weights
+and every cut keep logical row numbers, so every sum reads the same rows
+with the same weights, and r_t keeps its bits.  The pages of the buffer
+past the highest row written are never touched, so memory grows with the
+rows kept, not with max_iters.  A weight that turns non-finite only after
+rows were released sums from the oldest kept row.
+
 The damping step reads its window in place.  ``MampState`` stages the new
 candidate in the next free history row, so the trailing estimates and the
 candidate are one slice of the history, and ``push`` overwrites that row
@@ -107,6 +129,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .denoisers import DenoiserResult
 from .errors import NormalizationError
@@ -122,6 +145,10 @@ _ROUNDING = 2.0 ** -53
 # A kept memory longer than this many rows is summed in blocks of this
 # many steps (see the module docstring).
 _BLOCK = 16
+# History rows that no step reads any more are released once they number
+# at least _COMPACT blocks and 1/_COMPACT of the rows kept (see the module
+# docstring).
+_COMPACT = 4
 # Every error variance the estimators report or divide by is at least this.
 _VARIANCE_FLOOR = 1e-13
 
@@ -157,9 +184,10 @@ class MampState:
     """Mutable state of the memory linear estimator of channel A behind
     transform Xi (see the module docstring).
 
-    The state keeps the per-iteration estimates h_1, h_2, ... in the
-    source domain of size ``dim = Xi.cols``, starting from the all-zero
-    h_1, each with its norm and its cached residual y - forward(h_i).
+    The state keeps the per-iteration estimates h_1, h_2, ... that a later
+    step can still read, in the source domain of size ``dim = Xi.cols``,
+    starting from the all-zero h_1, each with its norm and its cached
+    residual y - forward(h_i).
     Only the residuals of the trailing ``cfg.damping_window`` rows are
     kept, with the raw Gram Re<r_i, r_j> of those the next damping window
     reads; ``window`` returns that window.  The state also holds the
@@ -198,12 +226,14 @@ class MampState:
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
         self.adj_gamma = None       # A^H gamma, reused by the next step
         # Row i of the history holds h_{i+1}, and _hist_norm[i] its norm.
-        # The history keeps every row: how many the memory sum needs is not
-        # known in advance.  The residual of row i sits at rows i % w and
-        # i % w + w of _resid.  _gram[:q, :q] holds Re<r_i, r_j> of the q
-        # pushed residuals the next window reads, oldest first.
+        # Rows below _first are released, and row i >= _first sits at row
+        # i - _first of _hist; np.zeros leaves the pages past the highest
+        # row written untouched.  The residual of row i sits at rows i % w
+        # and i % w + w of _resid.  _gram[:q, :q] holds Re<r_i, r_j> of the
+        # q pushed residuals the next window reads, oldest first.
         self._hist = np.zeros((max_iters + 1, dim), dtype=np.complex128)
         self._hist_norm = np.zeros(max_iters + 1)
+        self._first = 0
         self._resid = np.zeros((2 * w, self.measure_dim), dtype=np.complex128)
         self._gram = np.zeros((w, w))
         self._count = 0
@@ -243,7 +273,8 @@ class MampState:
         count, w = self._count, self.damping_window
         k = min(w, count + 1)
         end = (count + 1) % w + w       # one past the slot of row `count`
-        return self._hist[count - k + 1:count + 1], self._resid[end - k:end]
+        row = count + 1 - self._first   # one past its buffer row
+        return self._hist[row - k:row], self._resid[end - k:end]
 
     def push(self, estimate: np.ndarray, residual: np.ndarray) -> None:
         """Record the post-damping estimate and its cached residual, and the
@@ -251,7 +282,7 @@ class MampState:
         reads."""
         count, w = self._count, self.damping_window
         slot = count % w
-        row = self._hist[count]
+        row = self._hist[count - self._first]
         row[:] = estimate
         # np.linalg.norm's own sum for a complex vector, without its dispatch.
         self._hist_norm[count] = math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))
@@ -266,6 +297,42 @@ class MampState:
         self._count = count + 1
 
 
+def _live_bound(state: MampState, t: int) -> int:
+    """A row below which no memory sum from step t on reads (see the module
+    docstring)."""
+    lags = sliding_window_view(np.abs(state.w), t)[:len(state.vartheta) - t + 1, ::-1]
+    # weight[j, i] sums |vartheta_{t,l} w_{t+j-1-l}| ||h_l|| over l <= i.
+    weight = lags * np.abs(state.vartheta[:t] * state._hist_norm[:t])
+    np.cumsum(weight, axis=1, out=weight)
+    if not np.isfinite(weight[:, -1]).all():
+        return 0
+    return int(np.count_nonzero(weight < _ROUNDING / 4 * weight[:, -1:], axis=1).min())
+
+
+def _release(state: MampState, t: int, k: int) -> None:
+    """Before the memory sum of step t, whose own cut is k, release the rows
+    that no later read needs once they number at least _COMPACT blocks and
+    1/_COMPACT of the rows kept: the kept rows move to the front of the
+    buffer, in copies no longer than the gap so that none overlaps itself.
+    The release stops at k and at the oldest row of the next damping
+    window, so the bound is computed only when those leave enough rows."""
+    def enough(live):
+        gap = live - state._first
+        return gap >= _COMPACT * _BLOCK and gap * _COMPACT >= t - live
+
+    live = min(k, t - state.damping_window + 1)
+    if not enough(live):
+        return
+    live = min(live, _live_bound(state, t))
+    if not enough(live):
+        return
+    hist, gap, kept = state._hist, live - state._first, t - live
+    for start in range(0, kept, gap):
+        stop = min(start + gap, kept)
+        hist[start:stop] = hist[start + gap:stop + gap]
+    state._first = live
+
+
 def _memory_term(state: MampState, p: np.ndarray,
                  scale: float) -> tuple[np.ndarray, int]:
     """Return (sum_i p_i h_i over the kept rows, history rows read) for step
@@ -278,26 +345,29 @@ def _memory_term(state: MampState, p: np.ndarray,
     through the current block, or a new one (see the module docstring).
     """
     t = len(p)
-    hist = state._hist
     weight = np.cumsum(np.abs(p) * state._hist_norm[:t])
     k = int(np.count_nonzero(weight < _ROUNDING * weight[-1]))
+    if t % _BLOCK == 0 and t > _BLOCK:
+        _release(state, t, k)
+    hist, first = state._hist, state._first
     state._block_gain *= scale
     if t - k <= _BLOCK:
-        return p[k:] @ hist[k:t], t - k
+        return p[k:] @ hist[k - first:t - first], t - k
     t0, k0, rows = state._block
     if t < t0 + rows and k >= k0:
         j = t - t0
-        return state._block_gain * state._block_sums[j] + p[t0:] @ hist[t0:t], j
+        return state._block_gain * state._block_sums[j] + p[t0:] @ hist[t0 - first:t - first], j
     rows = min(_BLOCK, len(state.vartheta) - t + 1)
     # coef[j, i] = vartheta_{t,i} w_{t+j-1-i}: the weights of B_j.
     coef = state.vartheta[:t] * state.w[np.add.outer(np.arange(rows),
                                                      np.arange(t - 1, -1, -1))]
     weight = np.cumsum(np.abs(coef) * state._hist_norm[:t], axis=1)
-    k0 = int(np.count_nonzero(weight < _ROUNDING * weight[:, -1:], axis=1).min())
+    k0 = max(int(np.count_nonzero(weight < _ROUNDING * weight[:, -1:], axis=1).min()), first)
     if state._block_sums is None:
         state._block_sums = np.empty((_BLOCK, state.dim), dtype=np.complex128)
     sums = state._block_sums[:rows]
-    np.matmul(coef[:, k0:], hist[k0:t].view(np.float64), out=sums.view(np.float64))
+    np.matmul(coef[:, k0:], hist[k0 - first:t - first].view(np.float64),
+              out=sums.view(np.float64))
     state._block = (t, k0, rows)
     state._block_gain = 1.0
     return sums[0].copy(), t - k0

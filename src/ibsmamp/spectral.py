@@ -39,6 +39,7 @@ from .scenarios import CirculantOperator, TimeVaryingChannelOperator
 _PROBES = 64
 _LANCZOS_STEPS = 64
 _BREAKDOWN = 1e-8   # residual, relative to the largest Rayleigh quotient
+_CHUNK_BYTES = 1 << 20  # trace_moments holds the powers of about this many bytes
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,14 @@ def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
         raise ValueError(f"depth must be >= 0, got {depth}")
     nodes, mass = _measure(A)
     shifted = (lambda_dagger - nodes) * scale
-    powers = shifted[None, :] ** np.arange(depth + 1)[:, None]
-    return (powers * (mass * nodes)[None, :]).sum(axis=1) / A.rows
+    weights = mass * nodes
+    orders = np.arange(depth + 1)[:, None]
+    # A few orders at a time: each row is the same powers and the same sum
+    # as over all orders at once, without (depth + 1) x nodes temporaries.
+    step = max(1, _CHUNK_BYTES // (8 * nodes.size))
+    sums = [(shifted ** orders[k:k + step] * weights).sum(axis=1)
+            for k in range(0, depth + 1, step)]
+    return np.concatenate(sums) / A.rows
 
 
 def spectral_profile(A: LinearOperator, depth: int) -> SpectralProfile:

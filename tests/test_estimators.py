@@ -50,6 +50,21 @@ def make_square_state(alpha, y, max_iters, theta=None, xi=None, damping_window=3
     return A, state
 
 
+def record_pushes(patch):
+    """Let every MampState built under ``patch`` keep in ``state.pushed`` a
+    copy of each pushed row at its own index: the whole history, whose rows
+    the state itself releases once no later step can read them."""
+    push = MampState.push
+
+    def recording_push(self, estimate, residual):
+        if self._count == 0:
+            self.pushed = np.zeros_like(self._hist)
+        self.pushed[self._count] = estimate
+        push(self, estimate, residual)
+
+    patch.setattr(MampState, "push", recording_push)
+
+
 def test_state_buffers_and_views():
     y = np.array([1.0 + 0j, 2.0])
     _, state = make_square_state([2.0, 1.0], y, max_iters=40, damping_window=2)
@@ -211,7 +226,7 @@ def test_linear_stage_matches_dense_reference_recursion():
         state.push(h_next, y - state.forward(h_next))
 
 
-def test_memory_sum_weighs_rows_by_coefficient_and_norm():
+def test_memory_sum_weighs_rows_by_coefficient_and_norm(monkeypatch):
     # theta lambda_dagger = 6.25e-4 (lambda_dagger = 2.5) makes the
     # coefficient of h_2 about 1e-24 of the newest one at step 9, far below
     # 2^-53.  With a unit norm the
@@ -219,6 +234,7 @@ def test_memory_sum_weighs_rows_by_coefficient_and_norm():
     steps = 9
     y = np.array([1.0 + 0j, 2.0])
     summed = {}
+    record_pushes(monkeypatch)
     for norm in (1.0, 1e30):
         A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
                                      theta=np.full(steps, 1e-3 / 4.0))
@@ -231,7 +247,7 @@ def test_memory_sum_weighs_rows_by_coefficient_and_norm():
         summed[norm] = (state.meter.vector_points - before) // state.dim
         p = state.vartheta * state.w[steps - 1::-1]
         assert abs(p[1] / p[-1]) < 1e-18
-        full = (state.back(state.adj_gamma) + p @ state._hist[:steps]) / p.sum()
+        full = (state.back(state.adj_gamma) + p @ state.pushed[:steps]) / p.sum()
         assert np.allclose(r, full, rtol=1e-14, atol=0.0)
     assert summed[1.0] < steps - 1
     assert summed[1e30] == steps - 1      # only the zero row h_1 is skipped
@@ -239,11 +255,12 @@ def test_memory_sum_weighs_rows_by_coefficient_and_norm():
 
 def per_step_memory(state, p, scale):
     """The memory sum as it was before blocking: every step sums its kept
-    rows k..t-1 with one product, k the rounding cut of its own weights."""
+    rows k..t-1 with one product, k the rounding cut of its own weights.
+    It reads the rows recorded by ``record_pushes``."""
     t = len(p)
     weight = np.cumsum(np.abs(p) * state._hist_norm[:t])
     k = int(np.count_nonzero(weight < 2.0 ** -53 * weight[-1]))
-    return p[k:] @ state._hist[k:t], t - k
+    return p[k:] @ state.pushed[k:t], t - k
 
 
 def wide_instance(variant):
@@ -265,13 +282,14 @@ def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch, varia
     instance, Xi, prior = wide_instance(variant)
     memory_term = estimators._memory_term
     errors, steps = [], []
+    record_pushes(monkeypatch)
 
     def checked_term(state, p, scale):
         t = len(p)
         memory, read = memory_term(state, p, scale)
         norms = state._hist_norm[:t]
         bound = 4 * t * 2.0 ** -53 * np.sum(np.abs(p) * norms)
-        errors.append(np.linalg.norm(memory - p @ state._hist[:t]) <= bound)
+        errors.append(np.linalg.norm(memory - p @ state.pushed[:t]) <= bound)
         steps.append((t, read, per_step_memory(state, p, scale)[1]))
         return memory, read
 
@@ -291,7 +309,7 @@ def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch, varia
 
 def recorded_run(monkeypatch, instance, Xi, prior, cfg, memory_term=None):
     """run_cd_mamp with the bytes of r_t of every step, optionally with
-    another memory term."""
+    another memory term, recording every pushed row."""
     step, outputs = estimators.mle_step, []
 
     def recording_step(state):
@@ -301,6 +319,7 @@ def recorded_run(monkeypatch, instance, Xi, prior, cfg, memory_term=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "mle_step", recording_step)
+        record_pushes(patch)
         if memory_term is not None:
             patch.setattr(estimators, "_memory_term", memory_term)
         return run_cd_mamp(instance, Xi, prior, cfg), outputs
@@ -337,7 +356,119 @@ def test_blocked_run_matches_per_step_bits_until_the_first_long_memory(monkeypat
     assert got[:first] == want[:first]
 
 
-def test_meter_counts_the_history_rows_each_step_reads():
+def full_history_memory(state, p, scale):
+    """The blocked memory sum over a history that keeps every row, as it was
+    before rows were released, reading the rows recorded by
+    ``record_pushes``."""
+    t, block = len(p), estimators._BLOCK
+    hist = state.pushed
+    weight = np.cumsum(np.abs(p) * state._hist_norm[:t])
+    k = int(np.count_nonzero(weight < 2.0 ** -53 * weight[-1]))
+    state._block_gain *= scale
+    if t - k <= block:
+        return p[k:] @ hist[k:t], t - k
+    t0, k0, rows = state._block
+    if t < t0 + rows and k >= k0:
+        j = t - t0
+        return state._block_gain * state._block_sums[j] + p[t0:] @ hist[t0:t], j
+    rows = min(block, len(state.vartheta) - t + 1)
+    coef = state.vartheta[:t] * state.w[np.add.outer(np.arange(rows),
+                                                     np.arange(t - 1, -1, -1))]
+    weight = np.cumsum(np.abs(coef) * state._hist_norm[:t], axis=1)
+    k0 = int(np.count_nonzero(weight < 2.0 ** -53 * weight[:, -1:], axis=1).min())
+    if state._block_sums is None:
+        state._block_sums = np.empty((block, state.dim), dtype=np.complex128)
+    sums = state._block_sums[:rows]
+    np.matmul(coef[:, k0:], hist[k0:t].view(np.float64), out=sums.view(np.float64))
+    state._block = (t, k0, rows)
+    state._block_gain = 1.0
+    return sums[0].copy(), t - k0
+
+
+@pytest.mark.parametrize("variant", ("BW_IBS", "BS"))
+def test_released_rows_leave_every_step_bit_identical(monkeypatch, variant):
+    # Over 200 steps BW_IBS releases old rows and moves the kept ones to the
+    # front of the buffer, and BS keeps a long memory; both match a memory
+    # sum over a history that keeps every row, to the bit.
+    instance, Xi, prior = wide_instance(variant)
+    cfg = MampConfig(max_iters=200, damping_window=5)
+    got, got_r = recorded_run(monkeypatch, instance, Xi, prior, cfg)
+    want, want_r = recorded_run(monkeypatch, instance, Xi, prior, cfg, full_history_memory)
+    assert len(got_r) == 200 and got_r == want_r
+    assert got.s_hat.tobytes() == want.s_hat.tobytes()
+    assert got.points == want.points
+    assert got.meter == want.meter
+
+
+def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch):
+    # The highest buffer row a 200-step BW_IBS run writes, staged candidates
+    # included, stays well below the max_iters + 1 rows of the buffer: it
+    # is 111 here, where the run releases rows from t = 112 on.
+    instance, Xi, prior = wide_instance("BW_IBS")
+    written, push = [], MampState.push
+
+    def tracking(self, estimate, residual):
+        written.append(self._count - self._first)
+        push(self, estimate, residual)
+
+    monkeypatch.setattr(MampState, "push", tracking)
+    run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=200, damping_window=5))
+    assert len(written) == 201
+    assert max(written) < 201 * 2 // 3, max(written)
+
+
+def test_a_non_finite_weight_releases_no_row():
+    # theta lambda_dagger = 6.25e-4: every row but the last few has a weight
+    # below rounding at every later step, and at t = 80 more than _COMPACT
+    # blocks of them are released.  A row of infinite norm makes the
+    # weights non-finite: nothing is released.
+    steps = 96
+    y = np.array([1.0 + 0j, 2.0])
+    kept = {}
+    for bad in (False, True):
+        A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
+                                     theta=np.full(steps, 1e-3 / 4.0))
+        with np.errstate(all="ignore"):
+            for t in range(1, steps):
+                h = np.array([1.0 + 1j, -1.0]) * (np.inf if bad and t == 20 else 1.0)
+                mle_step(state)
+                state.push(h, y - A.apply(h))
+        kept[bad] = state._first
+    assert kept[False] > 64 and kept[True] == 0
+    # A weight that turns NaN after rows were released sums from the oldest
+    # kept row, to a NaN r_t.
+    A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
+                                 theta=np.full(steps, 1e-3 / 4.0))
+    for t in range(1, steps):
+        mle_step(state)
+        state.push(np.array([1.0 + 1j, -1.0]), y - A.apply(np.array([1.0 + 1j, -1.0])))
+    state.theta[steps - 1] = np.nan
+    with np.errstate(all="ignore"):
+        r, _ = mle_step(state)
+    assert state._first > 64 and np.isnan(r).all()
+
+
+def test_released_rows_spare_the_damping_window():
+    # theta lambda_dagger = 6.25e-4: the memory sum keeps the last few rows,
+    # fewer than a window of 8 reads, and the rows released at t = 80 stop
+    # short of it.
+    steps, w = 96, 8
+    y = np.array([1.0 + 0j, 2.0])
+    A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
+                                 theta=np.full(steps, 1e-3 / 4.0), damping_window=w)
+    rng = generator(9)
+    pushed = [np.zeros(2)]
+    for _ in range(1, steps):
+        mle_step(state)
+        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        state.push(h, y - A.apply(h))
+        pushed.append(h)
+        cands, _ = state.window()
+        assert np.array_equal(cands[:-1], pushed[len(pushed) - len(cands) + 1:])
+    assert state._first == 80 - w + 1
+
+
+def test_meter_counts_the_history_rows_each_step_reads(monkeypatch):
     # From step 2 on the zero row h_1 is cut, and no other weight decays
     # below rounding in 40 steps, so step t keeps t - 1 rows.  Steps 1..17
     # read them (1, then 1..16 rows); step 18 starts a block of 16 steps,
@@ -345,6 +476,7 @@ def test_meter_counts_the_history_rows_each_step_reads():
     # since; step 34 starts the last block, of 7 steps, with 33 rows.
     steps = 40
     y = np.array([1.0 + 0j, 2.0])
+    record_pushes(monkeypatch)
     A, state = make_square_state([2.0, 1.0], y, max_iters=steps)
     rng = generator(8)
     read = []
@@ -353,7 +485,7 @@ def test_meter_counts_the_history_rows_each_step_reads():
         r, _ = mle_step(state)
         read.append((state.meter.vector_points - before) // state.dim)
         p = state.vartheta[:t] * state.w[t - 1::-1]
-        full = (state.back(state.adj_gamma) + p @ state._hist[:t]) / p.sum()
+        full = (state.back(state.adj_gamma) + p @ state.pushed[:t]) / p.sum()
         assert np.allclose(r, full, rtol=1e-13, atol=0.0)
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         state.push(h, y - A.apply(h))

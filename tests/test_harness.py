@@ -23,6 +23,8 @@ from ibsmamp.spectral import dense_gram
 
 SMALL_CS = dict(trials=2, n=256, n_s=32, kappa=4.0, snr_db=25.0,
                 max_iters=8, variants=("full", "BW_IBS"))
+LONG_CS = dict(trials=1, n=512, n_s=64, max_iters=200, damping_window=5,
+               variants=("full", "BW_IBS", "BS"))
 SMALL_BER = dict(trials=2, n=64, taps=2, snr_db_list=(12.0,),
                  n_s_list=(16,), bases=("FFT",), max_iters=16)
 
@@ -239,6 +241,11 @@ TOY_DIGESTS = {
     "cs-mse": ("cs-mse", SMALL_CS, {
         "cs_mse_trajectories.csv": "6382ad1978e95d652a5eb8b0bbf6c17f7cbc68db970e2d3b60f31295c79f0468",
         "cs_mse_summary.csv": "97c5fbfd39bb2302b425fcecc8627a40ca309d003b2c6ce88c3fca6a784fe6ea"}),
+    # Long enough that BW_IBS releases history rows from t ~ 100 on, while BS
+    # keeps every row.
+    "cs-mse-long": ("cs-mse", LONG_CS, {
+        "cs_mse_trajectories.csv": "79284868b76ba3b3eaa01eb09d5c8a2c23b66749dafc848e73f383558aec82b9",
+        "cs_mse_summary.csv": "ee959877b3d67ecb2d3fd5b1d40da85004667df35ab99b8422abde110985173b"}),
     "ber-static": ("ifdm-ber", SMALL_BER, {
         "ifdm_ber.csv": "7473c0b1217666686311e5eac466379857c8499551294eb06a2ec7a9af7c5820",
         "ifdm_ber_summary.csv": "879e9b2472bc49767ba5673f40649dab3e6143855b39c9c80aa1ec3de58f9474"}),

@@ -112,7 +112,7 @@ def ref_mse(s_hat, s_true):
 def ref_push(self, estimate, residual):
     count, w = self._count, self.damping_window
     slot = count % w
-    self._hist[count] = estimate
+    self._hist[count - self._first] = estimate
     self._hist_norm[count] = np.linalg.norm(estimate)
     self._resid[slot] = self._resid[slot + w] = residual
     kept = min(w - 1, count + 1)

@@ -123,6 +123,19 @@ def test_scaled_moments_stay_bounded_at_long_depth():
     assert np.max(np.abs(profile.w_scaled)) <= profile.w_scaled[0] + 1e-12
 
 
+@pytest.mark.parametrize("rows", (1000, 4096))
+def test_moments_in_chunks_equal_all_orders_at_once(rows):
+    # trace_moments evaluates a few orders at a time; each order takes the
+    # same powers and the same sum as the whole (depth + 1) x rows array.
+    A = gen_sensing_diagonal(rows, 2 * rows, 10.0).operator()
+    lam = np.abs(A.weights) ** 2
+    lam_dag = 0.5 * (lam.min() + lam.max())
+    shifted = (lam_dag - lam) * (1.0 / lam_dag)
+    whole = (shifted[None, :] ** np.arange(601)[:, None] * lam[None, :]).sum(axis=1) / rows
+    got = trace_moments(A, lam_dag, depth=600, scale=1.0 / lam_dag)
+    assert got.tobytes() == whole.tobytes()
+
+
 def test_scaled_and_raw_moments_agree_where_raw_is_finite():
     A = gen_sensing_diagonal(16, 32, 4.0).operator()
     profile = spectral_profile(A, depth=20)
