@@ -119,7 +119,13 @@ instead of once per window it appears in, so the covariance is unchanged
 to the bit.
 
 Both estimators hand one iteration at a time to a shared driver, which
-records the trajectory and applies the tolerance and iteration stops.
+records the trajectory and applies three stops, all read from the
+estimator's own variances or the step count: ``tolerance`` once every v_phi
+is below ``stop_tolerance``, ``converged`` once v_gamma and v_phi both
+change by less than _CONVERGED of their value from one step to the next
+(in every block), and ``max-iters``.  A stop only ends the loop: every
+iterate computed keeps its bits, so a run is an exact prefix of the same
+run with a later stop.
 """
 
 from __future__ import annotations
@@ -151,6 +157,9 @@ _BLOCK = 16
 _COMPACT = 4
 # Every error variance the estimators report or divide by is at least this.
 _VARIANCE_FLOOR = 1e-13
+# A run has converged once both of its variances change by less than this
+# share of their value from one step to the next; 0 switches that stop off.
+_CONVERGED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -551,16 +560,35 @@ class EstimatorRun:
         return self.points[-1].mse
 
 
+def _settled(v, prev) -> bool:
+    """Whether the variance v, a float or one per block, moved by less than
+    _CONVERGED of its value since prev, in every block.  The comparison is
+    strict, so a NaN or infinite variance never settles."""
+    if isinstance(v, float):
+        return abs(v - prev) < _CONVERGED * v
+    return bool(np.all(np.abs(v - prev) < _CONVERGED * v))
+
+
 def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
              meter: CostMeter) -> EstimatorRun:
     """Call step() once per iteration and record the trajectory.
 
     step() returns (s_hat, v_gamma, v_phi, flags) for its iteration.  The
-    run stops once every v_phi is below the stop tolerance, or after
-    max_iters iterations.  s_true feeds only the reported mse.
+    run stops on the first of three rules:
+
+    - ``tolerance``: every v_phi is below the stop tolerance;
+    - ``converged``: from t = 2 on, v_gamma and v_phi both moved by less
+      than _CONVERGED of their value since step t - 1, in every block;
+    - ``max-iters``: max_iters iterations have run.
+
+    ``tolerance`` wins when it holds on the same step as ``converged``.  The
+    rules read only what step() returns, and never change it, so a run is
+    the prefix of the run that has one of them switched off.  s_true feeds
+    only the reported mse.
     """
     points: list[TrajectoryPoint] = []
     stop_reason = "max-iters"
+    prev = None
     for t in range(1, cfg.max_iters + 1):
         s_hat, v_gamma, v_phi, flags = step()
         cur_mse = mse(s_hat, s_true)
@@ -575,6 +603,10 @@ def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
         if phi_max < cfg.stop_tolerance:
             stop_reason = "tolerance"
             break
+        if prev is not None and _settled(v_gamma, prev[0]) and _settled(v_phi, prev[1]):
+            stop_reason = "converged"
+            break
+        prev = v_gamma, v_phi
     return EstimatorRun(points=tuple(points), s_hat=s_hat,
                         stop_reason=stop_reason, meter=meter)
 

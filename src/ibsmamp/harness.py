@@ -44,7 +44,7 @@ _NOISELESS_FIELDS = ("snr_db", "snr_db_list")
 TRAJECTORY_COLUMNS = ("variant", "base", "trial_seed", "t", "mse", "mse_db",
                       "v_gamma", "v_phi", "flags")
 CS_SUMMARY_COLUMNS = ("variant", "base", "trials", "mean_final_mse",
-                      "mean_final_mse_db", "ci95_half_width")
+                      "mean_final_mse_db", "ci95_half_width", "stop_reasons")
 BER_COLUMNS = ("scheme", "base", "n_s", "snr_db", "trial", "trial_seed", "ber", "symbols")
 BER_SUMMARY_COLUMNS = ("scheme", "base", "n_s", "snr_db", "trials", "mean_ber", "symbols")
 COMPLEXITY_COLUMNS = ("n", "n_s", "transform_pct", "overall_pct")
@@ -283,13 +283,14 @@ def _cs_transform_spec(cfg: CsMseConfig, variant: str, trial_seed: int) -> IbsSp
                    whole_seed=derive_subseed(trial_seed, STREAM_WHOLE_SEED))
 
 
-def _cs_trial(cfg: CsMseConfig, trial_seed: int) -> list[tuple]:
+def _cs_trial(cfg: CsMseConfig, trial_seed: int) -> tuple[list[tuple], dict[str, str]]:
+    """Trajectory rows of one trial, and each variant's stop reason."""
     prior = BernoulliGaussianPrior(cfg.rho, cfg.sigma_s2)
     diag = gen_sensing_diagonal(cfg.rows, cfg.n, cfg.kappa)
     A = diag.operator()
     s = prior.sample(cfg.n, generator(trial_seed, STREAM_SOURCE))
     mamp = cfg.mamp
-    rows = []
+    rows, stops = [], {}
     for variant in cfg.variants:
         Xi = build_ibs_transform(_cs_transform_spec(cfg, variant, trial_seed))
         instance = simulate_observation(A, Xi, s, cfg.snr_db, trial_seed)
@@ -297,18 +298,20 @@ def _cs_trial(cfg: CsMseConfig, trial_seed: int) -> list[tuple]:
         for pt in run.points:
             rows.append((variant, cfg.base, trial_seed, pt.t, float(pt.mse),
                          float(pt.mse_db), float(pt.v_gamma), float(pt.v_phi), pt.flags))
-    return rows
+        stops[variant] = run.stop_reason
+    return rows, stops
 
 
 def run_cs_mse(cfg: CsMseConfig) -> tuple[list[tuple], list[tuple]]:
-    """All trajectory rows plus per-variant summary rows."""
+    """All trajectory rows plus per-variant summary rows.  A summary row
+    lists the stop reason of each trial, in trial order, joined by "|"."""
     seeds = derive_trial_seeds(cfg.seed, cfg.trials)
     per_trial = _map_trials(_cs_trial, cfg, seeds)
-    rows = [row for trial_rows in per_trial for row in trial_rows]
+    rows = [row for trial_rows, _ in per_trial for row in trial_rows]
     summary = []
     for variant in cfg.variants:
         finals = []
-        for trial_rows in per_trial:
+        for trial_rows, _ in per_trial:
             variant_rows = [r for r in trial_rows if r[0] == variant]
             finals.append(variant_rows[-1][4])
         mean_mse = float(np.mean(finals))
@@ -318,7 +321,8 @@ def run_cs_mse(cfg: CsMseConfig) -> tuple[list[tuple], list[tuple]]:
             half = float(1.96 * np.std(finals, ddof=1) / np.sqrt(cfg.trials))
         else:
             half = 0.0
-        summary.append((variant, cfg.base, cfg.trials, mean_mse, mse_db(mean_mse), half))
+        stops = "|".join(trial_stops[variant] for _, trial_stops in per_trial)
+        summary.append((variant, cfg.base, cfg.trials, mean_mse, mse_db(mean_mse), half, stops))
     return rows, summary
 
 

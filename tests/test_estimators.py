@@ -25,6 +25,13 @@ from ibsmamp.selftest import (check_damping, check_degenerate_single_block,
 from ibsmamp.spectral import spectral_profile
 
 
+@pytest.fixture
+def fixed_length(monkeypatch):
+    """Switch the ``converged`` stop off, so that a run lasts max_iters
+    iterations unless every v_phi falls below its stop tolerance."""
+    monkeypatch.setattr(estimators, "_CONVERGED", 0.0)
+
+
 def test_config_validation():
     MampConfig()
     for bad in (dict(max_iters=0), dict(damping_window=0), dict(stop_tolerance=0.0),
@@ -274,7 +281,8 @@ def wide_instance(variant):
 
 
 @pytest.mark.parametrize("variant, window", (("BW_IBS", 3), ("W_IBS", 5), ("BS", 5)))
-def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch, variant, window):
+def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch, fixed_length,
+                                                              variant, window):
     # Long wide runs, converging (BW_IBS) or not (W_IBS, BS): at every step
     # the memory term, per step or through a block, agrees with the full
     # p @ hist[:t] within the error bound of a floating-point sum.  On most
@@ -386,7 +394,7 @@ def full_history_memory(state, p, scale):
 
 
 @pytest.mark.parametrize("variant", ("BW_IBS", "BS"))
-def test_released_rows_leave_every_step_bit_identical(monkeypatch, variant):
+def test_released_rows_leave_every_step_bit_identical(monkeypatch, fixed_length, variant):
     # Over 200 steps BW_IBS releases old rows and moves the kept ones to the
     # front of the buffer, and BS keeps a long memory; both match a memory
     # sum over a history that keeps every row, to the bit.
@@ -400,7 +408,7 @@ def test_released_rows_leave_every_step_bit_identical(monkeypatch, variant):
     assert got.meter == want.meter
 
 
-def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch):
+def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_length):
     # The highest buffer row a 200-step BW_IBS run writes, staged candidates
     # included, stays well below the max_iters + 1 rows of the buffer: it
     # is 111 here, where the run releases rows from t = 112 on.
@@ -687,7 +695,9 @@ def damping_system(kind):
 @pytest.mark.parametrize("window", (1, 2, 3, 5))
 @pytest.mark.parametrize("kind", ("diagonal-wide", "circulant-FFT", "circulant-FWHT",
                                   "doppler"))
-def test_damping_window_is_bit_identical_to_the_list_reference(monkeypatch, kind, window):
+def test_damping_window_is_bit_identical_to_the_list_reference(monkeypatch, fixed_length,
+                                                                kind, window):
+    # Once under the default tolerance, once for all 16 steps.
     instance, Xi, prior = damping_system(kind)
     for cfg in (MampConfig(max_iters=16, damping_window=window),
                 MampConfig(max_iters=16, damping_window=window, stop_tolerance=1e-300)):
@@ -754,7 +764,7 @@ def test_oamp_first_iteration_is_the_closed_form_lmmse_estimate():
     assert np.max(np.abs(run.s_hat - want)) < 1e-12
 
 
-def test_oamp_forms_a_dense_channel_gram_a_fixed_number_of_times(monkeypatch):
+def test_oamp_forms_a_dense_channel_gram_a_fixed_number_of_times(monkeypatch, fixed_length):
     # A Doppler channel has no structured solve: its Gram is formed densely
     # once per run (and once for the memoized spectrum), not per iteration.
     calls = []
@@ -778,7 +788,7 @@ def test_oamp_forms_a_dense_channel_gram_a_fixed_number_of_times(monkeypatch):
     assert all(op is A for op in calls)
 
 
-def test_cost_meters_count_channel_and_transform_applies():
+def test_cost_meters_count_channel_and_transform_applies(fixed_length):
     # MAMP: A^H gamma_{t-1} is reused, so iteration 1 applies A three times
     # and every later one four times; Xi is applied three times each.
     # OAMP applies Xi and A forward and adjoint once per iteration.
@@ -846,6 +856,89 @@ def test_estimate_does_not_read_the_ground_truth():
                 == [(p.v_gamma, p.v_phi, p.flags) for p in b.points])
         assert a.meter == b.meter
         assert [p.mse for p in a.points] != [p.mse for p in b.points]
+
+
+def test_a_converged_run_is_a_prefix_of_the_fixed_length_run(monkeypatch):
+    # BW_IBS settles by t = 79 of 200: the run stops there, and its points and
+    # estimate are those of the first 79 steps of the run without the stop,
+    # whose last point is within 1e-4 dB of the stopped one (3e-7 dB here).
+    instance, Xi, prior = wide_instance("BW_IBS")
+    cfg = MampConfig(max_iters=200, damping_window=5)
+    estimates, measure = [], estimators.mse
+
+    def recording(s_hat, s_true):
+        estimates.append(s_hat.tobytes())
+        return measure(s_hat, s_true)
+
+    stopped = run_cd_mamp(instance, Xi, prior, cfg)
+    monkeypatch.setattr(estimators, "mse", recording)
+    monkeypatch.setattr(estimators, "_CONVERGED", 0.0)
+    full = run_cd_mamp(instance, Xi, prior, cfg)
+    t = len(stopped.points)
+    assert (stopped.stop_reason, full.stop_reason) == ("converged", "max-iters")
+    assert t < 100 and len(full.points) == 200
+    assert stopped.points == full.points[:t]
+    assert stopped.s_hat.tobytes() == estimates[t - 1]
+    assert abs(stopped.points[-1].mse_db - full.points[-1].mse_db) < 1e-4
+
+
+def scripted_run(variances, max_iters=12, stop_tolerance=1e-12):
+    """_iterate over a step() that returns (v_gamma, v_phi) = variances(t)."""
+    t = 0
+
+    def step():
+        nonlocal t
+        t += 1
+        v_gamma, v_phi = variances(t)
+        return np.zeros(2), v_gamma, v_phi, ""
+
+    return estimators._iterate(step, np.ones(2), MampConfig(max_iters=max_iters,
+                                                            stop_tolerance=stop_tolerance),
+                               estimators.CostMeter())
+
+
+def test_converged_needs_both_variances_to_settle():
+    # With a Gaussian prior v_phi is the prior variance at every step while
+    # v_gamma still moves: the run goes on.  The mirror case goes on too, and
+    # once both hold still the run stops at the first step that can compare.
+    for variances in (lambda t: (1.0 / t, 0.5), lambda t: (0.5, 1.0 / t)):
+        run = scripted_run(variances)
+        assert (run.stop_reason, len(run.points)) == ("max-iters", 12)
+    run = scripted_run(lambda t: (0.5, 0.25))
+    assert (run.stop_reason, len(run.points)) == ("converged", 2)
+    # A change of 2e-6 of the value goes on; one of 5e-7 stops.
+    run = scripted_run(lambda t: (0.5, 0.25 * (1.0 + 2e-6 * (t % 2))))
+    assert run.stop_reason == "max-iters"
+    run = scripted_run(lambda t: (0.5, 0.25 * (1.0 + 5e-7 * (t % 2))))
+    assert (run.stop_reason, len(run.points)) == ("converged", 2)
+
+
+def test_tolerance_wins_a_tie_with_converged():
+    # At t = 2 v_phi falls below the tolerance and has settled as well.
+    run = scripted_run(lambda t: (2.0, 1.0 - 1e-9 * (t - 1)), stop_tolerance=1.0)
+    assert (run.stop_reason, len(run.points)) == ("tolerance", 2)
+
+
+def test_non_finite_variances_never_converge():
+    nan, inf = float("nan"), float("inf")
+    for v_gamma, v_phi in ((nan, 0.5), (0.5, nan), (inf, 0.5), (0.5, inf), (nan, nan),
+                           (np.array([0.5, nan]), np.array([0.5, 0.5])),
+                           (np.array([0.5, 0.5]), np.array([inf, 0.5]))):
+        with np.errstate(invalid="ignore"):     # inf - inf
+            run = scripted_run(lambda t: (v_gamma, v_phi))
+        assert (run.stop_reason, len(run.points)) == ("max-iters", 12), (v_gamma, v_phi)
+
+
+def test_per_block_variances_converge_only_when_every_block_settles():
+    # One block's v_phi (or v_gamma) keeps moving: no stop.
+    still = np.array([0.5, 0.25, 0.125])
+    for moving in (lambda t: (still, still * [1.0, 1.0, 1.0 + 1.0 / t]),
+                   lambda t: (still * [1.0 + 1.0 / t, 1.0, 1.0], still)):
+        run = scripted_run(moving)
+        assert (run.stop_reason, len(run.points)) == ("max-iters", 12)
+    run = scripted_run(lambda t: (still, still * (1.0 + 1e-8 * t)))
+    assert (run.stop_reason, len(run.points)) == ("converged", 2)
+    assert run.points[-1].v_phi == float(np.mean(still * (1.0 + 2e-8)))
 
 
 def test_full_transform_holds_its_best_error():

@@ -97,19 +97,31 @@ def test_config_hash_tracks_content():
 
 
 def test_cs_summary_is_consistent_with_trajectories():
-    cfg = CsMseConfig(**SMALL_CS)
+    for fields in (SMALL_CS, LONG_CS):
+        assert_cs_summary(CsMseConfig(**fields))
+
+
+def assert_cs_summary(cfg):
     rows, summary = run_cs_mse(cfg)
     assert len(summary) == len(cfg.variants)
     assert len(summary[0]) == len(CS_SUMMARY_COLUMNS)
-    for variant, base, trials, mean_mse, mean_db, half in summary:
-        finals = {}
+    for variant, base, trials, mean_mse, mean_db, half, stops in summary:
+        finals, lengths = {}, {}
         for r in rows:
             if r[0] == variant:
                 finals[r[2]] = r[4]  # last row per trial seed wins
+                lengths[r[2]] = r[3]
         assert trials == cfg.trials
         assert abs(mean_mse - np.mean(list(finals.values()))) < 1e-15
         assert abs(mean_db - 10 * np.log10(mean_mse)) < 1e-12
         assert half >= 0.0
+        # One stop reason per trial, in trial order; only max-iters runs
+        # reach max_iters.
+        reasons = stops.split("|")
+        assert len(reasons) == cfg.trials
+        for seed, reason in zip(derive_trial_seeds(cfg.seed, cfg.trials), reasons):
+            assert reason in ("tolerance", "converged", "max-iters")
+            assert (lengths[seed] == cfg.max_iters) == (reason == "max-iters")
 
 
 def test_experiment_files_are_byte_identical_across_runs_and_threads(tmp_path):
@@ -240,12 +252,13 @@ def test_doppler_ber_above_the_dense_cap_runs_on_lanczos_quadrature(monkeypatch,
 TOY_DIGESTS = {
     "cs-mse": ("cs-mse", SMALL_CS, {
         "cs_mse_trajectories.csv": "6382ad1978e95d652a5eb8b0bbf6c17f7cbc68db970e2d3b60f31295c79f0468",
-        "cs_mse_summary.csv": "97c5fbfd39bb2302b425fcecc8627a40ca309d003b2c6ce88c3fca6a784fe6ea"}),
-    # Long enough that BW_IBS releases history rows from t ~ 100 on, while BS
-    # keeps every row.
+        "cs_mse_summary.csv": "04550ccdd55b9bb6ac100ac248ed02632e19cf0e32aafae7cd6ea77c769e5617"}),
+    # Every variant stops converged: full at t = 62, BW_IBS at 73 and BS at
+    # 115 of 200, before any history row is released.  The release tests of
+    # test_estimators run with that stop off.
     "cs-mse-long": ("cs-mse", LONG_CS, {
-        "cs_mse_trajectories.csv": "79284868b76ba3b3eaa01eb09d5c8a2c23b66749dafc848e73f383558aec82b9",
-        "cs_mse_summary.csv": "ee959877b3d67ecb2d3fd5b1d40da85004667df35ab99b8422abde110985173b"}),
+        "cs_mse_trajectories.csv": "891d6a2d33cb65c57f19fabad0413a92d54a24616295dfb057b33bde7ff79d5a",
+        "cs_mse_summary.csv": "5278e148edbabb1398cd7d565afb0e595f9b4f8ad47547843703f2864d081cfc"}),
     "ber-static": ("ifdm-ber", SMALL_BER, {
         "ifdm_ber.csv": "7473c0b1217666686311e5eac466379857c8499551294eb06a2ec7a9af7c5820",
         "ifdm_ber_summary.csv": "879e9b2472bc49767ba5673f40649dab3e6143855b39c9c80aa1ec3de58f9474"}),
@@ -253,6 +266,25 @@ TOY_DIGESTS = {
         "ifdm_ber.csv": "eeb24c6ebe1b5b92fa2671d97a71acec4c51b93076518081407c5e3ea361a9ef",
         "ifdm_ber_summary.csv": "56a8f2ea2c85c21a355ba791a446159996dedf80720f6f68cc2d72fc4a43b380"}),
 }
+
+
+def test_toy_ber_runs_never_stop_converged(monkeypatch):
+    # QPSK runs stop on their tolerance or at max_iters: their v_phi keeps
+    # moving by far more than the converged share until it falls below the
+    # tolerance.
+    reasons = []
+    run = harness.run_cd_mamp
+
+    def recording(instance, Xi, prior, mamp_cfg):
+        result = run(instance, Xi, prior, mamp_cfg)
+        reasons.append(result.stop_reason)
+        return result
+
+    monkeypatch.setattr(harness, "run_cd_mamp", recording)
+    for fields in (SMALL_BER, DOPPLER_BER):
+        run_ifdm_ber(IfdmBerConfig(**fields))
+    assert len(reasons) == 4 + 6
+    assert "converged" not in reasons, reasons
 
 
 @pytest.mark.parametrize("name", sorted(TOY_DIGESTS))

@@ -1,5 +1,5 @@
-"""The README runs and reads as written: its quick start, its config keys
-and its self-test list."""
+"""The README runs and reads as written: its quick start, its config keys,
+its artifact table and its self-test list."""
 
 import dataclasses
 import re
@@ -33,3 +33,14 @@ def test_readme_lists_every_config_key():
     for experiment, cls in harness.CONFIG_TYPES.items():
         listed = re.search(rf"`{experiment}` accepts: (.*?)\. ", text).group(1)
         assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_readme_artifact_table_matches_columns():
+    section = README.read_text().split("### Artifacts\n", 1)[1].split("\n#", 1)[0]
+    table = re.findall(r"^\| `(\w+\.csv)` \| `([^`]*)` \|$", section, flags=re.M)
+    assert [(name, tuple(columns.split(", "))) for name, columns in table] == [
+        ("cs_mse_trajectories.csv", harness.TRAJECTORY_COLUMNS),
+        ("cs_mse_summary.csv", harness.CS_SUMMARY_COLUMNS),
+        ("ifdm_ber.csv", harness.BER_COLUMNS),
+        ("ifdm_ber_summary.csv", harness.BER_SUMMARY_COLUMNS),
+        ("complexity.csv", harness.COMPLEXITY_COLUMNS)]
