@@ -6,14 +6,17 @@ two stages orthogonalized so that errors stay uncorrelated across them.
 
 The memory linear stage (``mle_step``) runs the recursion
 
-    gamma_t = theta_t B gamma_{t-1} + xi_t (y - A x_t),
+    gamma_t = theta_t B gamma_{t-1} + (y - A x_t),
     B = lambda_dagger I - A A^H,
 
 and recombines the lifted output with the iterate history so the signal
 gain is exactly one:
 
     r_t = (back(gamma_t) + sum_i p_{t,i} h_i) / eps_t,
-    p_{t,i} = xi_i (prod_{j>i} theta_j) w_{t-i},   eps_t = sum_i p_{t,i}.
+    p_{t,i} = (prod_{j>i} theta_j) w_{t-i},   eps_t = sum_i p_{t,i}.
+
+This is Memory AMP's recursion with its residual weight xi_t = 1 at every
+step, as IBS-CD-MAMP runs it; there is no xi_t schedule.
 
 ``MampState(A, Xi, y, noise_var, cfg)`` wires this stage up from the
 channel A and the transform Xi.  It owns the metered maps
@@ -121,7 +124,7 @@ to the bit.
 Both estimators hand one iteration at a time to a shared driver, which
 records the trajectory and applies three stops, all read from the
 estimator's own variances or the step count: ``tolerance`` once every v_phi
-is below ``stop_tolerance``, ``converged`` once v_gamma and v_phi both
+is below _TOLERANCE, ``converged`` once v_gamma and v_phi both
 change by less than _CONVERGED of their value from one step to the next
 (in every block), and ``max-iters``.  A stop only ends the loop: every
 iterate computed keeps its bits, so a run is an exact prefix of the same
@@ -157,9 +160,14 @@ _BLOCK = 16
 _COMPACT = 4
 # Every error variance the estimators report or divide by is at least this.
 _VARIANCE_FLOOR = 1e-13
+# A run stops on ``tolerance`` once every v_phi is below this; 0 switches
+# that stop off.
+_TOLERANCE = 1e-12
 # A run has converged once both of its variances change by less than this
 # share of their value from one step to the next; 0 switches that stop off.
 _CONVERGED = 1e-6
+# Why a run stopped: EstimatorRun.stop_reason is one of these.
+STOP_REASONS = ("tolerance", "converged", "max-iters")
 
 
 @dataclass(frozen=True)
@@ -168,15 +176,12 @@ class MampConfig:
 
     max_iters: int = 32
     damping_window: int = 3
-    stop_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.damping_window < 1:
             raise ValueError(f"damping_window must be >= 1, got {self.damping_window}")
-        if self.stop_tolerance <= 0:
-            raise ValueError(f"stop_tolerance must be positive, got {self.stop_tolerance}")
 
 
 @dataclass
@@ -203,9 +208,10 @@ class MampState:
     current block of the memory sum, and ``meter`` counts every apply of
     A and Xi and the history rows read by ``mle_step``.
 
-    ``theta`` (1 / lambda_dagger) and ``xi`` (ones) are the gain
-    schedules, one entry per iteration.  Callers write them in place, as
-    ``run_cd_mamp`` does with ``theta[t - 1]`` before step t.
+    ``theta`` (1 / lambda_dagger) is the gain schedule, one entry per
+    iteration.  Callers write it in place, as ``run_cd_mamp`` does with
+    ``theta[t - 1]`` before step t.  The residual weight xi_t is one at
+    every step (see the module docstring).
     """
 
     def __init__(self, A: LinearOperator, Xi: LinearOperator, y: np.ndarray,
@@ -229,7 +235,6 @@ class MampState:
         self.trace_gram = profile.trace_gram
         self.lambda_dagger = profile.lambda_dagger
         self.theta = np.full(max_iters, 1.0 / profile.lambda_dagger)
-        self.xi = np.ones(max_iters)
         self.damping_window = w
         self.iteration = 0
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
@@ -394,20 +399,19 @@ def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
     t = state.iteration + 1
     A, meter = state.A, state.meter
     theta_t = float(state.theta[t - 1])
-    xi_t = float(state.xi[t - 1])
     resid = state._resid[(state._count - 1) % state.damping_window]
     if t == 1:
-        gamma = xi_t * resid
+        gamma = resid.copy()        # a row of the residual buffer, which push overwrites
     else:
         gram = A.apply(state.adj_gamma)
         meter.channel_applies += 1
-        gamma = theta_t * (state.lambda_dagger * state.gamma - gram) + xi_t * resid
+        gamma = theta_t * (state.lambda_dagger * state.gamma - gram) + resid
     state.gamma = gamma
 
     vartheta = state.vartheta[:t]
     scale = theta_t * state.lambda_dagger
     vartheta[:-1] *= scale
-    vartheta[-1] = xi_t
+    vartheta[-1] = 1.0
     p = vartheta * state.w[t - 1::-1]
     eps = float(p.sum())
     if abs(eps) < _EPS_MIN:
@@ -576,7 +580,7 @@ def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
     step() returns (s_hat, v_gamma, v_phi, flags) for its iteration.  The
     run stops on the first of three rules:
 
-    - ``tolerance``: every v_phi is below the stop tolerance;
+    - ``tolerance``: every v_phi is below _TOLERANCE;
     - ``converged``: from t = 2 on, v_gamma and v_phi both moved by less
       than _CONVERGED of their value since step t - 1, in every block;
     - ``max-iters``: max_iters iterations have run.
@@ -600,7 +604,7 @@ def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
             phi_max = float(np.max(v_phi))
         points.append(TrajectoryPoint(t=t, mse=cur_mse, mse_db=mse_db(cur_mse),
                                       v_gamma=gamma_mean, v_phi=phi_mean, flags=flags))
-        if phi_max < cfg.stop_tolerance:
+        if phi_max < _TOLERANCE:
             stop_reason = "tolerance"
             break
         if prev is not None and _settled(v_gamma, prev[0]) and _settled(v_phi, prev[1]):

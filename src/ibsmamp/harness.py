@@ -29,6 +29,7 @@ from .estimators import MampConfig, run_cd_mamp
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
 from .rng import _MASK64, generator, raw_words
 from .scenarios import (BernoulliGaussianPrior, QpskPrior, STREAM_SOURCE, ber_qpsk,
+                        check_multipath_channel, check_sensing_diagonal,
                         gen_multipath_channel, gen_sensing_diagonal, mse_db, observe,
                         simulate_observation, unit_noise)
 
@@ -169,13 +170,18 @@ class CsMseConfig:
         _check_integer_fields(self)
         _check_float_fields(self)
         _check_run_fields(self)
-        if self.base not in BASES:
-            raise ConfigurationError(f"unknown base {self.base!r}")
-        for v in self.variants:
+        for v in self.variants:     # the specs below would not list "full"
             if v != "full" and v not in VARIANTS:
                 raise ConfigurationError(f"unknown variant {v!r}")
         _check_list_fields(self)
         _check_estimator_fields(self)
+        # A trial's own checks, run here so that they fail before any trial:
+        # they build no transform and draw nothing.  The transform specs
+        # refuse an unknown base.
+        check_sensing_diagonal(self.rows, self.n, self.kappa)
+        BernoulliGaussianPrior(self.rho, self.sigma_s2)
+        for variant in self.variants:
+            _cs_transform_spec(self, variant)
         object.__setattr__(self, "variants", tuple(self.variants))
 
     @property
@@ -210,16 +216,18 @@ class IfdmBerConfig:
         _check_float_fields(self)
         _check_run_fields(self)
         for b in self.bases:
-            if b not in BASES:
+            if b not in BASES:     # before _ber_schemes reads b.lower()
                 raise ConfigurationError(f"unknown base {b!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigurationError(f"unknown variant {self.variant!r}")
         # A truthy string such as "no" would silently run the full scheme.
         if not isinstance(self.include_full, bool):
             raise ConfigurationError(
                 f"include_full must be true or false, got {self.include_full!r}")
         _check_list_fields(self)
         _check_estimator_fields(self)
+        # As in CsMseConfig: a trial's own checks, before any trial.
+        check_multipath_channel(self.n, self.taps, self.doppler_spread)
+        for scheme, base, n_s in _ber_schemes(self):
+            _ber_transform_spec(self, scheme, base, n_s)
         object.__setattr__(self, "snr_db_list", tuple(float(x) for x in self.snr_db_list))
         object.__setattr__(self, "n_s_list", tuple(int(x) for x in self.n_s_list))
         object.__setattr__(self, "bases", tuple(self.bases))
@@ -240,6 +248,8 @@ class ComplexityConfig:
     def __post_init__(self):
         _check_integer_fields(self)
         _check_list_fields(self)
+        for n_s in self.n_s_list:
+            relative_complexity(self.n, n_s, self.taps)
         object.__setattr__(self, "n_s_list", tuple(int(x) for x in self.n_s_list))
 
 
@@ -274,25 +284,25 @@ def config_hash(cfg) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _cs_transform_spec(cfg: CsMseConfig, variant: str, trial_seed: int) -> IbsSpec:
+def _cs_transform_spec(cfg: CsMseConfig, variant: str, block_seed_base: int = 0,
+                       whole_seed: int = 0) -> IbsSpec:
     n_s = cfg.n if variant == "full" else cfg.n_s
     real_variant = "BW_IBS" if variant == "full" else variant
     return IbsSpec(n=cfg.n, n_s=n_s, m=cfg.rows, variant=real_variant, base=cfg.base,
-                   direction="kernel",
-                   block_seed_base=derive_subseed(trial_seed, STREAM_BLOCK_SEEDS),
-                   whole_seed=derive_subseed(trial_seed, STREAM_WHOLE_SEED))
+                   direction="kernel", block_seed_base=block_seed_base, whole_seed=whole_seed)
 
 
 def _cs_trial(cfg: CsMseConfig, trial_seed: int) -> tuple[list[tuple], dict[str, str]]:
     """Trajectory rows of one trial, and each variant's stop reason."""
     prior = BernoulliGaussianPrior(cfg.rho, cfg.sigma_s2)
-    diag = gen_sensing_diagonal(cfg.rows, cfg.n, cfg.kappa)
-    A = diag.operator()
+    A = gen_sensing_diagonal(cfg.rows, cfg.n, cfg.kappa)
     s = prior.sample(cfg.n, generator(trial_seed, STREAM_SOURCE))
+    seeds = (derive_subseed(trial_seed, STREAM_BLOCK_SEEDS),
+             derive_subseed(trial_seed, STREAM_WHOLE_SEED))
     mamp = cfg.mamp
     rows, stops = [], {}
     for variant in cfg.variants:
-        Xi = build_ibs_transform(_cs_transform_spec(cfg, variant, trial_seed))
+        Xi = build_ibs_transform(_cs_transform_spec(cfg, variant, *seeds))
         instance = simulate_observation(A, Xi, s, cfg.snr_db, trial_seed)
         run = run_cd_mamp(instance, Xi, prior, mamp)
         for pt in run.points:
@@ -336,30 +346,34 @@ def _ber_schemes(cfg: IfdmBerConfig) -> list[tuple[str, str, int]]:
     return schemes
 
 
+def _ber_transform_spec(cfg: IfdmBerConfig, scheme: str, base: str, n_s: int,
+                        block_seed_base: int = 0, whole_seed: int = 0) -> IbsSpec:
+    variant = "W_IBS" if scheme == "full" else cfg.variant
+    return IbsSpec(n=cfg.n, n_s=n_s, m=cfg.n, variant=variant, base=base,
+                   direction="kernel-adjoint", block_seed_base=block_seed_base,
+                   whole_seed=whole_seed)
+
+
 def _ber_trial(cfg: IfdmBerConfig, trial_seed: int) -> list[tuple]:
     prior = QpskPrior()
     rows = []
-    channel = gen_multipath_channel(cfg.n, cfg.taps, cfg.doppler_spread, trial_seed)
-    A = channel.operator()
+    A = gen_multipath_channel(cfg.n, cfg.taps, cfg.doppler_spread, trial_seed)
     s = prior.sample(cfg.n, generator(trial_seed, STREAM_SOURCE))
     noise = unit_noise(A.rows, trial_seed)
-    block_seed_base = derive_subseed(trial_seed, STREAM_BLOCK_SEEDS)
-    whole_seed = derive_subseed(trial_seed, STREAM_WHOLE_SEED)
+    seeds = (derive_subseed(trial_seed, STREAM_BLOCK_SEEDS),
+             derive_subseed(trial_seed, STREAM_WHOLE_SEED))
     mamp = cfg.mamp
     # The schemes share their seeds, so each permutation is drawn once.
     perms = {}
     transforms, images = {}, {}
     for scheme, base, n_s in _ber_schemes(cfg):
-        variant = "W_IBS" if scheme == "full" else cfg.variant
-        spec = IbsSpec(n=cfg.n, n_s=n_s, m=cfg.n, variant=variant, base=base,
-                       direction="kernel-adjoint", block_seed_base=block_seed_base,
-                       whole_seed=whole_seed)
+        spec = _ber_transform_spec(cfg, scheme, base, n_s, *seeds)
         Xi = transforms[scheme] = build_ibs_transform(spec, perms)
         images[scheme] = A.apply(Xi.apply(s))
     for snr_db in cfg.snr_db_list:
         for scheme, base, n_s in _ber_schemes(cfg):
             Xi = transforms[scheme]
-            instance = observe(A, Xi, s, images[scheme], noise, snr_db, trial_seed)
+            instance = observe(A, Xi, s, images[scheme], noise, snr_db)
             run = run_cd_mamp(instance, Xi, prior, mamp)
             rows.append((scheme, base, n_s, float(snr_db), trial_seed,
                          float(ber_qpsk(run.s_hat, s)), cfg.n))

@@ -39,29 +39,20 @@ def doppler_preset_4ghz_100kmh_15khz() -> float:
     return 2.0 * np.pi * (v * f_c / c) / delta_f
 
 
-@dataclass(frozen=True)
-class SensingDiagonal:
-    """Geometric singular-value profile: alpha_i / alpha_{i+1} = kappa**(1/m),
-    scaled so that sum(alpha**2) = n."""
-
-    m: int
-    n: int
-    kappa: float
-    singulars: np.ndarray = field(repr=False)
-
-    def operator(self) -> DiagonalOperator:
-        return DiagonalOperator(self.singulars)
-
-
-def gen_sensing_diagonal(m: int, n: int, kappa: float) -> SensingDiagonal:
+def check_sensing_diagonal(m: int, n: int, kappa: float) -> None:
+    """Refuse the arguments that ``gen_sensing_diagonal`` cannot build from."""
     if m < 1 or n < m:
         raise ConfigurationError(f"need 1 <= m <= n, got m={m}, n={n}")
     if kappa < 1.0:
         raise ConfigurationError(f"kappa must be >= 1, got {kappa}")
+
+
+def gen_sensing_diagonal(m: int, n: int, kappa: float) -> DiagonalOperator:
+    """Geometric singular-value profile: alpha_i / alpha_{i+1} = kappa**(1/m),
+    scaled so that sum(alpha**2) = n."""
+    check_sensing_diagonal(m, n, kappa)
     decay = kappa ** (-np.arange(m) / m)
-    alphas = decay * np.sqrt(n / np.sum(decay * decay))
-    alphas.setflags(write=False)
-    return SensingDiagonal(m=m, n=n, kappa=float(kappa), singulars=alphas)
+    return DiagonalOperator(decay * np.sqrt(n / np.sum(decay * decay)))
 
 
 class CirculantOperator(LinearOperator):
@@ -183,49 +174,39 @@ def _check_taps(n, delays, gains):
         raise ConfigurationError("tap gains must be non-zero")
 
 
-@dataclass(frozen=True)
-class MultipathChannel:
-    """Tap-domain description of one channel draw."""
-
-    n: int
-    delays: np.ndarray = field(repr=False)
-    gains: np.ndarray = field(repr=False)
-    doppler_spread: float = 0.0
-    seed: int = 0
-
-    def operator(self) -> LinearOperator:
-        if self.doppler_spread == 0.0:
-            return CirculantOperator(self.n, self.delays, self.gains)
-        rng = generator(self.seed, STREAM_DOPPLER)
-        i = np.arange(self.n)
-        freqs = rng.uniform(0.25, 1.0, size=(self.gains.size, _DOPPLER_SINUSOIDS))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(self.gains.size, _DOPPLER_SINUSOIDS))
-        # |phase drift| <= doppler_spread: mean of unit sinusoids scaled by the spread.
-        drift = self.doppler_spread * np.mean(
-            np.sin(2.0 * np.pi * freqs[:, :, None] * i[None, None, :] / self.n
-                   + phases[:, :, None]), axis=1)
-        tracks = self.gains[:, None] * np.exp(1j * drift)
-        return TimeVaryingChannelOperator(self.n, self.delays, tracks)
-
-
-def gen_multipath_channel(n: int, p: int, doppler_spread: float = 0.0,
-                          seed: int = 0) -> MultipathChannel:
-    """Draw a p-tap channel: delay 0 plus p-1 distinct random delays,
-    i.i.d. complex Gaussian gains normalized to unit total power."""
+def check_multipath_channel(n: int, p: int, doppler_spread: float) -> None:
+    """Refuse the arguments that ``gen_multipath_channel`` cannot draw from."""
     if not 1 <= p <= n:
         raise ConfigurationError(f"need 1 <= p <= n, got p={p}, n={n}")
     if doppler_spread < 0:
         raise ConfigurationError(f"doppler_spread must be >= 0, got {doppler_spread}")
+
+
+def gen_multipath_channel(n: int, p: int, doppler_spread: float = 0.0,
+                          seed: int = 0) -> CirculantOperator | TimeVaryingChannelOperator:
+    """Draw a p-tap channel: delay 0 plus p-1 distinct random delays,
+    i.i.d. complex Gaussian gains normalized to unit total power.  It is
+    circulant without a Doppler spread; with one, each tap's phase drifts
+    by at most doppler_spread along sinusoids drawn from STREAM_DOPPLER."""
+    check_multipath_channel(n, p, doppler_spread)
     rng = generator(seed, STREAM_CHANNEL)
     if p > 1:
         extra = rng.choice(n - 1, size=p - 1, replace=False) + 1
-        delays = np.concatenate([[0], np.sort(extra)])
+        delays = np.concatenate([[0], np.sort(extra)]).astype(np.int64)
     else:
         delays = np.zeros(1, dtype=np.int64)
     gains = rng.normal(size=p) + 1j * rng.normal(size=p)
     gains /= np.linalg.norm(gains)
-    return MultipathChannel(n=n, delays=delays.astype(np.int64), gains=gains,
-                            doppler_spread=float(doppler_spread), seed=seed)
+    if doppler_spread == 0.0:
+        return CirculantOperator(n, delays, gains)
+    rng = generator(seed, STREAM_DOPPLER)
+    i = np.arange(n)
+    freqs = rng.uniform(0.25, 1.0, size=(p, _DOPPLER_SINUSOIDS))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(p, _DOPPLER_SINUSOIDS))
+    drift = doppler_spread * np.mean(
+        np.sin(2.0 * np.pi * freqs[:, :, None] * i[None, None, :] / n
+               + phases[:, :, None]), axis=1)
+    return TimeVaryingChannelOperator(n, delays, gains[:, None] * np.exp(1j * drift))
 
 
 class BernoulliGaussianPrior:
@@ -289,7 +270,6 @@ class SystemInstance:
     s_true: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     noise_var: float
-    seed: int
 
 
 def simulate_observation(A: LinearOperator, Xi: LinearOperator, s: np.ndarray,
@@ -303,7 +283,7 @@ def simulate_observation(A: LinearOperator, Xi: LinearOperator, s: np.ndarray,
         raise ValueError(f"A expects length {A.cols}, transform produces {Xi.rows}")
     if s.shape[0] != Xi.cols:
         raise ValueError(f"source length {s.shape[0]} != transform cols {Xi.cols}")
-    return observe(A, Xi, s, A.apply(Xi.apply(s)), unit_noise(A.rows, seed), snr_db, seed)
+    return observe(A, Xi, s, A.apply(Xi.apply(s)), unit_noise(A.rows, seed), snr_db)
 
 
 def unit_noise(m: int, seed: int) -> np.ndarray:
@@ -314,9 +294,9 @@ def unit_noise(m: int, seed: int) -> np.ndarray:
 
 
 def observe(A: LinearOperator, Xi: LinearOperator, s: np.ndarray, image: np.ndarray,
-            noise: np.ndarray, snr_db: float | None, seed: int) -> SystemInstance:
+            noise: np.ndarray, snr_db: float | None) -> SystemInstance:
     """The instance with y = image + noise scaled to the SNR, where image is
-    A Xi s and noise is ``unit_noise(A.rows, seed)``.
+    A Xi s and noise is the ``unit_noise`` draw of the observation's seed.
 
     Sweeping the SNR of one image and one noise draw gives, bit for bit,
     the y of ``simulate_observation`` at every SNR.  snr_db = None or
@@ -325,7 +305,7 @@ def observe(A: LinearOperator, Xi: LinearOperator, s: np.ndarray, image: np.ndar
     noise_var = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
     y = image + noise * np.sqrt(noise_var / 2.0) if noise_var > 0.0 else image.copy()
     return SystemInstance(A=A, Xi=Xi, s_true=np.asarray(s, dtype=np.complex128),
-                          y=y, noise_var=noise_var, seed=seed)
+                          y=y, noise_var=noise_var)
 
 
 def mse(s_hat: np.ndarray, s_true: np.ndarray) -> float:

@@ -44,7 +44,7 @@ _CHUNK_BYTES = 1 << 20  # trace_moments holds the powers of about this many byte
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Eigen bounds and trace moments of one measurement operator.
+    """The midpoint shift and trace moments of one measurement operator.
 
     ``w_scaled`` holds w_k / lambda_dagger^k, the moments of B / lambda_dagger,
     whose spectral radius is strictly below one.  The raw moments w_k grow
@@ -53,15 +53,9 @@ class SpectralProfile:
     either way.
     """
 
-    lambda_min: float
-    lambda_max: float
     lambda_dagger: float
     w_scaled: np.ndarray = field(repr=False)
     dim: int
-
-    @property
-    def depth(self) -> int:
-        return self.w_scaled.size - 1
 
     @property
     def trace_gram(self) -> float:
@@ -182,7 +176,8 @@ def trace_moments(A: LinearOperator, lambda_dagger: float, depth: int,
 
 
 def spectral_profile(A: LinearOperator, depth: int) -> SpectralProfile:
-    """Eigen bounds and trace moments to ``depth`` for the estimator.
+    """The midpoint lambda_dagger of the eigen bounds and the trace moments
+    to ``depth`` for the estimator.
 
     Computed once per operator and depth: a repeated call returns the same
     profile, whose arrays are read-only.
@@ -196,5 +191,4 @@ def _profile(A: LinearOperator, depth: int) -> SpectralProfile:
     scale = 1.0 / lam_dag if lam_dag > 0 else 1.0
     w_scaled = trace_moments(A, lam_dag, depth, scale=scale)
     w_scaled.setflags(write=False)
-    return SpectralProfile(lambda_min=lam_min, lambda_max=lam_max, lambda_dagger=lam_dag,
-                           w_scaled=w_scaled, dim=A.rows)
+    return SpectralProfile(lambda_dagger=lam_dag, w_scaled=w_scaled, dim=A.rows)

@@ -54,7 +54,7 @@ def test_criterion_3_fast_transforms_match_naive_oracles():
 def test_criterion_4_gaussian_estimators_hit_closed_form_lmmse():
     t0 = time.perf_counter()
     n, m, kappa, snr_db, seed = 8192, 4096, 10.0, 30.0, 1
-    A = gen_sensing_diagonal(m, n, kappa).operator()
+    A = gen_sensing_diagonal(m, n, kappa)
     spec = IbsSpec(n=n, n_s=n, m=m, variant="BW_IBS", base="FFT",
                    block_seed_base=101, whole_seed=202)
     Xi = build_ibs_transform(spec)
@@ -108,7 +108,7 @@ def test_criterion_7_error_orthogonality_monte_carlo():
     nle_ok, nle_detail = check_nle_orthogonality(v=0.25, seeds=range(10))
 
     n, n_s, m, iters = 16384, 1024, 8192, 8
-    A = gen_sensing_diagonal(m, n, 10.0).operator()
+    A = gen_sensing_diagonal(m, n, 10.0)
     mle_worst = 0.0
     for seed in range(10):
         spec = IbsSpec(n=n, n_s=n_s, m=m, variant="BW_IBS",

@@ -224,7 +224,7 @@ def assert_same_run(a, b):
 
 def test_block_diagonal_run_matches_repeat_then_denoise(monkeypatch):
     n, m, n_s = 512, 256, 32
-    A = gen_sensing_diagonal(m, n, 10.0).operator()
+    A = gen_sensing_diagonal(m, n, 10.0)
     Xi = build_ibs_transform(IbsSpec(n=n, n_s=n_s, m=m, variant="BW_IBS",
                                      block_seed_base=31, whole_seed=32))
     prior = BernoulliGaussianPrior(rho=0.1)
@@ -241,7 +241,7 @@ def test_block_diagonal_run_matches_repeat_then_denoise(monkeypatch):
 
 def test_circulant_qpsk_run_matches_repeat_then_denoise(monkeypatch):
     n = 256
-    A = gen_multipath_channel(n, 4, seed=5).operator()
+    A = gen_multipath_channel(n, 4, seed=5)
     assert isinstance(A, CirculantOperator)
     Xi = build_ibs_transform(IbsSpec(n=n, n_s=32, m=n, variant="BW_IBS",
                                      direction="kernel-adjoint",

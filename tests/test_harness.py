@@ -11,6 +11,7 @@ from ibsmamp import harness, ibs, operators, selftest, spectral
 from ibsmamp.cli import main
 from ibsmamp.denoisers import denoise_bernoulli_gaussian
 from ibsmamp.errors import ConfigurationError
+from ibsmamp.estimators import STOP_REASONS
 from ibsmamp.harness import (CS_SUMMARY_COLUMNS, SCHEMA_VERSION,
                              STREAM_TRIALS, ComplexityConfig, CsMseConfig,
                              IfdmBerConfig, config_hash, derive_trial_seeds,
@@ -120,7 +121,7 @@ def assert_cs_summary(cfg):
         reasons = stops.split("|")
         assert len(reasons) == cfg.trials
         for seed, reason in zip(derive_trial_seeds(cfg.seed, cfg.trials), reasons):
-            assert reason in ("tolerance", "converged", "max-iters")
+            assert reason in STOP_REASONS
             assert (lengths[seed] == cfg.max_iters) == (reason == "max-iters")
 
 
@@ -341,7 +342,7 @@ def test_ber_observations_equal_simulate_observation(monkeypatch):
     assert len(seen) == len(rows) == cfg.trials * 5 * 3
     for (instance, Xi), row in zip(seen, rows):
         snr_db = row[3]
-        want = simulate_observation(instance.A, Xi, instance.s_true, snr_db, instance.seed)
+        want = simulate_observation(instance.A, Xi, instance.s_true, snr_db, row[5])
         assert instance.noise_var == want.noise_var
         assert (instance.noise_var == 0.0) == (snr_db == float("inf"))
         assert np.array_equal(instance.y.view(np.uint64), want.y.view(np.uint64))
@@ -457,6 +458,38 @@ def test_cli_rejects_empty_or_repeated_lists_with_exit_2(tmp_path, capsys, exper
     assert err.startswith("error: ")
     assert f"{field} must be {'distinct' if data[field] else 'non-empty'}" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, data, message", (
+    ("cs-mse", {"n": 512, "n_s": 100, "max_iters": 50, "trials": 1}, "n_s must be a power of two"),
+    ("cs-mse", dict(TINY["cs-mse"], kappa=0.5), "kappa must be >= 1"),
+    ("cs-mse", dict(TINY["cs-mse"], rho=0), "rho must lie in (0, 1]"),
+    ("cs-mse", dict(TINY["cs-mse"], sigma_s2=-1.0), "sigma_s2 must be positive"),
+    ("cs-mse", dict(TINY["cs-mse"], m=9000), "need 1 <= m <= n"),
+    ("cs-mse", dict(TINY["cs-mse"], m=30), "not divisible by the block count"),
+    ("ifdm-ber", dict(TINY["ifdm-ber"], taps=5000), "need 1 <= p <= n"),
+    ("ifdm-ber", dict(TINY["ifdm-ber"], doppler_spread=-0.1), "doppler_spread must be >= 0"),
+    ("ifdm-ber", dict(TINY["ifdm-ber"], n_s_list=[100]), "n_s must be a power of two"),
+    ("ifdm-ber", dict(TINY["ifdm-ber"], n=1000), "n must be a power of two"),
+    ("complexity", {"n_s_list": [128, 100]}, "must be powers of two")),
+    ids=lambda x: x if isinstance(x, str) else json.dumps(x))
+def test_cli_refuses_what_a_trial_would_refuse_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                                experiment, data, message):
+    # The transform, sensing diagonal, prior and channel checks run when the
+    # config is loaded: no estimator runs and no output directory is made.
+    runs, run = [], harness.run_cd_mamp
+
+    def recording(*args):
+        runs.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(harness, "run_cd_mamp", recording)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(data))
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert runs == [] and not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ("cs-mse", "ifdm-ber"))

@@ -1,5 +1,5 @@
 """The README runs and reads as written: its quick start, its config keys,
-its artifact table and its self-test list."""
+its artifact table, its self-test list and its stop list."""
 
 import dataclasses
 import re
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ibsmamp import harness, selftest
+from ibsmamp import estimators, harness, selftest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +44,9 @@ def test_readme_artifact_table_matches_columns():
         ("ifdm_ber.csv", harness.BER_COLUMNS),
         ("ifdm_ber_summary.csv", harness.BER_SUMMARY_COLUMNS),
         ("complexity.csv", harness.COMPLEXITY_COLUMNS)]
+
+
+def test_readme_stop_list_matches_stop_reasons():
+    section = README.read_text().split("## Tuning notes\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^  - `([\w-]+)`: ", section, flags=re.M)
+    assert tuple(listed) == estimators.STOP_REASONS

@@ -137,7 +137,7 @@ def system(kind):
     """(instance, Xi, prior, cfg) of a small system whose runs keep one variance."""
     if kind == "cs-full":
         n, m = 256, 128
-        A = gen_sensing_diagonal(m, n, 10.0).operator()
+        A = gen_sensing_diagonal(m, n, 10.0)
         prior = BernoulliGaussianPrior(rho=0.1)
         Xi = build_ibs_transform(IbsSpec(n=n, n_s=n, m=m, variant="BW_IBS",
                                          block_seed_base=11, whole_seed=12))
@@ -146,10 +146,10 @@ def system(kind):
         return simulate_observation(A, Xi, s, 30.0, seed=9), Xi, prior, cfg
     n, prior = 128, QpskPrior()
     if kind == "doppler":
-        A = gen_multipath_channel(n, 3, doppler_preset_4ghz_100kmh_15khz(), seed=4).operator()
+        A = gen_multipath_channel(n, 3, doppler_preset_4ghz_100kmh_15khz(), seed=4)
         base, snr_db = "FFT", 8.0
     else:
-        A = gen_multipath_channel(n, 4, seed=3).operator()
+        A = gen_multipath_channel(n, 4, seed=3)
         base, snr_db = kind.removeprefix("circulant-"), 10.0
     Xi = build_ibs_transform(IbsSpec(n=n, n_s=16, m=n, variant="BW_IBS", base=base,
                                      direction="kernel-adjoint", whole_seed=7))

@@ -32,16 +32,14 @@ def test_doppler_preset_value():
 
 def test_sensing_diagonal_profile_law():
     m, n, kappa = 64, 128, 10.0
-    diag = gen_sensing_diagonal(m, n, kappa)
-    a = diag.singulars
-    assert a.shape == (m,)
+    op = gen_sensing_diagonal(m, n, kappa)
+    assert op.shape == (m, m)
+    a = op.weights
+    assert a.shape == (m,) and a.dtype == np.float64
     assert abs(np.sum(a * a) - n) < 1e-9
     ratios = a[:-1] / a[1:]
     assert np.allclose(ratios, kappa ** (1.0 / m), atol=1e-12)
     assert np.all(np.diff(a) < 0)
-    op = diag.operator()
-    assert op.shape == (m, m)
-    assert np.allclose(op.weights, a)
 
 
 def test_sensing_diagonal_validation():
@@ -156,7 +154,7 @@ def test_time_varying_gram_from_taps_matches_dense_product(n, delays):
     # delays=None: the default 4-tap Doppler channel.  The others put tap
     # delay differences across the wrap at n.
     if delays is None:
-        op = gen_multipath_channel(n, 4, doppler_preset_4ghz_100kmh_15khz(), seed=3).operator()
+        op = gen_multipath_channel(n, 4, doppler_preset_4ghz_100kmh_15khz(), seed=3)
     else:
         rng = generator(n + len(delays))
         tracks = rng.standard_normal((len(delays), n)) \
@@ -190,7 +188,7 @@ def test_channels_freeze_copies_not_the_callers_arrays():
 
 def test_multipath_channel_static_draw():
     ch = gen_multipath_channel(64, 4, seed=3)
-    assert isinstance(ch.operator(), CirculantOperator)
+    assert isinstance(ch, CirculantOperator)
     assert ch.delays[0] == 0
     assert np.unique(ch.delays).size == 4
     assert abs(np.linalg.norm(ch.gains) - 1.0) < 1e-12
@@ -202,9 +200,11 @@ def test_multipath_channel_static_draw():
 
 def test_multipath_channel_doppler_drift_is_phase_only_and_bounded():
     spread = 0.2
-    ch = gen_multipath_channel(64, 3, doppler_spread=spread, seed=9)
-    op = ch.operator()
+    op = gen_multipath_channel(64, 3, doppler_spread=spread, seed=9)
     assert isinstance(op, TimeVaryingChannelOperator)
+    # The static draw of the same seed has the same delays and tap gains.
+    ch = gen_multipath_channel(64, 3, seed=9)
+    assert np.array_equal(op.delays, ch.delays)
     mags = np.abs(op.gain_tracks)
     assert np.max(np.abs(mags - np.abs(ch.gains)[:, None])) < 1e-12
     drift = np.angle(op.gain_tracks / ch.gains[:, None])
@@ -264,13 +264,13 @@ def test_priors_expose_matching_denoisers():
 def test_simulate_observation_noiseless_and_dims():
     n, m = 16, 8
     F = fft_operator(n)
-    diag = gen_sensing_diagonal(n, n, 4.0).operator()
+    diag = gen_sensing_diagonal(n, n, 4.0)
     s = QpskPrior().sample(n, generator(3))
     inst = simulate_observation(diag, F, s, None, seed=5)
     assert inst.noise_var == 0.0
     assert np.array_equal(inst.y, diag.apply(F.apply(s)))
     with pytest.raises(ValueError):
-        simulate_observation(gen_sensing_diagonal(m, n, 4.0).operator(), F, s, 20.0, 5)
+        simulate_observation(gen_sensing_diagonal(m, n, 4.0), F, s, 20.0, 5)
     with pytest.raises(ValueError):
         simulate_observation(diag, F, s[: n - 2], 20.0, 5)
 
@@ -278,7 +278,7 @@ def test_simulate_observation_noiseless_and_dims():
 def test_simulate_observation_noise_is_seeded_and_scaled():
     n = 4096
     F = fft_operator(n)
-    diag = gen_sensing_diagonal(n, n, 1.0).operator()
+    diag = gen_sensing_diagonal(n, n, 1.0)
     s = QpskPrior().sample(n, generator(4))
     snr_db = 7.0
     a = simulate_observation(diag, F, s, snr_db, seed=6)

@@ -24,18 +24,17 @@ def opaque_diagonal(weights: np.ndarray) -> LinearOperator:
 def test_hand_worked_moments_two_modes():
     # Gram eigenvalues {1, 4}: midpoint 2.5, and the first three moments
     # of G against powers of (2.5 I - G) / 2.5 work out by hand.
-    profile = spectral_profile(DiagonalOperator(np.array([1.0, 2.0])), depth=2)
-    assert profile.lambda_min == 1.0
-    assert profile.lambda_max == 4.0
+    A = DiagonalOperator(np.array([1.0, 2.0]))
+    profile = spectral_profile(A, depth=2)
+    assert eigen_bounds(A) == (1.0, 4.0)
     assert profile.lambda_dagger == 2.5
     assert np.allclose(profile.w_scaled, [2.5, -0.9, 0.9], atol=1e-12)
-    assert profile.depth == 2
+    assert profile.w_scaled.size == 3
     assert abs(profile.trace_gram - 5.0) < 1e-12
 
 
 def test_moments_match_eigenvalue_sums():
-    diag = gen_sensing_diagonal(32, 64, 10.0)
-    A = diag.operator()
+    A = gen_sensing_diagonal(32, 64, 10.0)
     lam = np.abs(A.weights) ** 2
     lam_dag = 0.5 * (lam.min() + lam.max())
     w = trace_moments(A, lam_dag, depth=5)
@@ -117,7 +116,7 @@ def test_probe_estimates_close_for_general_operator(monkeypatch):
 def test_scaled_moments_stay_bounded_at_long_depth():
     # Raw moments overflow float64 past depth ~1000 on a kappa=10 profile;
     # the scaled moments are bounded by the zeroth one forever.
-    A = gen_sensing_diagonal(64, 128, 10.0).operator()
+    A = gen_sensing_diagonal(64, 128, 10.0)
     profile = spectral_profile(A, depth=2000)
     assert np.all(np.isfinite(profile.w_scaled))
     assert np.max(np.abs(profile.w_scaled)) <= profile.w_scaled[0] + 1e-12
@@ -127,7 +126,7 @@ def test_scaled_moments_stay_bounded_at_long_depth():
 def test_moments_in_chunks_equal_all_orders_at_once(rows):
     # trace_moments evaluates a few orders at a time; each order takes the
     # same powers and the same sum as the whole (depth + 1) x rows array.
-    A = gen_sensing_diagonal(rows, 2 * rows, 10.0).operator()
+    A = gen_sensing_diagonal(rows, 2 * rows, 10.0)
     lam = np.abs(A.weights) ** 2
     lam_dag = 0.5 * (lam.min() + lam.max())
     shifted = (lam_dag - lam) * (1.0 / lam_dag)
@@ -137,7 +136,7 @@ def test_moments_in_chunks_equal_all_orders_at_once(rows):
 
 
 def test_scaled_and_raw_moments_agree_where_raw_is_finite():
-    A = gen_sensing_diagonal(16, 32, 4.0).operator()
+    A = gen_sensing_diagonal(16, 32, 4.0)
     profile = spectral_profile(A, depth=20)
     raw = trace_moments(A, profile.lambda_dagger, depth=20)
     unscale = profile.lambda_dagger ** np.arange(21)
@@ -162,7 +161,7 @@ def test_dense_gram_paths_and_limit(monkeypatch):
     # through its taps; both refuse sizes above the limit.
     w = np.arange(1.0, 9.0) * (1 - 0.5j)
     assert np.allclose(dense_gram(opaque_diagonal(w)), np.diag(np.abs(w) ** 2))
-    A = gen_multipath_channel(16, 3, doppler_preset_4ghz_100kmh_15khz(), seed=2).operator()
+    A = gen_multipath_channel(16, 3, doppler_preset_4ghz_100kmh_15khz(), seed=2)
     dense = materialize_dense(A)
     assert np.array_equal(dense_gram(A), A.dense_gram())
     assert np.allclose(dense_gram(A), dense @ dense.conj().T, rtol=0, atol=1e-14)
@@ -174,8 +173,7 @@ def test_dense_gram_paths_and_limit(monkeypatch):
 
 def doppler_channel(n=32, seed=5):
     """A small time-varying channel: below the cap its spectrum is dense."""
-    return gen_multipath_channel(n, 3, doppler_preset_4ghz_100kmh_15khz(),
-                                 seed=seed).operator()
+    return gen_multipath_channel(n, 3, doppler_preset_4ghz_100kmh_15khz(), seed=seed)
 
 
 def test_profile_is_memoized_per_operator_and_arguments():
@@ -184,7 +182,7 @@ def test_profile_is_memoized_per_operator_and_arguments():
     assert spectral_profile(A, depth=4) is profile
     deeper = spectral_profile(A, depth=7)
     assert deeper is not profile
-    assert deeper.depth == 7
+    assert deeper.w_scaled.size == 8
     assert np.array_equal(deeper.w_scaled[:5], profile.w_scaled)
     assert gram_eigenvalues(A) is gram_eigenvalues(A)
 
@@ -206,6 +204,7 @@ def test_memoized_profile_equals_a_fresh_computation(monkeypatch):
         memoized = spectral_profile(A, depth=6)
         fresh = spectral_profile(doppler_channel(), depth=6)
         assert fresh is not memoized
-        for name in ("lambda_min", "lambda_max", "lambda_dagger", "dim"):
+        assert eigen_bounds(A) == eigen_bounds(doppler_channel())
+        for name in ("lambda_dagger", "dim"):
             assert getattr(memoized, name) == getattr(fresh, name)
         assert np.array_equal(memoized.w_scaled, fresh.w_scaled)
