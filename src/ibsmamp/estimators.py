@@ -18,14 +18,11 @@ gain is exactly one:
 This is Memory AMP's recursion with its residual weight xi_t = 1 at every
 step, as IBS-CD-MAMP runs it; there is no xi_t schedule.
 
-``MampState(A, Xi, y, noise_var, cfg)`` wires this stage up from the
-channel A and the transform Xi.  It owns the metered maps
-forward(s) = A Xi s and back(u) = Xi^H u, and keeps the history in the
-source domain for every shape of the transform: dim = n = Xi.cols, with
-the moments renormalized per source coordinate.  ``mle_step`` applies A^H
-itself, and ``back`` lifts the result to the source domain.  For a wide
-transform (m < n) this is what keeps the unmeasured subspace recoverable
-by the prior.
+The history is kept in the source domain for every shape of the
+transform: dim = n = Xi.cols, with the moments renormalized per source
+coordinate.  ``mle_step`` applies A^H itself, and back(u) = Xi^H u lifts
+the result to the source domain.  For a wide transform (m < n) this is
+what keeps the unmeasured subspace recoverable by the prior.
 
 ``run_cd_mamp`` follows Memory AMP (Liu, Huang & Ping, IEEE TIT 2022) in
 its gain schedule, theta_t = 1 / (lambda_dagger + sigma^2 / v_t), where
@@ -43,128 +40,48 @@ of y and sees only their share of the Gram spectrum, so the error
 variance of r_t differs from block to block; the linear stage then
 estimates one variance per block from that block's residual rows, and the
 denoiser and its orthogonalization both take those L variances as they
-are.  ``MampState`` makes this choice itself: one variance per block
-exactly when A is a ``DiagonalOperator`` and Xi an ``IbsOperator`` with
-more than one block.
-
-A scalar variance is the case L = 1 of that contract, computed on floats
-rather than on one-element arrays: the linear stage's residual variance,
-the denoiser's input check, and the orthogonalization's block mean and
-combine.  Every full transform, every non-diagonal channel and the OAMP
-oracle take this path.  Each float step performs the same IEEE operations
-in the same order as its array form, so the bits are the same.
-
-The memory sum skips the oldest rows that cannot change r_t beyond
-rounding.  With the row norms ||h_i|| stored once per row, step t keeps
-rows k..t-1 for the largest k whose dropped weight
-sum_{i<k} |p_{t,i}| ||h_i|| is below u sum_i |p_{t,i}| ||h_i||, u = 2^-53.
-The dropped part is then smaller than the error bound
-gamma_t sum_i |p_{t,i}| ||h_i|| (gamma_t ~ t u) that the full floating-point
-sum already carries, whatever the decay of p; eps_t and p are unchanged.
-
-A long kept memory is summed in blocks of steps, so that each old row is
-read once per block instead of once per step.  Every step scales all
-existing weights vartheta_i by the same theta_t lambda_dagger, so for a
-row i < t0 the weight at step t0 + j factors as
-
-    p_{t0+j,i} = F_j vartheta_{t0,i} w_{t0+j-1-i},
-    F_j = prod_{s=t0+1}^{t0+j} theta_s lambda_dagger,   F_0 = 1.
-
-A step whose kept memory has more than _BLOCK rows, and that no block
-covers, starts one at t0 = t: a single real matrix product over the float64
-view of rows k0..t0-1 gives the partial sums
-B_j = sum_{k0<=i<t0} vartheta_{t0,i} w_{t0+j-1-i} h_i for the J steps
-j < min(_BLOCK, max_iters - t0 + 1), and step t0 + j then sums
-F_j B_j + sum_{t0<=i<t0+j} p_{t0+j,i} h_i.  The cut k0 is the smallest over
-j of the rounding cut above, applied to the weights of B_j against their
-own total.  That total leaves out the rows i >= t0 and the positive factor
-|F_j| scales both sides, so it is a lower bound on the total at step
-t0 + j, and k0 keeps every row that step's own cut keeps; a step whose own
-cut falls below k0 starts a new block.  A kept memory of at most _BLOCK
-rows is summed per step as above, to the bit.
-
-The history holds only the rows that a step can still read.  The same
-factorization bounds every cut from step t on from below: at t' >= t the
-rows i < t weigh vartheta_{t,i} |w_{t'-1-i}| ||h_i|| times a factor
-common to all of them, and the rows pushed after t only raise the total.
-So the rounding cut of those weights against their own total is at most
-the cut of step t', and at most the k0 of any block that starts at t'.
-Every _BLOCK steps from t = 2 _BLOCK on, before its sum, step t takes the
-minimum of that cut over t <= t' <= max_iters, with the share u / 4 as a
-margin for the rounding of the weights, of their running sums and of the
-scaling steps between t and t'; a non-finite weight makes it zero.  The
-rows below it, below the cut of step t and below the oldest row of the
-next damping window are released once they number at least _COMPACT
-blocks and 1/_COMPACT of the rows kept: the kept rows move to the front
-of the same buffer.  A block serves a step t' from its start t0 on only
-when t' keeps more than _BLOCK rows, so the cut of t', and with it the
-bound, lies below t0.  Only the row storage moves: the norms, the weights
-and every cut keep logical row numbers, so every sum reads the same rows
-with the same weights, and r_t keeps its bits.  The pages of the buffer
-past the highest row written are never touched, so memory grows with the
-rows kept, not with max_iters.  A weight that turns non-finite only after
-rows were released sums from the oldest kept row.
-
-The damping step reads its window in place.  ``MampState`` stages the new
-candidate in the next free history row, so the trailing estimates and the
-candidate are one slice of the history, and ``push`` overwrites that row
-with the damped estimate.  Each residual is written twice, at rows
-i % w and i % w + w of a buffer of 2w rows (w = damping_window), so the
-trailing w - 1 pushed residuals and the candidate's residual are one slice
-of w rows as well.  Both combines are then ``zeta @ view``: the same
-contiguous rows in the same order as ``np.tensordot(zeta, np.vstack(...))``,
-hence the same zgemv call and the same bits.  The raw Gram Re<r_i, r_j> of
-the pushed residuals is carried across steps: ``push`` adds the products of
-the new residual with the pushed ones the next window keeps, and the step
-adds those of the candidate's residual.  Every entry is still one
-``np.vdot`` of the same two rows with the older one first, computed once
-instead of once per window it appears in, so the covariance is unchanged
-to the bit.
+are.  ``MampState`` keeps one variance per block exactly when A is a
+``DiagonalOperator`` and Xi an ``IbsOperator`` with more than one block.
+Every other run, the OAMP oracle's included, keeps the case L = 1 as a
+float: the linear stage's residual variance, the denoiser's input check and
+the orthogonalization's block mean and combine take the same IEEE
+operations in the same order as their array form, so the bits are the same.
 
 Both estimators hand one iteration at a time to a shared driver, which
-records the trajectory and applies three stops, all read from the
-estimator's own variances or the step count: ``tolerance`` once every v_phi
-is below _TOLERANCE, ``converged`` once v_gamma and v_phi both
-change by less than _CONVERGED of their value from one step to the next
-(in every block), and ``max-iters``.  A stop only ends the loop: every
-iterate computed keeps its bits, so a run is an exact prefix of the same
-run with a later stop.
+records the trajectory and stops the run on the first of three rules, all
+read from the estimator's own variances or the step count:
+
+- ``tolerance``: every v_phi is below _TOLERANCE;
+- ``converged``: from t = 2 on, v_gamma and v_phi both moved by less than
+  _CONVERGED of their value since step t - 1, in every block;
+- ``max-iters``: max_iters iterations have run.
+
+``tolerance`` wins when it holds on the same step as ``converged``.  A stop
+only ends the loop: every iterate computed keeps its bits, so a run is an
+exact prefix of the same run with a later stop.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .denoisers import DenoiserResult
 from .errors import NormalizationError
 from .ibs import IbsOperator
+from .memory import History, norm
 from .operators import DiagonalOperator, LinearOperator
 from .scenarios import CirculantOperator, SystemInstance, mse, mse_db
 from .spectral import dense_gram, gram_eigenvalues, spectral_profile
 
 _EPS_MIN = 1e-12
-# Unit roundoff of float64: memory rows whose combined weight is below this
-# share of the total cannot change r_t beyond rounding.
-_ROUNDING = 2.0 ** -53
-# A kept memory longer than this many rows is summed in blocks of this
-# many steps (see the module docstring).
-_BLOCK = 16
-# History rows that no step reads any more are released once they number
-# at least _COMPACT blocks and 1/_COMPACT of the rows kept (see the module
-# docstring).
-_COMPACT = 4
 # Every error variance the estimators report or divide by is at least this.
 _VARIANCE_FLOOR = 1e-13
-# A run stops on ``tolerance`` once every v_phi is below this; 0 switches
-# that stop off.
+# The thresholds of the ``tolerance`` and ``converged`` stops (see the
+# module docstring); 0 switches a stop off.
 _TOLERANCE = 1e-12
-# A run has converged once both of its variances change by less than this
-# share of their value from one step to the next; 0 switches that stop off.
 _CONVERGED = 1e-6
 # Why a run stopped: EstimatorRun.stop_reason is one of these.
 STOP_REASONS = ("tolerance", "converged", "max-iters")
@@ -196,22 +113,14 @@ class CostMeter:
 
 class MampState:
     """Mutable state of the memory linear estimator of channel A behind
-    transform Xi (see the module docstring).
-
-    The state keeps the per-iteration estimates h_1, h_2, ... that a later
-    step can still read, in the source domain of size ``dim = Xi.cols``,
-    starting from the all-zero h_1, each with its norm and its cached
-    residual y - forward(h_i).
-    Only the residuals of the trailing ``cfg.damping_window`` rows are
-    kept, with the raw Gram Re<r_i, r_j> of those the next damping window
-    reads; ``window`` returns that window.  The state also holds the
-    current block of the memory sum, and ``meter`` counts every apply of
-    A and Xi and the history rows read by ``mle_step``.
+    transform Xi (see the module docstring): the metered maps
+    forward(s) = A Xi s and back(u) = Xi^H u, whose applies ``meter``
+    counts with the history rows read, and the run's ``history``, a
+    ``memory.History`` in the source domain of size ``dim = Xi.cols``.
 
     ``theta`` (1 / lambda_dagger) is the gain schedule, one entry per
     iteration.  Callers write it in place, as ``run_cd_mamp`` does with
-    ``theta[t - 1]`` before step t.  The residual weight xi_t is one at
-    every step (see the module docstring).
+    ``theta[t - 1]`` before step t.
     """
 
     def __init__(self, A: LinearOperator, Xi: LinearOperator, y: np.ndarray,
@@ -219,7 +128,6 @@ class MampState:
         profile = spectral_profile(A, depth=cfg.max_iters)
         if profile.lambda_dagger <= 0:
             raise ValueError("lambda_dagger must be positive")
-        max_iters, w = cfg.max_iters, cfg.damping_window
         self.A = A
         self.Xi = Xi
         self.y = y
@@ -229,41 +137,21 @@ class MampState:
         # Moments are renormalized to the source dimension so the mean
         # signal gain of r_t is exactly one in that domain.  The scaled
         # form (moments of B / lambda_dagger) keeps every entry bounded;
-        # the matching lambda_dagger factor is restored in the vartheta
-        # update of mle_step, leaving the products p unchanged.
+        # the matching lambda_dagger factor is restored in the scale that
+        # mle_step hands to the history's weights, leaving the products p
+        # unchanged.
         self.w = profile.w_scaled * (profile.dim / dim)
         self.trace_gram = profile.trace_gram
         self.lambda_dagger = profile.lambda_dagger
-        self.theta = np.full(max_iters, 1.0 / profile.lambda_dagger)
-        self.damping_window = w
+        self.theta = np.full(cfg.max_iters, 1.0 / profile.lambda_dagger)
         self.iteration = 0
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
         self.adj_gamma = None       # A^H gamma, reused by the next step
-        # Row i of the history holds h_{i+1}, and _hist_norm[i] its norm.
-        # Rows below _first are released, and row i >= _first sits at row
-        # i - _first of _hist; np.zeros leaves the pages past the highest
-        # row written untouched.  The residual of row i sits at rows i % w
-        # and i % w + w of _resid.  _gram[:q, :q] holds Re<r_i, r_j> of the
-        # q pushed residuals the next window reads, oldest first.
-        self._hist = np.zeros((max_iters + 1, dim), dtype=np.complex128)
-        self._hist_norm = np.zeros(max_iters + 1)
-        self._first = 0
-        self._resid = np.zeros((2 * w, self.measure_dim), dtype=np.complex128)
-        self._gram = np.zeros((w, w))
-        self._count = 0
-        self.push(self._hist[0], y)
-        self.vartheta = np.zeros(max_iters)
-        # The block of the memory sum: (t0, k0, J), F_j of the current step,
-        # and B_j in row j of _block_sums, allocated at the first block.
-        self._block = (0, 0, 0)
-        self._block_gain = 1.0
-        self._block_sums = None
+        self.history = History(self.w, y, dim, cfg.max_iters, cfg.damping_window)
         self.meter = CostMeter()
         self.row_blocks = None
         if (isinstance(A, DiagonalOperator) and isinstance(Xi, IbsOperator)
                 and Xi.spec.blocks > 1):
-            # Each source block reaches only its own rows of y and their share
-            # of the Gram spectrum: one error variance per block.
             self.row_blocks = Xi.row_blocks
             self.block_rows = np.bincount(self.row_blocks)
             self.block_trace = np.bincount(self.row_blocks, weights=np.abs(A.weights) ** 2)
@@ -280,112 +168,6 @@ class MampState:
         self.meter.transform_applies += 1
         return self.Xi.apply_adjoint(u)
 
-    def window(self) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the damping window: the trailing min(w - 1, pushed)
-        estimates and their residuals, oldest first, then the next free row
-        of each, where the caller stages a new candidate and its residual."""
-        count, w = self._count, self.damping_window
-        k = min(w, count + 1)
-        end = (count + 1) % w + w       # one past the slot of row `count`
-        row = count + 1 - self._first   # one past its buffer row
-        return self._hist[row - k:row], self._resid[end - k:end]
-
-    def push(self, estimate: np.ndarray, residual: np.ndarray) -> None:
-        """Record the post-damping estimate and its cached residual, and the
-        residual's inner products with the pushed residuals the next window
-        reads."""
-        count, w = self._count, self.damping_window
-        slot = count % w
-        row = self._hist[count - self._first]
-        row[:] = estimate
-        # np.linalg.norm's own sum for a complex vector, without its dispatch.
-        self._hist_norm[count] = math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))
-        self._resid[slot] = self._resid[slot + w] = residual
-        kept = min(w - 1, count + 1)    # pushed rows of the next window
-        if kept:
-            if count >= w - 1:          # the window is full: drop its oldest row
-                self._gram[:kept - 1, :kept - 1] = self._gram[1:kept, 1:kept]
-            rows = self._resid[slot + w - kept + 1:slot + w + 1]
-            self._gram[kept - 1, :kept] = self._gram[:kept, kept - 1] = \
-                [np.vdot(r, rows[-1]).real for r in rows]
-        self._count = count + 1
-
-
-def _live_bound(state: MampState, t: int) -> int:
-    """A row below which no memory sum from step t on reads (see the module
-    docstring)."""
-    lags = sliding_window_view(np.abs(state.w), t)[:len(state.vartheta) - t + 1, ::-1]
-    # weight[j, i] sums |vartheta_{t,l} w_{t+j-1-l}| ||h_l|| over l <= i.
-    weight = lags * np.abs(state.vartheta[:t] * state._hist_norm[:t])
-    np.cumsum(weight, axis=1, out=weight)
-    if not np.isfinite(weight[:, -1]).all():
-        return 0
-    return int(np.count_nonzero(weight < _ROUNDING / 4 * weight[:, -1:], axis=1).min())
-
-
-def _release(state: MampState, t: int, k: int) -> None:
-    """Before the memory sum of step t, whose own cut is k, release the rows
-    that no later read needs once they number at least _COMPACT blocks and
-    1/_COMPACT of the rows kept: the kept rows move to the front of the
-    buffer, in copies no longer than the gap so that none overlaps itself.
-    The release stops at k and at the oldest row of the next damping
-    window, so the bound is computed only when those leave enough rows."""
-    def enough(live):
-        gap = live - state._first
-        return gap >= _COMPACT * _BLOCK and gap * _COMPACT >= t - live
-
-    live = min(k, t - state.damping_window + 1)
-    if not enough(live):
-        return
-    live = min(live, _live_bound(state, t))
-    if not enough(live):
-        return
-    hist, gap, kept = state._hist, live - state._first, t - live
-    for start in range(0, kept, gap):
-        stop = min(start + gap, kept)
-        hist[start:stop] = hist[start + gap:stop + gap]
-    state._first = live
-
-
-def _memory_term(state: MampState, p: np.ndarray,
-                 scale: float) -> tuple[np.ndarray, int]:
-    """Return (sum_i p_i h_i over the kept rows, history rows read) for step
-    t = len(p), whose update scaled every older weight by ``scale``.
-
-    The rounding cut k drops the longest prefix of rows whose weight sum
-    |p_i| ||h_i|| is below _ROUNDING of the total; the comparison is strict
-    so that an infinite or NaN total keeps every row from its first
-    non-finite weight on.  A kept memory longer than _BLOCK rows is summed
-    through the current block, or a new one (see the module docstring).
-    """
-    t = len(p)
-    weight = np.cumsum(np.abs(p) * state._hist_norm[:t])
-    k = int(np.count_nonzero(weight < _ROUNDING * weight[-1]))
-    if t % _BLOCK == 0 and t > _BLOCK:
-        _release(state, t, k)
-    hist, first = state._hist, state._first
-    state._block_gain *= scale
-    if t - k <= _BLOCK:
-        return p[k:] @ hist[k - first:t - first], t - k
-    t0, k0, rows = state._block
-    if t < t0 + rows and k >= k0:
-        j = t - t0
-        return state._block_gain * state._block_sums[j] + p[t0:] @ hist[t0 - first:t - first], j
-    rows = min(_BLOCK, len(state.vartheta) - t + 1)
-    # coef[j, i] = vartheta_{t,i} w_{t+j-1-i}: the weights of B_j.
-    coef = state.vartheta[:t] * state.w[np.add.outer(np.arange(rows),
-                                                     np.arange(t - 1, -1, -1))]
-    weight = np.cumsum(np.abs(coef) * state._hist_norm[:t], axis=1)
-    k0 = max(int(np.count_nonzero(weight < _ROUNDING * weight[:, -1:], axis=1).min()), first)
-    if state._block_sums is None:
-        state._block_sums = np.empty((_BLOCK, state.dim), dtype=np.complex128)
-    sums = state._block_sums[:rows]
-    np.matmul(coef[:, k0:], hist[k0 - first:t - first].view(np.float64),
-              out=sums.view(np.float64))
-    state._block = (t, k0, rows)
-    state._block_gain = 1.0
-    return sums[0].copy(), t - k0
-
 
 def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
     """Advance the memory recursion one step and return (r_t, v_gamma).
@@ -397,9 +179,9 @@ def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
     NormalizationError if the gain normalizer degenerates.
     """
     t = state.iteration + 1
-    A, meter = state.A, state.meter
+    A, meter, history = state.A, state.meter, state.history
     theta_t = float(state.theta[t - 1])
-    resid = state._resid[(state._count - 1) % state.damping_window]
+    resid = history.residual
     if t == 1:
         gamma = resid.copy()        # a row of the residual buffer, which push overwrites
     else:
@@ -408,12 +190,9 @@ def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
         gamma = theta_t * (state.lambda_dagger * state.gamma - gram) + resid
     state.gamma = gamma
 
-    vartheta = state.vartheta[:t]
     scale = theta_t * state.lambda_dagger
-    vartheta[:-1] *= scale
-    vartheta[-1] = 1.0
-    p = vartheta * state.w[t - 1::-1]
-    eps = float(p.sum())
+    p = history.weights(t, scale)
+    eps = float(np.add.reduce(p, axis=None))      # p.sum() without its dispatch
     if abs(eps) < _EPS_MIN:
         raise NormalizationError(
             f"gain normalizer eps_gamma = {eps:.3e} degenerated at iteration {t}")
@@ -421,16 +200,15 @@ def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
     state.adj_gamma = A.apply_adjoint(gamma)
     meter.channel_applies += 1
     lifted = state.back(state.adj_gamma)
-    memory, read = _memory_term(state, p, scale)
+    memory, read = history.memory_sum(p, scale)
     meter.vector_points += read * state.dim
     r = (lifted + memory) / eps
 
     fit = state.y - state.forward(r)
     if state.row_blocks is None:
-        # np.linalg.norm(fit) ** 2 without its dispatch.  The rounded root is
-        # squared, not skipped, so the bits stay those of the norm.
-        norm = math.sqrt(fit.real.dot(fit.real) + fit.imag.dot(fit.imag))
-        v_gamma = (norm ** 2 - state.measure_dim * state.noise_var) / state.trace_gram
+        # The rounded root is squared, not skipped, so the bits stay those of
+        # np.linalg.norm(fit) ** 2.
+        v_gamma = (norm(fit) ** 2 - state.measure_dim * state.noise_var) / state.trace_gram
         v_gamma = max(float(v_gamma), _VARIANCE_FLOOR)
     else:
         energy = np.bincount(state.row_blocks, weights=np.abs(fit) ** 2)
@@ -529,16 +307,15 @@ def _damping_step(state: MampState, s_ext: np.ndarray) -> float:
     """Damp the extrinsic estimate s_ext over the trailing window of the
     state, push the damped estimate and its residual, and return the
     variance zeta^T V zeta of the damped estimate, floored."""
-    cands, resids = state.window()
+    history = state.history
+    cands, resids = history.window()
     cands[-1] = s_ext
     resids[-1] = state.y - state.forward(s_ext)
-    k = len(cands)
-    gram = state._gram[:k, :k]
-    gram[-1] = gram[:, -1] = [np.vdot(r, resids[-1]).real for r in resids]
-    V = _cross_cov_from_residuals(gram, state.measure_dim, state.noise_var, state.trace_gram)
+    V = _cross_cov_from_residuals(history.gram(resids), state.measure_dim, state.noise_var,
+                                  state.trace_gram)
     zeta, s_next, var = damping_update(cands, V)
-    state.push(s_next, zeta @ resids)
-    state.meter.vector_points += k * state.dim
+    history.push(s_next, zeta @ resids)
+    state.meter.vector_points += len(cands) * state.dim
     return max(var, _VARIANCE_FLOOR)
 
 
@@ -575,18 +352,11 @@ def _settled(v, prev) -> bool:
 
 def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
              meter: CostMeter) -> EstimatorRun:
-    """Call step() once per iteration and record the trajectory.
+    """Call step() once per iteration and record the trajectory until one of
+    the stops of the module docstring ends it.
 
     step() returns (s_hat, v_gamma, v_phi, flags) for its iteration.  The
-    run stops on the first of three rules:
-
-    - ``tolerance``: every v_phi is below _TOLERANCE;
-    - ``converged``: from t = 2 on, v_gamma and v_phi both moved by less
-      than _CONVERGED of their value since step t - 1, in every block;
-    - ``max-iters``: max_iters iterations have run.
-
-    ``tolerance`` wins when it holds on the same step as ``converged``.  The
-    rules read only what step() returns, and never change it, so a run is
+    stops read only what step() returns, and never change it, so a run is
     the prefix of the run that has one of them switched off.  s_true feeds
     only the reported mse.
     """

@@ -11,6 +11,7 @@ byte-identical for a fixed config.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -406,10 +407,36 @@ def run_complexity_table(cfg: ComplexityConfig) -> list[tuple]:
     return rows
 
 
+def _one_blas_thread() -> None:
+    """Set the loaded OpenBLAS, if one is found, to one thread.
+
+    Each trial worker runs this first: ``threads`` workers that each keep
+    OpenBLAS's default thread count oversubscribe the cores, and at these
+    sizes a second BLAS thread does not help even in one process.  The
+    library is found among the mapped files of the process, as built by
+    numpy's wheels or by a distribution; without one this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            if hasattr(handle, symbol):
+                setter = getattr(handle, symbol)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
 def _map_trials(fn, cfg, seeds: list[int]) -> list[list[tuple]]:
     if cfg.threads <= 1 or len(seeds) <= 1:
         return [fn(cfg, seed) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    with ProcessPoolExecutor(max_workers=cfg.threads, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(fn, cfg, seed) for seed in seeds]
         return [f.result() for f in futures]
 
@@ -442,7 +469,10 @@ def write_sidecar(path: Path, experiment: str, cfg) -> None:
 def run_experiment(experiment: str, cfg, out_dir: str | Path) -> list[Path]:
     """Run one experiment and write its CSV outputs plus a JSON sidecar."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # a file at that path, or on the way to it
+        raise ConfigurationError(f"cannot make output directory {out}: {exc.strerror}") from exc
     written = []
     if experiment == "cs-mse":
         rows, summary = run_cs_mse(cfg)

@@ -119,12 +119,12 @@ def test_criterion_7_error_orthogonality_monte_carlo():
         state = MampState(A, Xi, instance.y, instance.noise_var, MampConfig(max_iters=iters))
         for _ in range(iters):
             # The window ends in the free row; the row before it is h_prev.
-            h_prev = state.window()[0][-2].copy()
+            h_prev = state.history.window()[0][-2].copy()
             r, v_gamma = mle_step(state)
             mle_worst = max(mle_worst, abs_corr(r - s, h_prev - s))
             den = prior.denoise(r, v_gamma)
             s_ext, _, _ = nle_orthogonalize(den, r, v_gamma)
-            state.push(s_ext, instance.y - state.forward(s_ext))
+            state.history.push(s_ext, instance.y - state.forward(s_ext))
     elapsed = time.perf_counter() - t0
     ok = mle_worst < 0.05 and nle_ok and elapsed < 300.0
     line = report(7, ok, f"max |corr|: linear stage {mle_worst:.4f} (bound 0.05), "

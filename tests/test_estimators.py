@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ibsmamp import estimators, spectral
+from ibsmamp import estimators, memory, spectral
 from ibsmamp.denoisers import DenoiserResult
 from ibsmamp.errors import NormalizationError
 from ibsmamp.estimators import (EstimatorRun, MampConfig, MampState,
@@ -15,6 +15,7 @@ from ibsmamp.estimators import (EstimatorRun, MampConfig, MampState,
                                 run_cd_oamp)
 from ibsmamp.harness import IfdmBerConfig
 from ibsmamp.ibs import IbsSpec, build_ibs_transform
+from ibsmamp.memory import History
 from ibsmamp.operators import DiagonalOperator, LinearOperator, materialize_dense
 from ibsmamp.rng import generator
 from ibsmamp.scenarios import (BernoulliGaussianPrior, CirculantOperator, QpskPrior,
@@ -61,71 +62,99 @@ def make_square_state(alpha, y, max_iters, theta=None, damping_window=3):
 
 
 def record_pushes(patch):
-    """Let every MampState built under ``patch`` keep in ``state.pushed`` a
-    copy of each pushed row at its own index: the whole history, whose rows
-    the state itself releases once no later step can read them."""
-    push = MampState.push
+    """Let every History built under ``patch`` keep in ``history.pushed`` a
+    copy of each pushed row at its own index, and in ``history.norms`` its
+    np.linalg.norm: the whole history, whose rows the History itself
+    releases once no later step can read them."""
+    push = History.push
 
     def recording_push(self, estimate, residual):
-        if self._count == 0:
-            self.pushed = np.zeros_like(self._hist)
-        self.pushed[self._count] = estimate
+        if not hasattr(self, "pushed"):
+            self.pushed = np.zeros((len(self.vartheta) + 1, estimate.size), dtype=complex)
+            self.norms = []
+        self.pushed[len(self.norms)] = estimate
+        self.norms.append(np.linalg.norm(estimate))
         push(self, estimate, residual)
 
-    patch.setattr(MampState, "push", recording_push)
+    patch.setattr(History, "push", recording_push)
+
+
+def buffer_row(view):
+    """The row of its buffer at which ``view``, a window view of a history,
+    starts."""
+    return (view.ctypes.data - view.base.ctypes.data) // view.strides[0]
+
+
+def released_rows(history, pushes):
+    """How many of the oldest of ``pushes`` pushed rows the history has
+    released: its window starts that many rows lower in the buffer than the
+    window's own row numbers."""
+    cands, _ = history.window()
+    return pushes + 1 - len(cands) - buffer_row(cands)
 
 
 def test_state_buffers_and_views():
     y = np.array([1.0 + 0j, 2.0])
     _, state = make_square_state([2.0, 1.0], y, max_iters=40, damping_window=2)
+    history = state.history
+    cands, resids = history.window()
+    gram = history.gram(resids)
     # The residual buffer and the Gram scale with the window, not with
     # max_iters: 2 * damping_window rows of the measurement length.
-    assert state._resid.shape == (4, 2) and state._gram.shape == (2, 2)
-    cands, resids = state.window()
+    assert resids.base.shape == (4, 2) and gram.base.shape == (2, 2)
     # h_1 = 0 with residual y, then the free row for the next candidate.
     assert cands.shape == resids.shape == (2, 2)
     assert np.array_equal(cands[0], np.zeros(2)) and np.array_equal(resids[0], y)
-    assert np.shares_memory(cands, state._hist) and np.shares_memory(resids, state._resid)
-    assert state._gram[0, 0] == np.vdot(y, y).real
+    assert np.array_equal(history.residual, y)
+    assert gram[0, 0] == np.vdot(y, y).real
     # A candidate staged in the free rows is what push overwrites.
+    rows = cands.base
     cands[1] = 9.0
     resids[1] = -9.0
     h2 = np.array([0.5 + 0j, -0.5])
-    state.push(h2, y - h2)
-    assert np.array_equal(state._hist[1], h2)
-    cands, resids = state.window()
+    history.push(h2, y - h2)
+    assert np.array_equal(rows[1], h2)
+    cands, resids = history.window()
+    assert cands.base is rows and buffer_row(cands) == 1
     assert np.array_equal(cands[0], h2) and np.array_equal(resids[0], y - h2)
-    assert state._gram[0, 0] == np.vdot(y - h2, y - h2).real
+    assert history.gram(resids)[0, 0] == np.vdot(y - h2, y - h2).real
     # Only the trailing damping_window - 1 pushed rows enter a window; each
     # residual is written at i % w and i % w + w, so the window is one slice
     # whichever slot the next row takes.
     h3 = np.array([1.0 + 0j, 1.0])
-    state.push(h3, y - h3)
-    assert np.array_equal(state._resid[0], y - h3) and np.array_equal(state._resid[2], y - h3)
-    cands, resids = state.window()
+    history.push(h3, y - h3)
+    assert np.array_equal(resids.base[0], y - h3) and np.array_equal(resids.base[2], y - h3)
+    cands, resids = history.window()
     assert cands.shape == (2, 2)
     assert np.array_equal(cands[0], h3) and np.array_equal(resids[0], y - h3)
+    assert np.array_equal(history.residual, y - h3)
 
 
 def test_state_carries_the_residual_gram_of_each_window():
-    # After every push the carried Gram equals the direct inner products
-    # of the pushed residuals the next window reads, oldest first.
+    # Before every push the Gram of the window, with a candidate's residual
+    # staged in its free row, equals the direct inner products of the
+    # pushed residuals the window reads and of the candidate's, oldest
+    # first: all but the candidate's were carried from earlier pushes.
     rng = generator(5)
     y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     for window in (1, 2, 3, 5):
         _, state = make_square_state([2.0, 1.0, 0.5], y, max_iters=12,
                                      damping_window=window)
+        history = state.history
         pushed = [y]
         for _ in range(12):
-            cands, resids = state.window()
+            cands, resids = history.window()
             held = len(resids) - 1
             kept = pushed[len(pushed) - held:]
-            want = [[np.vdot(a, b).real for b in kept] for a in kept]
-            assert np.array_equal(state._gram[:held, :held], np.reshape(want, (held, held)))
+            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            resids[-1] = y - c
+            rows = kept + [y - c]
+            want = [[np.vdot(a, b).real for b in rows] for a in rows]
+            assert np.array_equal(history.gram(resids), np.reshape(want, (held + 1, held + 1)))
             assert np.array_equal(resids[:held], np.reshape(kept, (held, 3)))
             h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             pushed.append(y - h)
-            state.push(h, y - h)
+            history.push(h, y - h)
 
 
 def test_state_renormalizes_moments_to_its_dim():
@@ -228,7 +257,7 @@ def test_linear_stage_matches_dense_reference_recursion():
         assert np.max(np.abs(r - r_want)) < 1e-10
         assert abs(v - max(v_want, estimators._VARIANCE_FLOOR)) < 1e-10
         h_next = r / 2.0
-        state.push(h_next, y - state.forward(h_next))
+        state.history.push(h_next, y - state.forward(h_next))
 
 
 def test_memory_sum_weighs_rows_by_coefficient_and_norm(monkeypatch):
@@ -246,26 +275,26 @@ def test_memory_sum_weighs_rows_by_coefficient_and_norm(monkeypatch):
         for t in range(1, steps):
             h = np.array([1.0 + 1j, -1.0]) / np.sqrt(3.0) * (norm if t == 1 else 1.0)
             mle_step(state)
-            state.push(h, y - A.apply(h))
+            state.history.push(h, y - A.apply(h))
         before = state.meter.vector_points
         r, _ = mle_step(state)
         summed[norm] = (state.meter.vector_points - before) // state.dim
-        p = state.vartheta * state.w[steps - 1::-1]
+        p = state.history.vartheta * state.w[steps - 1::-1]
         assert abs(p[1] / p[-1]) < 1e-18
-        full = (state.back(state.adj_gamma) + p @ state.pushed[:steps]) / p.sum()
+        full = (state.back(state.adj_gamma) + p @ state.history.pushed[:steps]) / p.sum()
         assert np.allclose(r, full, rtol=1e-14, atol=0.0)
     assert summed[1.0] < steps - 1
     assert summed[1e30] == steps - 1      # only the zero row h_1 is skipped
 
 
-def per_step_memory(state, p, scale):
+def per_step_memory(history, p, scale):
     """The memory sum as it was before blocking: every step sums its kept
     rows k..t-1 with one product, k the rounding cut of its own weights.
-    It reads the rows recorded by ``record_pushes``."""
+    It reads the rows and norms recorded by ``record_pushes``."""
     t = len(p)
-    weight = np.cumsum(np.abs(p) * state._hist_norm[:t])
+    weight = np.cumsum(np.abs(p) * np.array(history.norms[:t]))
     k = int(np.count_nonzero(weight < 2.0 ** -53 * weight[-1]))
-    return p[k:] @ state.pushed[k:t], t - k
+    return p[k:] @ history.pushed[k:t], t - k
 
 
 def wide_instance(variant):
@@ -286,20 +315,20 @@ def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch, fixed
     # p @ hist[:t] within the error bound of a floating-point sum.  On most
     # steps a block serves it and fewer rows are read than the step keeps.
     instance, Xi, prior = wide_instance(variant)
-    memory_term = estimators._memory_term
+    memory_sum = History.memory_sum
     errors, steps = [], []
     record_pushes(monkeypatch)
 
-    def checked_term(state, p, scale):
+    def checked_sum(history, p, scale):
         t = len(p)
-        memory, read = memory_term(state, p, scale)
-        norms = state._hist_norm[:t]
+        total, read = memory_sum(history, p, scale)
+        norms = np.array(history.norms[:t])
         bound = 4 * t * 2.0 ** -53 * np.sum(np.abs(p) * norms)
-        errors.append(np.linalg.norm(memory - p @ state.pushed[:t]) <= bound)
-        steps.append((t, read, per_step_memory(state, p, scale)[1]))
-        return memory, read
+        errors.append(np.linalg.norm(total - p @ history.pushed[:t]) <= bound)
+        steps.append((t, read, per_step_memory(history, p, scale)[1]))
+        return total, read
 
-    monkeypatch.setattr(estimators, "_memory_term", checked_term)
+    monkeypatch.setattr(History, "memory_sum", checked_sum)
     run = run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=160, damping_window=window))
     assert len(run.points) == 160 and len(errors) == 160 and all(errors)
     assert all(read <= t for t, read, _ in steps)
@@ -313,9 +342,9 @@ def test_truncated_memory_sum_stays_within_the_rounding_bound(monkeypatch, fixed
         assert run.points[-1].mse_db > -15.0
 
 
-def recorded_run(monkeypatch, instance, Xi, prior, cfg, memory_term=None):
+def recorded_run(monkeypatch, instance, Xi, prior, cfg, memory_sum=None):
     """run_cd_mamp with the bytes of r_t of every step, optionally with
-    another memory term, recording every pushed row."""
+    another memory sum, recording every pushed row."""
     step, outputs = estimators.mle_step, []
 
     def recording_step(state):
@@ -326,8 +355,8 @@ def recorded_run(monkeypatch, instance, Xi, prior, cfg, memory_term=None):
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "mle_step", recording_step)
         record_pushes(patch)
-        if memory_term is not None:
-            patch.setattr(estimators, "_memory_term", memory_term)
+        if memory_sum is not None:
+            patch.setattr(History, "memory_sum", memory_sum)
         return run_cd_mamp(instance, Xi, prior, cfg), outputs
 
 
@@ -349,46 +378,53 @@ def test_blocked_run_matches_per_step_bits_until_the_first_long_memory(monkeypat
     instance, Xi, prior = wide_instance("BW_IBS")
     kept = []
 
-    def reference(state, p, scale):
-        memory, rows = per_step_memory(state, p, scale)
+    def reference(history, p, scale):
+        total, rows = per_step_memory(history, p, scale)
         kept.append(rows)
-        return memory, rows
+        return total, rows
 
     cfg = MampConfig(max_iters=48)
     _, got = recorded_run(monkeypatch, instance, Xi, prior, cfg)
     _, want = recorded_run(monkeypatch, instance, Xi, prior, cfg, reference)
-    first = next(i for i, rows in enumerate(kept) if rows > estimators._BLOCK)
+    first = next(i for i, rows in enumerate(kept) if rows > memory._BLOCK)
     assert first >= 10
     assert got[:first] == want[:first]
 
 
-def full_history_memory(state, p, scale):
+def full_history_memory():
     """The blocked memory sum over a history that keeps every row, as it was
-    before rows were released, reading the rows recorded by
-    ``record_pushes``."""
-    t, block = len(p), estimators._BLOCK
-    hist = state.pushed
-    weight = np.cumsum(np.abs(p) * state._hist_norm[:t])
-    k = int(np.count_nonzero(weight < 2.0 ** -53 * weight[-1]))
-    state._block_gain *= scale
-    if t - k <= block:
-        return p[k:] @ hist[k:t], t - k
-    t0, k0, rows = state._block
-    if t < t0 + rows and k >= k0:
-        j = t - t0
-        return state._block_gain * state._block_sums[j] + p[t0:] @ hist[t0:t], j
-    rows = min(block, len(state.vartheta) - t + 1)
-    coef = state.vartheta[:t] * state.w[np.add.outer(np.arange(rows),
-                                                     np.arange(t - 1, -1, -1))]
-    weight = np.cumsum(np.abs(coef) * state._hist_norm[:t], axis=1)
-    k0 = int(np.count_nonzero(weight < 2.0 ** -53 * weight[:, -1:], axis=1).min())
-    if state._block_sums is None:
-        state._block_sums = np.empty((block, state.dim), dtype=np.complex128)
-    sums = state._block_sums[:rows]
-    np.matmul(coef[:, k0:], hist[k0:t].view(np.float64), out=sums.view(np.float64))
-    state._block = (t, k0, rows)
-    state._block_gain = 1.0
-    return sums[0].copy(), t - k0
+    before rows were released: it keeps its own block per history, and
+    reads the rows and norms recorded by ``record_pushes``."""
+    blocks = {}
+
+    def memory_sum(history, p, scale):
+        t, block = len(p), memory._BLOCK
+        hist, norms = history.pushed, np.array(history.norms[:t])
+        # (t0, k0, J), F_j of the current step and the B_j, as in History.
+        own = blocks.setdefault(history, {"block": (0, 0, 0), "gain": 1.0, "sums": None})
+        weight = np.cumsum(np.abs(p) * norms)
+        k = int(np.count_nonzero(weight < 2.0 ** -53 * weight[-1]))
+        own["gain"] *= scale
+        if t - k <= block:
+            return p[k:] @ hist[k:t], t - k
+        t0, k0, rows = own["block"]
+        if t < t0 + rows and k >= k0:
+            j = t - t0
+            return own["gain"] * own["sums"][j] + p[t0:] @ hist[t0:t], j
+        rows = min(block, len(history.vartheta) - t + 1)
+        coef = history.vartheta[:t] * history.w[np.add.outer(np.arange(rows),
+                                                             np.arange(t - 1, -1, -1))]
+        weight = np.cumsum(np.abs(coef) * norms, axis=1)
+        k0 = int(np.count_nonzero(weight < 2.0 ** -53 * weight[:, -1:], axis=1).min())
+        if own["sums"] is None:
+            own["sums"] = np.empty((block, hist.shape[1]), dtype=np.complex128)
+        sums = own["sums"][:rows]
+        np.matmul(coef[:, k0:], hist[k0:t].view(np.float64), out=sums.view(np.float64))
+        own["block"] = (t, k0, rows)
+        own["gain"] = 1.0
+        return sums[0].copy(), t - k0
+
+    return memory_sum
 
 
 @pytest.mark.parametrize("variant", ("BW_IBS", "BS"))
@@ -399,7 +435,7 @@ def test_released_rows_leave_every_step_bit_identical(monkeypatch, fixed_length,
     instance, Xi, prior = wide_instance(variant)
     cfg = MampConfig(max_iters=200, damping_window=5)
     got, got_r = recorded_run(monkeypatch, instance, Xi, prior, cfg)
-    want, want_r = recorded_run(monkeypatch, instance, Xi, prior, cfg, full_history_memory)
+    want, want_r = recorded_run(monkeypatch, instance, Xi, prior, cfg, full_history_memory())
     assert len(got_r) == 200 and got_r == want_r
     assert got.s_hat.tobytes() == want.s_hat.tobytes()
     assert got.points == want.points
@@ -411,13 +447,15 @@ def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_lengt
     # included, stays well below the max_iters + 1 rows of the buffer: it
     # is 111 here, where the run releases rows from t = 112 on.
     instance, Xi, prior = wide_instance("BW_IBS")
-    written, push = [], MampState.push
+    written, push = [], History.push
 
     def tracking(self, estimate, residual):
-        written.append(self._count - self._first)
+        # The window ends in the buffer row that this push writes.
+        cands, _ = self.window()
+        written.append(buffer_row(cands) + len(cands) - 1)
         push(self, estimate, residual)
 
-    monkeypatch.setattr(MampState, "push", tracking)
+    monkeypatch.setattr(History, "push", tracking)
     run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=200, damping_window=5))
     assert len(written) == 201
     assert max(written) < 201 * 2 // 3, max(written)
@@ -438,8 +476,8 @@ def test_a_non_finite_weight_releases_no_row():
             for t in range(1, steps):
                 h = np.array([1.0 + 1j, -1.0]) * (np.inf if bad and t == 20 else 1.0)
                 mle_step(state)
-                state.push(h, y - A.apply(h))
-        kept[bad] = state._first
+                state.history.push(h, y - A.apply(h))
+        kept[bad] = released_rows(state.history, steps)
     assert kept[False] > 64 and kept[True] == 0
     # A weight that turns NaN after rows were released sums from the oldest
     # kept row, to a NaN r_t.
@@ -447,11 +485,11 @@ def test_a_non_finite_weight_releases_no_row():
                                  theta=np.full(steps, 1e-3 / 4.0))
     for t in range(1, steps):
         mle_step(state)
-        state.push(np.array([1.0 + 1j, -1.0]), y - A.apply(np.array([1.0 + 1j, -1.0])))
+        state.history.push(np.array([1.0 + 1j, -1.0]), y - A.apply(np.array([1.0 + 1j, -1.0])))
     state.theta[steps - 1] = np.nan
     with np.errstate(all="ignore"):
         r, _ = mle_step(state)
-    assert state._first > 64 and np.isnan(r).all()
+    assert released_rows(state.history, steps) > 64 and np.isnan(r).all()
 
 
 def test_released_rows_spare_the_damping_window():
@@ -467,11 +505,11 @@ def test_released_rows_spare_the_damping_window():
     for _ in range(1, steps):
         mle_step(state)
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        state.push(h, y - A.apply(h))
+        state.history.push(h, y - A.apply(h))
         pushed.append(h)
-        cands, _ = state.window()
+        cands, _ = state.history.window()
         assert np.array_equal(cands[:-1], pushed[len(pushed) - len(cands) + 1:])
-    assert state._first == 80 - w + 1
+    assert released_rows(state.history, steps) == 80 - w + 1
 
 
 def test_meter_counts_the_history_rows_each_step_reads(monkeypatch):
@@ -490,11 +528,11 @@ def test_meter_counts_the_history_rows_each_step_reads(monkeypatch):
         before = state.meter.vector_points
         r, _ = mle_step(state)
         read.append((state.meter.vector_points - before) // state.dim)
-        p = state.vartheta[:t] * state.w[t - 1::-1]
-        full = (state.back(state.adj_gamma) + p @ state.pushed[:t]) / p.sum()
+        p = state.history.vartheta[:t] * state.w[t - 1::-1]
+        full = (state.back(state.adj_gamma) + p @ state.history.pushed[:t]) / p.sum()
         assert np.allclose(r, full, rtol=1e-13, atol=0.0)
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        state.push(h, y - A.apply(h))
+        state.history.push(h, y - A.apply(h))
     assert read == [1] + list(range(1, 17)) + [17] + list(range(1, 16)) + [33] + list(range(1, 7))
     assert sum(read) == 328 < 1 + sum(range(steps))
 
@@ -640,7 +678,7 @@ def reference_damping_step():
 
     def step(state, s_ext):
         ests, res = kept.setdefault(state, ([np.zeros(state.dim, complex)], [state.y]))
-        first = max(len(ests) - (state.damping_window - 1), 0)
+        first = max(len(ests) - (state.history.damping_window - 1), 0)
         cands = ests[first:] + [s_ext]
         resids = res[first:] + [state.y - state.forward(s_ext)]
         k = len(cands)
@@ -669,7 +707,7 @@ def reference_damping_step():
             zeta[best] = 1.0
         s_next = np.tensordot(zeta, np.vstack(cands), axes=1)
         r_next = np.tensordot(zeta, np.vstack(resids), axes=1)
-        state.push(s_next, r_next)
+        state.history.push(s_next, r_next)
         ests.append(s_next)
         res.append(r_next)
         state.meter.vector_points += k * state.dim

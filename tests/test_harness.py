@@ -1,8 +1,10 @@
 """Experiment harness: config parsing, seed fan-out, deterministic files, CLI."""
 
 import csv
+import ctypes
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,16 +127,45 @@ def assert_cs_summary(cfg):
             assert (lengths[seed] == cfg.max_iters) == (reason == "max-iters")
 
 
-def test_experiment_files_are_byte_identical_across_runs_and_threads(tmp_path):
+@pytest.mark.parametrize("experiment, config, fields", (
+    ("cs-mse", CsMseConfig, SMALL_CS), ("ifdm-ber", IfdmBerConfig, SMALL_BER)),
+    ids=("cs-mse", "ifdm-ber"))
+def test_experiment_files_are_byte_identical_across_runs_and_threads(tmp_path, experiment,
+                                                                     config, fields):
     paths = {}
     for name, threads in (("a", 1), ("b", 1), ("c", 2)):
-        cfg = CsMseConfig(threads=threads, **SMALL_CS)
-        paths[name] = run_experiment("cs-mse", cfg, tmp_path / name)
+        cfg = config(threads=threads, **fields)
+        paths[name] = run_experiment(experiment, cfg, tmp_path / name)
     for out_a, out_b, out_c in zip(paths["a"], paths["b"], paths["c"]):
         blob = out_a.read_bytes()
         assert blob == out_b.read_bytes()
         if out_a.suffix == ".csv":
             assert blob == out_c.read_bytes()
+
+
+def blas_threads(cfg, seed):
+    """The thread count the loaded OpenBLAS of this process reports, None
+    without one: a trial function for ``_map_trials``."""
+    with open("/proc/self/maps") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                getter = getattr(handle, symbol)
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def test_trial_workers_run_one_blas_thread():
+    # Every worker of the pool sets the loaded OpenBLAS to one thread; the
+    # calling process keeps its own count.
+    before = blas_threads(None, 0)
+    counts = harness._map_trials(blas_threads, SimpleNamespace(threads=2), list(range(4)))
+    assert counts == [None if before is None else 1] * 4
+    assert blas_threads(None, 0) == before
 
 
 def test_sidecar_schema(tmp_path):
@@ -388,6 +419,18 @@ def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
     assert main(["cs-mse", "--config", str(tmp_path / "none.json"),
                  "--out", str(tmp_path)]) == 2
     assert main(["cs-mse", "--trials", "0", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_refuses_an_out_that_cannot_be_made_with_exit_2(tmp_path, capsys):
+    # An existing file, or a path through one, cannot be the output
+    # directory: exit 2 with a message, not a traceback.
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out in (taken, taken / "sub"):
+        assert main(["complexity", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+    assert taken.read_text() == "kept"
 
 
 def test_cli_rejects_non_integer_sizes_with_exit_2(tmp_path, capsys):

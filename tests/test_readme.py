@@ -1,5 +1,5 @@
 """The README runs and reads as written: its quick start, its config keys,
-its artifact table, its self-test list and its stop list."""
+its artifact table, its self-test list, its stop list and its layout."""
 
 import dataclasses
 import re
@@ -50,3 +50,10 @@ def test_readme_stop_list_matches_stop_reasons():
     section = README.read_text().split("## Tuning notes\n", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^  - `([\w-]+)`: ", section, flags=re.M)
     assert tuple(listed) == estimators.STOP_REASONS
+
+
+def test_readme_layout_lists_every_module():
+    block = README.read_text().split("## Layout\n", 1)[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    modules = [path.name for path in (README.parent / "src" / "ibsmamp").glob("*.py")]
+    assert sorted(listed) == sorted(set(modules) - {"__init__.py"})
