@@ -9,7 +9,7 @@ from .ibs import (BASES, DIRECTIONS, VARIANTS, IbsOperator, IbsSpec, build_ibs_t
                   relative_complexity)
 from .kernels import fft_adjoint, fft_forward, fft_operator, fwht_forward, is_power_of_two
 from .operators import DiagonalOperator, LinearOperator, materialize_dense
-from .rng import Permutation, generator, make_permutation, raw_words
+from .rng import generator, make_permutation, raw_words
 from .scenarios import (BernoulliGaussianPrior, CirculantOperator, QpskPrior, SystemInstance,
                         TimeVaryingChannelOperator, ber_qpsk, doppler_preset_4ghz_100kmh_15khz,
                         gen_multipath_channel, gen_sensing_diagonal, mse, mse_db,

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, require_integer
 from .kernels import fft_adjoint, fft_forward, fwht_forward, is_power_of_two
 from .operators import LinearOperator, _freeze
-from .rng import Permutation, make_permutation
+from .rng import make_permutation
 
 VARIANTS = ("BS", "W_IBS", "B_IBS", "BW_IBS")
 BASES = ("FFT", "FWHT")
@@ -84,7 +84,7 @@ class IbsSpec:
 
 
 class IbsOperator(LinearOperator):
-    """Row-orthonormal IBS transform built from an IbsSpec.
+    """Row-orthonormal IBS transform; ``build_ibs_transform`` makes one.
 
     The row selection and the whole interleave together pick, for every
     output row, one entry of the flattened (L, n_s) kernel output; ``_flat``
@@ -94,40 +94,18 @@ class IbsOperator(LinearOperator):
     adjoint kernel, so ``apply_adjoint`` is the pseudo-inverse of ``apply``.
     """
 
-    __slots__ = ("spec", "block_perms", "whole_perm", "_flat", "_kfwd", "_kadj")
+    __slots__ = ("spec", "_flat", "_kfwd", "_kadj")
 
-    def __init__(self, spec: IbsSpec,
-                 block_perms: tuple[Permutation, ...] | None,
-                 whole_perm: Permutation | None):
-        blocks, n_s, m_s = spec.blocks, spec.n_s, spec.block_rows
-        if block_perms is not None:
-            if len(block_perms) != blocks:
-                raise ConfigurationError(
-                    f"need {blocks} block permutations, got {len(block_perms)}")
-            if any(p.size != n_s for p in block_perms):
-                raise ConfigurationError(f"block permutations must have size n_s={n_s}")
-            sel = np.stack([p.indices[:m_s] for p in block_perms])
-        else:
-            sel = np.arange(m_s, dtype=np.int64)
-        if whole_perm is not None and whole_perm.size != spec.m:
-            raise ConfigurationError(f"whole permutation must have size m={spec.m}")
-        # Stacked output row k reads kernel entry (k // m_s, sel[k // m_s, k % m_s]);
-        # the whole interleave then reorders the stacked rows.
-        flat = (np.arange(blocks, dtype=np.int64)[:, None] * n_s + sel).reshape(spec.m)
-        if whole_perm is not None:
-            flat = flat[whole_perm.indices]
-        flat.setflags(write=False)
-
+    def __init__(self, spec: IbsSpec, flat: np.ndarray):
         if spec.base == "FFT":
             kfwd, kadj = fft_forward, fft_adjoint
         else:
             kfwd, kadj = fwht_forward, fwht_forward
         if spec.direction == "kernel-adjoint":
             kfwd, kadj = kadj, kfwd
-
+        flat.setflags(write=False)
         super().__init__(spec.m, spec.n, self._forward, self._adjoint)
-        _freeze(self, spec=spec, block_perms=block_perms, whole_perm=whole_perm,
-                _flat=flat, _kfwd=kfwd, _kadj=kadj)
+        _freeze(self, spec=spec, _flat=flat, _kfwd=kfwd, _kadj=kadj)
 
     @property
     def row_blocks(self) -> np.ndarray:
@@ -146,30 +124,35 @@ class IbsOperator(LinearOperator):
 
 
 def build_ibs_transform(spec: IbsSpec,
-                        perms: dict[tuple[int, int], Permutation] | None = None) -> IbsOperator:
+                        perms: dict[tuple[int, int], np.ndarray] | None = None) -> IbsOperator:
     """Build the IBS transform for spec, deriving permutations from its seeds.
 
-    Block l (0-based) draws its permutation from seed block_seed_base + l;
-    the whole interleave draws from whole_seed.  Variants ignore the seeds
-    of the stages they do not randomize.  ``perms``, when given, keeps the
-    drawn permutations keyed by (size, seed), so transforms built with the
-    same dict draw each permutation once and share it.
+    Block l (0-based) keeps the kernel rows its permutation, drawn from seed
+    block_seed_base + l, lists first; the whole interleave reorders the
+    stacked rows by the permutation drawn from whole_seed.  Variants ignore
+    the seeds of the stages they do not randomize.  ``perms``, when given,
+    keeps the drawn permutations keyed by (size, seed), so transforms built
+    with the same dict draw each permutation once and share it.
     """
     if perms is None:
         perms = {}
 
-    def draw(size: int, seed: int) -> Permutation:
+    def draw(size: int, seed: int) -> np.ndarray:
         if (size, seed) not in perms:
             perms[size, seed] = make_permutation(size, seed)
         return perms[size, seed]
 
-    block_perms = None
+    blocks, n_s, m_s = spec.blocks, spec.n_s, spec.block_rows
     if spec.variant in ("B_IBS", "BW_IBS"):
-        block_perms = tuple(draw(spec.n_s, spec.block_seed_base + l) for l in range(spec.blocks))
-    whole_perm = None
+        sel = np.stack([draw(n_s, spec.block_seed_base + l)[:m_s] for l in range(blocks)])
+    else:
+        sel = np.arange(m_s, dtype=np.int64)
+    # Stacked output row k reads kernel entry (k // m_s, sel[k // m_s, k % m_s]);
+    # the whole interleave then reorders the stacked rows.
+    flat = (np.arange(blocks, dtype=np.int64)[:, None] * n_s + sel).reshape(spec.m)
     if spec.variant in ("W_IBS", "BW_IBS"):
-        whole_perm = draw(spec.m, spec.whole_seed)
-    return IbsOperator(spec, block_perms, whole_perm)
+        flat = flat[draw(spec.m, spec.whole_seed)]
+    return IbsOperator(spec, flat)
 
 
 def relative_complexity(n: int, n_s: int, p: int = 8) -> tuple[float, float]:

@@ -10,6 +10,7 @@ safe as sharing the operator.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -84,20 +85,20 @@ class DiagonalOperator(LinearOperator):
             raise ValueError("diagonal weights must be a non-empty 1-d array")
         w = w.copy()
         w.setflags(write=False)
-        wc = np.conj(w)
-        super().__init__(w.size, w.size, lambda v: w * v, lambda v: wc * v)
+        super().__init__(w.size, w.size, partial(np.multiply, w),
+                         partial(np.multiply, np.conj(w)))
         _freeze(self, weights=w)
 
 
-def materialize_dense(op: LinearOperator, limit: int = DENSE_LIMIT) -> np.ndarray:
+def materialize_dense(op: LinearOperator) -> np.ndarray:
     """Dense complex matrix of op, by applying it to the standard basis.
 
-    Refuses operators with any dimension above ``limit`` so accidental
+    Refuses operators with any dimension above ``DENSE_LIMIT`` so accidental
     materialization of production-size transforms fails fast.
     """
-    if max(op.rows, op.cols) > limit:
+    if max(op.rows, op.cols) > DENSE_LIMIT:
         raise MaterializationLimitError(
-            f"operator of shape {op.shape} exceeds dense limit {limit}")
+            f"operator of shape {op.shape} exceeds dense limit {DENSE_LIMIT}")
     dense = np.empty((op.rows, op.cols), dtype=np.complex128)
     basis = np.zeros(op.cols, dtype=np.complex128)
     for j in range(op.cols):

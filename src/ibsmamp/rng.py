@@ -45,44 +45,10 @@ def raw_words(seed: int, count: int, stream: int = 0) -> np.ndarray:
     return np.random.Philox(key=_philox_key(seed, stream)).random_raw(count)
 
 
-class Permutation:
-    """A fixed permutation of {0, ..., size-1}.
-
-    ``indices`` holds the forward mapping: applying the permutation to a
-    vector ``v`` yields ``v[indices]``, i.e. output slot ``i`` reads input
-    slot ``indices[i]``.  Instances are immutable; the index array is
-    write-locked at construction.
-    """
-
-    __slots__ = ("indices", "size", "seed")
-
-    def __init__(self, indices: np.ndarray, seed: int | None = None):
-        idx = np.asarray(indices, dtype=np.int64).copy()
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("permutation indices must be a non-empty 1-d array")
-        present = np.zeros(idx.size, dtype=bool)
-        if idx.min() < 0 or idx.max() >= idx.size:
-            raise ValueError("permutation indices out of range")
-        present[idx] = True
-        if not present.all():
-            raise ValueError("permutation indices must be a bijection")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "size", int(idx.size))
-        object.__setattr__(self, "seed", seed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and np.array_equal(self.indices, other.indices)
-
-    def __repr__(self):
-        return f"Permutation(size={self.size}, seed={self.seed})"
-
-
-def make_permutation(size: int, seed: int) -> Permutation:
-    """Uniform random permutation of {0, ..., size-1} from a 64-bit seed.
+def make_permutation(size: int, seed: int) -> np.ndarray:
+    """Uniform random permutation of {0, ..., size-1} from a 64-bit seed, as
+    a write-locked int64 array ``perm``: permuting a vector ``v`` yields
+    ``v[perm]``, i.e. output slot ``i`` reads input slot ``perm[i]``.
 
     Fisher-Yates, iterating i = size-1 down to 1 and swapping slot i with
     slot ``j = w mod (i + 1)`` where ``w`` is the next raw word of the
@@ -97,4 +63,6 @@ def make_permutation(size: int, seed: int) -> Permutation:
     for i, w in zip(range(size - 1, 0, -1), raw_words(seed, size - 1).tolist()):
         j = w % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    return Permutation(perm, seed=seed)
+    indices = np.array(perm, dtype=np.int64)
+    indices.setflags(write=False)
+    return indices

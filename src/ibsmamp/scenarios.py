@@ -13,9 +13,11 @@ observation y = A Xi s + noise.  Two families are covered:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import denoisers
 from .errors import ConfigurationError
 from .operators import DiagonalOperator, LinearOperator, _freeze
 from .rng import generator
@@ -76,9 +78,8 @@ class CirculantOperator(LinearOperator):
         freq = np.fft.fft(kernel)
         for arr in (delays, gains, freq):
             arr.setflags(write=False)
-        fwd = _taps(n, delays, gains)
-        adj = _taps(n, -delays, np.conj(gains))
-        super().__init__(n, n, lambda v: _tap_sum(v, fwd), lambda v: _tap_sum(v, adj))
+        super().__init__(n, n, partial(_tap_sum, taps=_taps(n, delays, gains)),
+                         partial(_tap_sum, taps=_taps(n, -delays, np.conj(gains))))
         _freeze(self, delays=delays, gains=gains, freq_response=freq,
                 taps_per_row=int(delays.size))
 
@@ -93,9 +94,10 @@ class TimeVaryingChannelOperator(LinearOperator):
     (A x)[i] = sum_k track_k[i] x[(i - d_k) mod n].
 
     Runs the same ``_tap_sum`` as the static channel with vector gains: the
-    forward adds ``roll(track_k, -d_k) * x`` shifted by d_k, which puts
+    forward adds ``track_k`` times x shifted by d_k, which puts
     ``track_k[i] * x[i - d_k]`` in slot i; the adjoint adds
-    ``conj(track_k) * x`` shifted by -d_k.
+    ``roll(conj(track_k), -d_k)`` times x shifted by -d_k, which puts
+    ``conj(track_k[i + d_k]) * x[i + d_k]`` there.
 
     ``dense_gram`` writes A A^H straight from the taps: with p taps it has
     at most p(p-1) + 1 nonzero cyclic diagonals, so it costs O(n p^2)
@@ -113,9 +115,9 @@ class TimeVaryingChannelOperator(LinearOperator):
         _check_taps(n, delays, gain_tracks[:, 0])
         for arr in (delays, gain_tracks):
             arr.setflags(write=False)
-        fwd = _taps(n, delays, [np.roll(t, -d) for d, t in zip(delays, gain_tracks)])
-        adj = _taps(n, -delays, np.conj(gain_tracks))
-        super().__init__(n, n, lambda v: _tap_sum(v, fwd), lambda v: _tap_sum(v, adj))
+        adj = [np.roll(np.conj(t), -d) for d, t in zip(delays, gain_tracks)]
+        super().__init__(n, n, partial(_tap_sum, taps=_taps(n, delays, gain_tracks)),
+                         partial(_tap_sum, taps=_taps(n, -delays, adj)))
         _freeze(self, delays=delays, gain_tracks=gain_tracks, taps_per_row=int(delays.size))
 
     def dense_gram(self) -> np.ndarray:
@@ -144,20 +146,18 @@ def _taps(n, shifts, gains) -> tuple:
 
 
 def _tap_sum(v, taps):
-    """sum over taps of np.roll(g * v, s), without the rolled copies.
+    """sum over taps of g * np.roll(v, s), without the rolled copies.
 
-    Each tap adds the two pieces of its product into the two slices of the
-    output they land on, so every output entry receives the same products
-    in the same tap order as the rolled sum: the result is bit-identical.
-    A tap of shift 0 lands on the whole output and has no wrapped piece.
+    ``np.roll(v, s)`` is the slice ``[n - s:2n - s]`` of v repeated twice,
+    so each tap is one product and one add into the zero-started output:
+    every output entry receives the same products in the same tap order as
+    the rolled sum, and the result is bit-identical.
     """
     n = v.shape[0]
+    doubled = np.concatenate((v, v))
     out = np.zeros(n, dtype=np.complex128)
     for s, g in taps:
-        w = g * v
-        out[s:] += w[:n - s]
-        if s:
-            out[:s] += w[n - s:]
+        out += g * doubled[n - s:2 * n - s]
     return out
 
 
@@ -235,8 +235,7 @@ class BernoulliGaussianPrior:
         return np.where(mask, vals, 0.0).astype(np.complex128)
 
     def denoise(self, r: np.ndarray, v: float | np.ndarray):
-        from .denoisers import denoise_bernoulli_gaussian
-        return denoise_bernoulli_gaussian(r, v, self.rho, self.sigma_s2)
+        return denoisers.denoise_bernoulli_gaussian(r, v, self.rho, self.sigma_s2)
 
     def __repr__(self):
         return f"BernoulliGaussianPrior(rho={self.rho}, sigma_s2={self.sigma_s2})"
@@ -254,8 +253,7 @@ class QpskPrior:
         return ((2.0 * bits[0] - 1.0) + 1j * (2.0 * bits[1] - 1.0)) / np.sqrt(2.0)
 
     def denoise(self, r: np.ndarray, v: float | np.ndarray):
-        from .denoisers import denoise_qpsk
-        return denoise_qpsk(r, v)
+        return denoisers.denoise_qpsk(r, v)
 
     def __repr__(self):
         return "QpskPrior()"

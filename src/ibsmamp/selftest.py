@@ -120,8 +120,8 @@ def check_permutations(sizes=(257,), seeds=(1234,)) -> tuple[bool, str]:
     """Permutations are bijections, drawn alike from equal seeds."""
     for size, seed in itertools.product(sizes, seeds):
         p = make_permutation(size, seed)
-        if p != make_permutation(size, seed) or not np.array_equal(np.sort(p.indices),
-                                                                    np.arange(size)):
+        if not (np.array_equal(p, make_permutation(size, seed))
+                and np.array_equal(np.sort(p), np.arange(size))):
             return False, f"size {size}, seed {seed}: no reproducible bijection"
     return True, "reproducible bijections"
 
@@ -274,7 +274,7 @@ def check_observation_determinism(n=128, seed=40) -> tuple[bool, str]:
     return same, "byte-identical for equal seeds"
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
     """Run every registered check at its defaults; print one line per check."""
     all_ok = True
     for fn in _CHECKS:
@@ -284,6 +284,5 @@ def run_selftest(verbose: bool = True) -> bool:
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
-        if verbose:
-            print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

@@ -92,7 +92,7 @@ def dense_gram(A: LinearOperator) -> np.ndarray:
             f"operator of shape {A.shape} exceeds dense limit {DENSE_LIMIT}")
     if isinstance(A, TimeVaryingChannelOperator):
         return A.dense_gram()
-    dense = materialize_dense(A, limit=DENSE_LIMIT)
+    dense = materialize_dense(A)
     return dense @ dense.conj().T
 
 

@@ -464,21 +464,27 @@ def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_lengt
 def test_a_non_finite_weight_releases_no_row():
     # theta lambda_dagger = 6.25e-4: every row but the last few has a weight
     # below rounding at every later step, and at t = 80 more than _COMPACT
-    # blocks of them are released.  A row of infinite norm makes the
-    # weights non-finite: nothing is released.
+    # blocks of them are released.  A non-finite row makes the weights
+    # non-finite: nothing is released.  Row 20 has a NaN norm, which keeps
+    # every cut at 0.  Row 70 has an infinite norm: the cut of step 80 would
+    # release the 70 rows below it, and only the live bound's non-finite
+    # guard keeps them.
     steps = 96
     y = np.array([1.0 + 0j, 2.0])
-    kept = {}
-    for bad in (False, True):
+    with np.errstate(all="ignore"):
+        bad_rows = {None: None, 20: np.array([1.0 + 1j, -1.0]) * np.inf,
+                    70: np.array([np.inf, -1.0 + 0j])}
+    released = {}
+    for bad, bad_row in bad_rows.items():
         A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
                                      theta=np.full(steps, 1e-3 / 4.0))
         with np.errstate(all="ignore"):
             for t in range(1, steps):
-                h = np.array([1.0 + 1j, -1.0]) * (np.inf if bad and t == 20 else 1.0)
+                h = bad_row if t == bad else np.array([1.0 + 1j, -1.0])
                 mle_step(state)
                 state.history.push(h, y - A.apply(h))
-        kept[bad] = released_rows(state.history, steps)
-    assert kept[False] > 64 and kept[True] == 0
+        released[bad] = released_rows(state.history, steps)
+    assert released[None] > 64 and released[20] == released[70] == 0
     # A weight that turns NaN after rows were released sums from the oldest
     # kept row, to a NaN r_t.
     A, state = make_square_state([2.0, 1.0], y, max_iters=steps,

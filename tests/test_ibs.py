@@ -5,13 +5,24 @@ import pytest
 from scipy.linalg import block_diag
 
 from ibsmamp.errors import ConfigurationError
-from ibsmamp.ibs import (BASES, VARIANTS, IbsOperator, IbsSpec, build_ibs_transform,
-                         relative_complexity)
+from ibsmamp.ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
 from ibsmamp.kernels import fft_adjoint, fft_forward, fwht_forward
 from ibsmamp.operators import materialize_dense
-from ibsmamp.rng import Permutation, generator, make_permutation
+from ibsmamp.rng import generator, make_permutation
 from ibsmamp.selftest import (check_degenerate_single_block, check_unitarity, dft_matrix,
                               hadamard_matrix)
+
+
+def spec_permutations(spec: IbsSpec):
+    """(block permutations or None, whole permutation or None), drawn
+    afresh from the spec's seeds as the paper defines them."""
+    blocks = whole = None
+    if spec.variant in ("B_IBS", "BW_IBS"):
+        blocks = [make_permutation(spec.n_s, spec.block_seed_base + l)
+                  for l in range(spec.blocks)]
+    if spec.variant in ("W_IBS", "BW_IBS"):
+        whole = make_permutation(spec.m, spec.whole_seed)
+    return blocks, whole
 
 
 def dense_oracle(spec: IbsSpec) -> np.ndarray:
@@ -21,17 +32,13 @@ def dense_oracle(spec: IbsSpec) -> np.ndarray:
     kernel = dft_matrix(spec.n_s) if spec.base == "FFT" else hadamard_matrix(spec.n_s)
     if spec.direction == "kernel-adjoint":
         kernel = kernel.conj().T
-    pieces = []
-    for l in range(spec.blocks):
-        if spec.variant in ("B_IBS", "BW_IBS"):
-            p = make_permutation(spec.n_s, spec.block_seed_base + l)
-            pieces.append(kernel[p.indices[:spec.block_rows]])
-        else:
-            pieces.append(kernel[:spec.block_rows])
+    blocks, whole = spec_permutations(spec)
+    if blocks is None:
+        pieces = [kernel[:spec.block_rows]] * spec.blocks
+    else:
+        pieces = [kernel[p[:spec.block_rows]] for p in blocks]
     dense = block_diag(*pieces)
-    if spec.variant in ("W_IBS", "BW_IBS"):
-        dense = dense[make_permutation(spec.m, spec.whole_seed).indices]
-    return dense
+    return dense if whole is None else dense[whole]
 
 
 def test_spec_validation():
@@ -96,17 +103,17 @@ def select_and_interleave(op, v, adjoint):
     if spec.direction == "kernel-adjoint":
         kfwd, kadj = kadj, kfwd
     rows = np.arange(blocks)[:, None]
-    if op.block_perms is None:
+    block_perms, whole = spec_permutations(spec)
+    if block_perms is None:
         sel = np.broadcast_to(np.arange(m_s), (blocks, m_s))
     else:
-        sel = np.stack([p.indices[:m_s] for p in op.block_perms])
-    whole = op.whole_perm
+        sel = np.stack([p[:m_s] for p in block_perms])
     if not adjoint:
         out = kfwd(v.reshape(blocks, n_s))[rows, sel].reshape(spec.m)
-        return out if whole is None else out[whole.indices]
+        return out if whole is None else out[whole]
     if whole is not None:
         unshuffled = np.empty_like(v)
-        unshuffled[whole.indices] = v
+        unshuffled[whole] = v
         v = unshuffled
     z = np.zeros((blocks, n_s), dtype=np.complex128)
     z[rows, sel] = v.reshape(blocks, m_s)
@@ -129,7 +136,8 @@ def test_flat_index_applies_are_bit_identical_to_select_and_interleave(variant, 
                           (op.apply_adjoint(u), select_and_interleave(op, u, True))):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        stacked = np.arange(m) if op.whole_perm is None else op.whole_perm.indices
+        whole = spec_permutations(spec)[1]
+        stacked = np.arange(m) if whole is None else whole
         assert np.array_equal(op.row_blocks, stacked // spec.block_rows)
 
 
@@ -159,38 +167,21 @@ def test_adjoint_is_pseudo_inverse_for_wide_shapes():
     assert np.max(np.abs(op.apply(op.apply_adjoint(u)) - u)) < 1e-12
 
 
-def test_assemble_with_identity_permutations_collapses_to_plain_selection():
-    base_spec = IbsSpec(n=32, n_s=8, m=16, variant="BS")
-    want = materialize_dense(build_ibs_transform(base_spec))
-    spec = IbsSpec(n=32, n_s=8, m=16, variant="BW_IBS")
-    op = IbsOperator(spec, tuple(Permutation(np.arange(8)) for _ in range(4)),
-                     Permutation(np.arange(16)))
-    assert np.max(np.abs(materialize_dense(op) - want)) < 1e-14
-
-
-def test_assemble_validates_permutation_shapes():
-    spec = IbsSpec(n=32, n_s=8, m=16, variant="BW_IBS")
-    good_blocks = tuple(Permutation(np.arange(8)) for _ in range(4))
-    with pytest.raises(ConfigurationError):
-        IbsOperator(spec, good_blocks[:3], Permutation(np.arange(16)))
-    with pytest.raises(ConfigurationError):
-        IbsOperator(spec, tuple(Permutation(np.arange(4)) for _ in range(4)),
-                    Permutation(np.arange(16)))
-    with pytest.raises(ConfigurationError):
-        IbsOperator(spec, good_blocks, Permutation(np.arange(8)))
-
-
 def test_single_block_square_case_is_bit_identical_to_plain_kernel():
     ok, detail = check_degenerate_single_block(n=256, seed=12)
     assert ok, detail
 
 
 def test_block_seeds_differ_across_blocks():
+    # Every row kept, so each block's rows are its kernel rows in the order
+    # of its own permutation: block l draws from block_seed_base + l.
     spec = IbsSpec(n=32, n_s=16, m=32, variant="B_IBS", block_seed_base=6)
-    op = build_ibs_transform(spec)
-    assert op.block_perms[0] != op.block_perms[1]
-    assert op.block_perms[0] == make_permutation(16, 6)
-    assert op.block_perms[1] == make_permutation(16, 7)
+    dense = materialize_dense(build_ibs_transform(spec))
+    perms = [make_permutation(16, 6), make_permutation(16, 7)]
+    assert not np.array_equal(perms[0], perms[1])
+    for l, p in enumerate(perms):
+        block = dense[16 * l:16 * (l + 1), 16 * l:16 * (l + 1)]
+        assert np.max(np.abs(block - dft_matrix(16)[p])) < 1e-12
 
 
 def test_relative_complexity_properties():

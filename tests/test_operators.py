@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ibsmamp import operators
 from ibsmamp.errors import MaterializationLimitError
 from ibsmamp.operators import DiagonalOperator, LinearOperator, materialize_dense
 from ibsmamp.rng import generator
@@ -51,8 +52,10 @@ def test_diagonal_operator():
         op.weights[0] = 0.0
 
 
-def test_materialize_dense_respects_limit():
+def test_materialize_dense_respects_limit(monkeypatch):
     op, M = random_dense_op(8, 8, seed=15)
+    monkeypatch.setattr(operators, "DENSE_LIMIT", 4)
     with pytest.raises(MaterializationLimitError):
-        materialize_dense(op, limit=4)
-    assert np.allclose(materialize_dense(op, limit=8), M)
+        materialize_dense(op)
+    monkeypatch.setattr(operators, "DENSE_LIMIT", 8)
+    assert np.allclose(materialize_dense(op), M)

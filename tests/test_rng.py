@@ -1,9 +1,11 @@
-"""Seeded randomness: keyed Philox streams and permutation objects."""
+"""Seeded randomness: keyed Philox streams and seeded permutations."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from ibsmamp.rng import Permutation, generator, make_permutation, raw_words
+from ibsmamp.rng import generator, make_permutation, raw_words
 from ibsmamp.selftest import check_permutations
 
 
@@ -60,34 +62,35 @@ def test_raw_words_prefix_consistency():
     assert raw_words(9, 16)[:5].tolist() == raw_words(9, 5).tolist()
 
 
-def test_permutation_validates_indices():
-    with pytest.raises(ValueError):
-        Permutation(np.array([0, 0, 1]))  # not a bijection
-    with pytest.raises(ValueError):
-        Permutation(np.array([0, 3]))  # out of range
-    with pytest.raises(ValueError):
-        Permutation(np.array([], dtype=np.int64))
-    with pytest.raises(ValueError):
-        Permutation(np.arange(4).reshape(2, 2))
-
-
-def test_permutation_is_immutable():
-    p = Permutation(np.arange(4))
-    with pytest.raises(AttributeError):
-        p.size = 5
-    with pytest.raises(ValueError):
-        p.indices[0] = 3
-
-
 def test_make_permutation_frozen_values():
-    assert make_permutation(8, 12345).indices.tolist() == [4, 5, 2, 7, 3, 6, 1, 0]
-    assert make_permutation(8, 0).indices.tolist() == [6, 4, 0, 5, 1, 7, 2, 3]
-    assert make_permutation(4, 7).indices.tolist() == [1, 3, 2, 0]
+    assert make_permutation(8, 12345).tolist() == [4, 5, 2, 7, 3, 6, 1, 0]
+    assert make_permutation(8, 0).tolist() == [6, 4, 0, 5, 1, 7, 2, 3]
+    assert make_permutation(4, 7).tolist() == [1, 3, 2, 0]
+
+
+# sha256 of the little-endian int64 index bytes, at the sizes the IBS
+# transforms draw (block sizes 32 and 128, whole interleaves of 1024 rows).
+PERMUTATION_DIGESTS = {
+    (32, 1): "ac492e6d0772abfc820e082d769fad7381503ffb6700890320f95560e9aff00a",
+    (128, 1): "7a85fb0660ec818576a0e834960cfcd3b5e58390d652508cb70b2012cd7fd88b",
+    (1024, 1): "f129d4a33d1a2db5b239f5c03d0dc3e7c89b882c5163da6faccc504ae4ce7a69",
+    (32, 2 ** 63 + 5): "a4c3644bde14a0c28b3247b6022f1d877ee14c3c11fe4528aca7349aed3de4f4",
+    (128, 2 ** 63 + 5): "ac074cb03eadc003421b634941335af9e02e9696a6d3c67ded4e1a036c8cf224",
+    (1024, 2 ** 63 + 5): "f12cbef28d9e52f547dce9cb074d62861c7d25bd86b9d624e653e1267affd7dc",
+}
+
+
+@pytest.mark.parametrize("size, seed", PERMUTATION_DIGESTS)
+def test_make_permutation_digests_are_pinned(size, seed):
+    p = make_permutation(size, seed)
+    assert p.dtype == np.int64 and p.shape == (size,) and not p.flags.writeable
+    digest = hashlib.sha256(p.astype("<i8").tobytes()).hexdigest()
+    assert digest == PERMUTATION_DIGESTS[size, seed]
 
 
 def test_make_permutation_is_deterministic_and_seed_sensitive():
-    assert make_permutation(64, 3) == make_permutation(64, 3)
-    assert make_permutation(64, 3) != make_permutation(64, 4)
+    assert np.array_equal(make_permutation(64, 3), make_permutation(64, 3))
+    assert not np.array_equal(make_permutation(64, 3), make_permutation(64, 4))
 
 
 def test_make_permutation_is_bijective_over_sizes():
@@ -104,7 +107,7 @@ def test_make_permutation_matches_swap_by_swap_replay():
         for i in range(size - 1, 0, -1):
             j = int(words[size - 1 - i] % np.uint64(i + 1))
             want[i], want[j] = want[j], want[i]
-        assert make_permutation(size, seed).indices.tolist() == want.tolist()
+        assert make_permutation(size, seed).tolist() == want.tolist()
 
 
 def test_make_permutation_rejects_empty():

@@ -10,16 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from ibsmamp import denoisers, estimators, memory, scenarios
+from ibsmamp import denoisers, estimators, memory
 from ibsmamp.denoisers import DenoiserResult, denoise_bernoulli_gaussian, denoise_qpsk
 from ibsmamp.estimators import (MampConfig, MampState, _EPS_MIN, _VARIANCE_FLOOR, mle_step,
                                 nle_orthogonalize, run_cd_mamp)
 from ibsmamp.ibs import IbsSpec, build_ibs_transform
 from ibsmamp.operators import DiagonalOperator
 from ibsmamp.rng import generator
-from ibsmamp.scenarios import (BernoulliGaussianPrior, QpskPrior,
-                               doppler_preset_4ghz_100kmh_15khz, gen_multipath_channel,
-                               gen_sensing_diagonal, mse, simulate_observation)
+from ibsmamp.scenarios import (BernoulliGaussianPrior, CirculantOperator, QpskPrior,
+                               TimeVaryingChannelOperator, doppler_preset_4ghz_100kmh_15khz,
+                               gen_multipath_channel, gen_sensing_diagonal, mse,
+                               simulate_observation)
 from test_estimators import identity
 
 
@@ -105,6 +106,20 @@ def ref_tap_sum(v, taps):
     return out
 
 
+def ref_channel_apply(op, v, adjoint):
+    """``ref_tap_sum`` on the channel's taps: each gain or track times v,
+    shifted by d; the adjoint's conjugates shifted by -d.  A drifting
+    channel's forward gains are its tracks rolled by -d, so that slot i
+    gets track[i] * v[i - d]."""
+    n, delays = op.rows, op.delays.tolist()
+    gains = op.gains if isinstance(op, CirculantOperator) else op.gain_tracks
+    if adjoint:
+        return ref_tap_sum(v, [(-d % n, np.conj(g)) for d, g in zip(delays, gains)])
+    if isinstance(op, TimeVaryingChannelOperator):
+        gains = [np.roll(g, -d) for d, g in zip(delays, gains)]
+    return ref_tap_sum(v, [(d % n, g) for d, g in zip(delays, gains)])
+
+
 def ref_mse(s_hat, s_true):
     return float(np.mean(np.abs(s_hat - s_true) ** 2))
 
@@ -163,7 +178,9 @@ def test_scalar_lane_runs_match_the_array_code_to_the_bit(monkeypatch, kind):
         patch.setattr(estimators, "_cross_cov_from_residuals", ref_cross_cov)
         patch.setattr(estimators, "damping_update", ref_damping_update)
         patch.setattr(estimators, "mse", ref_mse)
-        patch.setattr(scenarios, "_tap_sum", ref_tap_sum)
+        for cls in (CirculantOperator, TimeVaryingChannelOperator):
+            patch.setattr(cls, "apply", lambda op, v: ref_channel_apply(op, v, False))
+            patch.setattr(cls, "apply_adjoint", lambda op, v: ref_channel_apply(op, v, True))
         # History.push takes its row norms through np.linalg.norm.
         patch.setattr(memory, "norm", np.linalg.norm)
         want = run_cd_mamp(instance, Xi, prior, cfg)
