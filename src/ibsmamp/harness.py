@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import openblas_function
 from .errors import ConfigurationError, require_integer
 from .estimators import MampConfig, run_cd_mamp
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
@@ -412,25 +413,15 @@ def _one_blas_thread() -> None:
 
     Each trial worker runs this first: ``threads`` workers that each keep
     OpenBLAS's default thread count oversubscribe the cores, and at these
-    sizes a second BLAS thread does not help even in one process.  The
-    library is found among the mapped files of the process, as built by
-    numpy's wheels or by a distribution; without one this does nothing.
+    sizes a second BLAS thread does not help even in one process.  Without
+    an OpenBLAS (see ``blas``) this does nothing.
     """
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return
-    for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            if hasattr(handle, symbol):
-                setter = getattr(handle, symbol)
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return
+    setter = openblas_function("scipy_openblas_set_num_threads64_",
+                               "openblas_set_num_threads64_", "openblas_set_num_threads")
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
 
 
 def _map_trials(fn, cfg, seeds: list[int]) -> list[list[tuple]]:

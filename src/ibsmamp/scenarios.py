@@ -126,10 +126,11 @@ class TimeVaryingChannelOperator(LinearOperator):
         Row i of A holds track_k[i] at column i - d_k, so tap pair (k, l)
         adds track_k[i] * conj(track_l[j]) to G[i, j] at j = i + d_l - d_k
         (mod n).  One pair writes each row once; the pairs are summed in
-        order.  Equals the dense product up to rounding.
+        order.  Equals the dense product up to rounding.  Fortran-ordered,
+        so that LAPACK reads it in place.
         """
         n = self.rows
-        gram = np.zeros((n, n), dtype=np.complex128)
+        gram = np.zeros((n, n), dtype=np.complex128, order="F")
         rows = np.arange(n)
         delays = self.delays.tolist()
         conj_tracks = np.conj(self.gain_tracks)

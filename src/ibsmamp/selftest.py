@@ -24,8 +24,10 @@ from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform
 from .kernels import fft_adjoint, fft_forward, fft_operator, fwht_forward
 from .operators import DiagonalOperator, LinearOperator, materialize_dense
 from .rng import generator, make_permutation
-from .scenarios import (STREAM_SOURCE, BernoulliGaussianPrior, gen_sensing_diagonal,
-                        simulate_observation)
+from .scenarios import (STREAM_SOURCE, BernoulliGaussianPrior,
+                        doppler_preset_4ghz_100kmh_15khz, gen_multipath_channel,
+                        gen_sensing_diagonal, simulate_observation)
+from .spectral import _zheevd_2stage, dense_gram, gram_eigenvalues
 
 _CHECKS = []
 
@@ -259,6 +261,34 @@ def check_degenerate_single_block(n=64, seed=3, iters=10, rho=0.1,
     traj_a, traj_b = ([(p.t, p.mse, p.v_gamma, p.v_phi) for p in run.points] for run in runs)
     same = traj_a == traj_b and np.array_equal(runs[0].s_hat, runs[1].s_hat)
     return same, f"{len(traj_a)} trajectory points bit-identical: {same}"
+
+
+@_check
+def check_gram_spectrum(doppler_sizes=(64, 256), taps=4, seed=3,
+                        materialized_n=128) -> tuple[bool, str]:
+    """The dense path's Gram spectrum equals ``np.linalg.eigvalsh`` of the
+    same Gram within 64 n eps lambda_max, a bound fixed by the dtype: for
+    Doppler channels of ``taps`` taps at each size, whose Grams are written
+    from the taps, and for a sensing diagonal behind a BW_IBS transform,
+    whose Gram is materialized.  The detail names the routine that ran."""
+    ops = [gen_multipath_channel(n, taps, doppler_preset_4ghz_100kmh_15khz(), seed=seed)
+           for n in doppler_sizes]
+    n = materialized_n
+    D = gen_sensing_diagonal(n, n, kappa=10.0)
+    Xi = build_ibs_transform(IbsSpec(n=n, n_s=16, m=n, variant="BW_IBS",
+                                     block_seed_base=seed, whole_seed=seed + 1))
+    ops.append(LinearOperator(n, n, lambda v: Xi.apply(D.apply(v)),
+                              lambda v: D.apply_adjoint(Xi.apply_adjoint(v))))
+    eps = np.finfo(np.float64).eps
+    worst = 0.0
+    for A in ops:
+        want = np.linalg.eigvalsh(dense_gram(A))
+        err = float(np.max(np.abs(gram_eigenvalues(A) - want)))
+        worst = max(worst, err / (A.rows * eps * want.max()))
+    solver = _zheevd_2stage()
+    routine = "numpy.linalg.eigvalsh" if solver is None else solver.__name__
+    return worst <= 64.0, (f"max |dlambda| = {worst:.3f} n eps lambda_max (bound 64) "
+                           f"over {len(ops)} Grams, by {routine}")
 
 
 @_check

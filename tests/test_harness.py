@@ -13,14 +13,17 @@ from ibsmamp import harness, ibs, operators, selftest, spectral
 from ibsmamp.cli import main
 from ibsmamp.denoisers import denoise_bernoulli_gaussian
 from ibsmamp.errors import ConfigurationError
-from ibsmamp.estimators import STOP_REASONS
+from ibsmamp.estimators import STOP_REASONS, MampConfig, run_cd_mamp
 from ibsmamp.harness import (CS_SUMMARY_COLUMNS, SCHEMA_VERSION,
                              STREAM_TRIALS, ComplexityConfig, CsMseConfig,
                              IfdmBerConfig, config_hash, derive_trial_seeds,
                              load_config, run_cs_mse, run_experiment,
                              run_ifdm_ber, write_csv)
-from ibsmamp.rng import make_permutation, raw_words
-from ibsmamp.scenarios import doppler_preset_4ghz_100kmh_15khz, simulate_observation
+from ibsmamp.ibs import build_ibs_transform
+from ibsmamp.operators import LinearOperator
+from ibsmamp.rng import generator, make_permutation, raw_words
+from ibsmamp.scenarios import (STREAM_SOURCE, QpskPrior, doppler_preset_4ghz_100kmh_15khz,
+                               gen_multipath_channel, simulate_observation)
 from ibsmamp.selftest import check_nle_orthogonality
 from ibsmamp.spectral import dense_gram
 
@@ -30,6 +33,8 @@ LONG_CS = dict(trials=1, n=512, n_s=64, max_iters=200, damping_window=5,
                variants=("full", "BW_IBS", "BS"))
 SMALL_BER = dict(trials=2, n=64, taps=2, snr_db_list=(12.0,),
                  n_s_list=(16,), bases=("FFT",), max_iters=16)
+DOPPLER_BER = dict(trials=1, n=128, n_s_list=(16,), snr_db_list=(6.0, 10.0),
+                   doppler_spread=doppler_preset_4ghz_100kmh_15khz(), max_iters=8)
 
 
 def test_config_defaults_and_rows():
@@ -127,9 +132,12 @@ def assert_cs_summary(cfg):
             assert (lengths[seed] == cfg.max_iters) == (reason == "max-iters")
 
 
+# The Doppler case runs two trials, so that two threads hand them to worker
+# processes, each on one BLAS thread.
 @pytest.mark.parametrize("experiment, config, fields", (
-    ("cs-mse", CsMseConfig, SMALL_CS), ("ifdm-ber", IfdmBerConfig, SMALL_BER)),
-    ids=("cs-mse", "ifdm-ber"))
+    ("cs-mse", CsMseConfig, SMALL_CS), ("ifdm-ber", IfdmBerConfig, SMALL_BER),
+    ("ifdm-ber", IfdmBerConfig, dict(DOPPLER_BER, trials=2))),
+    ids=("cs-mse", "ifdm-ber", "ifdm-ber-doppler"))
 def test_experiment_files_are_byte_identical_across_runs_and_threads(tmp_path, experiment,
                                                                      config, fields):
     paths = {}
@@ -209,10 +217,6 @@ def test_ber_rows_and_summary_shape():
         assert 0.0 <= mean_ber <= 1.0
 
 
-DOPPLER_BER = dict(trials=1, n=128, n_s_list=(16,), snr_db_list=(6.0, 10.0),
-                   doppler_spread=doppler_preset_4ghz_100kmh_15khz(), max_iters=8)
-
-
 def test_doppler_ber_trial_forms_its_channel_gram_once(monkeypatch):
     # One channel, three schemes, two SNRs: six estimator runs share one
     # dense Gram of the time-varying channel, written from its taps.
@@ -234,17 +238,45 @@ def test_doppler_ber_trial_forms_its_channel_gram_once(monkeypatch):
     assert materialized == []
 
 
-def test_doppler_ber_rows_match_the_materialized_gram(monkeypatch):
-    # The from-taps Gram differs from D D^H only in the last bits; the
-    # rows must not notice.
-    def materialized_gram(op):
-        dense = operators.materialize_dense(op)
-        return dense @ dense.conj().T
+def gram_of_applies(op):
+    """A A^H materialized through n applies of the adjoint and then the
+    forward: the map the estimator runs, not the taps."""
+    def apply_gram(v):
+        return op.apply(op.apply_adjoint(v))
 
+    return operators.materialize_dense(LinearOperator(op.rows, op.rows, apply_gram, apply_gram))
+
+
+def test_doppler_ber_rows_match_the_materialized_gram(monkeypatch):
+    # The from-taps Gram differs from the applies' Gram only in the last
+    # bits; the rows must not notice.
     cfg = IfdmBerConfig(**dict(DOPPLER_BER, trials=2, max_iters=32))
     from_taps = run_ifdm_ber(cfg)
-    monkeypatch.setattr(spectral, "dense_gram", materialized_gram)
+    monkeypatch.setattr(spectral, "dense_gram", gram_of_applies)
     assert run_ifdm_ber(cfg) == from_taps
+
+
+def test_doppler_run_points_match_the_gram_of_its_applies(monkeypatch):
+    # The estimator takes its spectrum from the Gram written from the taps
+    # and applies the channel through its forward and adjoint: both must be
+    # one channel.  One Doppler instance runs on each Gram.  The two Grams
+    # differ in rounding only, so their eigenvalues agree to about 1e-15
+    # of lambda_max; every point's mse, v_gamma and v_phi must agree to
+    # 1e-9 relative.  A forward or adjoint off by the tap delay moves the
+    # applies' Gram, and the first point by 3e-4 relative.
+    prior = QpskPrior()
+    Xi = build_ibs_transform(harness._ber_transform_spec(
+        IfdmBerConfig(**DOPPLER_BER), "ibs-fft-16", "FFT", 16, 3, 4))
+    mamp = MampConfig(max_iters=32)
+    points = []
+    for gram in (dense_gram, gram_of_applies):
+        monkeypatch.setattr(spectral, "dense_gram", gram)
+        A = gen_multipath_channel(128, 4, doppler_preset_4ghz_100kmh_15khz(), seed=5)
+        s = prior.sample(A.cols, generator(5, STREAM_SOURCE))
+        run = run_cd_mamp(simulate_observation(A, Xi, s, 10.0, 5), Xi, prior, mamp)
+        points.append(np.array([(p.mse, p.v_gamma, p.v_phi) for p in run.points]))
+    assert points[0].shape == points[1].shape
+    assert np.allclose(points[1], points[0], rtol=1e-9, atol=0)
 
 
 def test_doppler_ber_above_the_dense_cap_runs_on_lanczos_quadrature(monkeypatch, tmp_path):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from ibsmamp import spectral
+from ibsmamp import blas, spectral
 from ibsmamp.errors import MaterializationLimitError
 from ibsmamp.operators import DiagonalOperator, LinearOperator, materialize_dense
 from ibsmamp.rng import generator
 from ibsmamp.scenarios import (CirculantOperator, doppler_preset_4ghz_100kmh_15khz,
                                gen_multipath_channel, gen_sensing_diagonal)
+from ibsmamp.selftest import check_gram_spectrum
 from ibsmamp.spectral import (dense_gram, eigen_bounds, gram_eigenvalues,
                               spectral_profile, trace_moments)
 
@@ -208,3 +209,61 @@ def test_memoized_profile_equals_a_fresh_computation(monkeypatch):
         for name in ("lambda_dagger", "dim"):
             assert getattr(memoized, name) == getattr(fresh, name)
         assert np.array_equal(memoized.w_scaled, fresh.w_scaled)
+
+
+def test_dense_spectrum_matches_eigvalsh():
+    # Doppler Grams above the self-test's sizes, up to the benchmark's 1024.
+    ok, detail = check_gram_spectrum(doppler_sizes=(128, 1024), seed=5)
+    assert ok, detail
+
+
+def test_dense_spectrum_without_the_routine_is_eigvalsh_to_the_bit(monkeypatch):
+    assert blas.openblas_function("no_such_symbol") is None
+    monkeypatch.setattr(spectral, "openblas_function", lambda *names: None)
+    assert spectral._zheevd_2stage.__wrapped__() is None
+    monkeypatch.setattr(spectral, "_zheevd_2stage", spectral._zheevd_2stage.__wrapped__)
+    A = doppler_channel(64)
+    want = np.linalg.eigvalsh(A.dense_gram())
+    assert spectral._eigenvalues(A).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("path", ("zheevd_2stage", "eigvalsh"))
+def test_a_nan_in_the_read_triangle_raises_on_both_paths(monkeypatch, path):
+    # Both paths read the lower triangle: a NaN there raises, a NaN above
+    # the diagonal is never read.
+    if path == "eigvalsh":
+        monkeypatch.setattr(spectral, "_zheevd_2stage", lambda: None)
+    gram = doppler_channel(64).dense_gram()
+    want = np.linalg.eigvalsh(gram)
+    upper = gram.copy(order="F")
+    upper[2, 5] = np.nan
+    assert np.allclose(spectral._eigvalsh_in_place(upper), want, rtol=0,
+                       atol=64 * 64 * np.finfo(float).eps * want.max())
+    gram[5, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvalsh(gram)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral._eigvalsh_in_place(gram)
+
+
+def test_only_writable_fortran_complex128_squares_reach_the_pointer_call(monkeypatch):
+    calls = []
+
+    def solver(*args):
+        calls.append(args)
+        return 0
+
+    solver.__name__ = "fake_zheevd_2stage"
+    monkeypatch.setattr(spectral, "_zheevd_2stage", lambda: solver)
+    gram = doppler_channel(16).dense_gram()
+    assert gram.flags.f_contiguous and dense_gram(doppler_channel(16)).flags.f_contiguous
+    assert dense_gram(opaque_diagonal(np.arange(1.0, 9.0))).flags.f_contiguous
+    read_only = gram.copy(order="F")
+    read_only.setflags(write=False)
+    for arr in (np.ascontiguousarray(gram), gram[::2, ::2], gram.astype(np.complex64),
+                gram.real.copy(order="F"), read_only):
+        want = np.linalg.eigvalsh(arr)
+        assert spectral._eigvalsh_in_place(arr).tobytes() == want.tobytes()
+    assert calls == []
+    spectral._eigvalsh_in_place(gram)
+    assert len(calls) == 1 and calls[0][3] == 16 and calls[0][4] == gram.ctypes.data
