@@ -83,8 +83,8 @@ def denoise_qpsk(r: np.ndarray, v: float | np.ndarray) -> DenoiserResult:
     imaginary part.
     """
     r, v = _check_inputs(r, v)
-    t_re = np.tanh(_SQRT2 * r.real / v)
-    t_im = np.tanh(_SQRT2 * r.imag / v)
-    mean = (1.0 / _SQRT2) * (t_re + 1j * t_im)
+    mean = np.empty(r.shape, dtype=np.complex128)
+    np.multiply(np.tanh(_SQRT2 * r.real / v), 1.0 / _SQRT2, out=mean.real)
+    np.multiply(np.tanh(_SQRT2 * r.imag / v), 1.0 / _SQRT2, out=mean.imag)
     var = 1.0 - np.abs(mean) ** 2
     return DenoiserResult(posterior_mean=mean.ravel(), coord_var=var.ravel())

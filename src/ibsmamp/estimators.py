@@ -246,11 +246,17 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
     stalled = pv >= v
     p = np.where(stalled, 0.0, pv / v)[:, None]
     rows = r.reshape(v.size, -1)
-    s_next = np.where(stalled[:, None], rows,
-                      (den.posterior_mean.reshape(rows.shape) - p * rows) / (1.0 - p))
+    s_next = den.posterior_mean.reshape(rows.shape) - p * rows
+    # numpy divides a complex entry a + bj by q + 0j as (a + b*0) * (1/q):
+    # scaling the float64 view by 1/q per block gives the same bits.
+    planes = s_next.view(np.float64)
+    np.multiply(planes, 1.0 / (1.0 - p), out=planes)
+    any_stalled = bool(stalled.any())
+    if any_stalled:
+        s_next[stalled] = rows[stalled]
     v_phi = np.where(stalled, v, np.maximum(pv * v / np.where(stalled, 1.0, v - pv),
                                             _VARIANCE_FLOOR))
-    return s_next.reshape(r.shape), v_phi, bool(stalled.any())
+    return s_next.reshape(r.shape), v_phi, any_stalled
 
 
 def _cross_cov_from_residuals(gram: np.ndarray, measure_dim: int,

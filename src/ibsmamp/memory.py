@@ -118,12 +118,15 @@ class History:
         # Row i holds h_{i+1}, _norms[i] its norm.  Rows below _first are
         # released; row i >= _first sits at row i - _first of _rows, and its
         # residual at rows i % w and i % w + w of _resid.  _gram[:q, :q] is
-        # the Gram of the q pushed residuals the next window reads.
-        self._rows = np.zeros((max_iters + 1, dim), dtype=np.complex128)
+        # the Gram of the q pushed residuals the next window reads.  Every
+        # row of _rows and _resid is written before it is read, so only
+        # h_1 is zeroed.
+        self._rows = np.empty((max_iters + 1, dim), dtype=np.complex128)
+        self._rows[0] = 0.0
         self._norms = np.zeros(max_iters + 1)
         self._first = 0
         self._count = 0
-        self._resid = np.zeros((2 * window, y.shape[0]), dtype=np.complex128)
+        self._resid = np.empty((2 * window, y.shape[0]), dtype=np.complex128)
         self._gram = np.zeros((window, window))
         # The block of the memory sum: (t0, k0, J), F_j of the current step,
         # and B_j in row j of _block_sums, allocated at the first block.

@@ -150,14 +150,16 @@ def _tap_sum(v, taps):
     """sum over taps of g * np.roll(v, s), without the rolled copies.
 
     ``np.roll(v, s)`` is the slice ``[n - s:2n - s]`` of v repeated twice,
-    so each tap is one product and one add into the zero-started output:
-    every output entry receives the same products in the same tap order as
-    the rolled sum, and the result is bit-identical.
+    so each tap is one product.  The first tap's product starts the output
+    and each later one is added into it: every output entry receives the
+    same products in the same tap order as the rolled sum, and the result
+    is bit-identical.
     """
     n = v.shape[0]
     doubled = np.concatenate((v, v))
-    out = np.zeros(n, dtype=np.complex128)
-    for s, g in taps:
+    (s, g), *rest = taps
+    out = g * doubled[n - s:2 * n - s]
+    for s, g in rest:
         out += g * doubled[n - s:2 * n - s]
     return out
 

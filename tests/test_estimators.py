@@ -461,6 +461,42 @@ def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_lengt
     assert max(written) < 201 * 2 // 3, max(written)
 
 
+class PoisonedNumpy:
+    """numpy, except that ``empty`` fills every byte of its buffer with
+    0xFF, a NaN in every float64 lane."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        out = np.empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xFF)
+        return out
+
+
+@pytest.mark.parametrize("kind", ("circulant-FWHT", "released"))
+def test_history_reads_no_buffer_row_before_writing_it(monkeypatch, kind):
+    # The history's buffers start from np.empty, with only h_1 zeroed.  A
+    # run whose fresh buffers are NaN has the same bits as a normal run:
+    # a short damped QPSK run, and 200 steps of BW_IBS, which release rows
+    # and sum blocks.
+    if kind == "released":
+        fix_length(monkeypatch)
+        (instance, Xi, prior), cfg = wide_instance("BW_IBS"), MampConfig(max_iters=200,
+                                                                         damping_window=5)
+    else:
+        (instance, Xi, prior), cfg = damping_system(kind), MampConfig(max_iters=32,
+                                                                      damping_window=3)
+    want = run_cd_mamp(instance, Xi, prior, cfg)
+    monkeypatch.setattr(memory, "np", PoisonedNumpy())
+    got = run_cd_mamp(instance, Xi, prior, cfg)
+    assert got.s_hat.tobytes() == want.s_hat.tobytes()
+    assert got.points == want.points
+    assert got.stop_reason == want.stop_reason
+    assert got.meter == want.meter
+
+
 def test_a_non_finite_weight_releases_no_row():
     # theta lambda_dagger = 6.25e-4: every row but the last few has a weight
     # below rounding at every later step, and at t = 80 more than _COMPACT
@@ -590,6 +626,42 @@ def test_nle_orthogonalize_per_block_applies_the_scalar_rule_per_block():
     assert abs(v_phi[0] - want[1]) < 1e-15
     assert np.array_equal(s_next[2:], r[2:])
     assert v_phi[1] == 1.2
+
+
+def broadcast_nle_orthogonalize(den, r, v_in):
+    """The per-block rule as one broadcast complex division and np.where."""
+    v = v_in.reshape(-1)
+    pv = np.maximum(den.coord_var.reshape(v.size, -1).mean(axis=1),
+                    estimators._VARIANCE_FLOOR)
+    stalled = pv >= v
+    p = np.where(stalled, 0.0, pv / v)[:, None]
+    rows = r.reshape(v.size, -1)
+    s_next = np.where(stalled[:, None], rows,
+                      (den.posterior_mean.reshape(rows.shape) - p * rows) / (1.0 - p))
+    v_phi = np.where(stalled, v, np.maximum(pv * v / np.where(stalled, 1.0, v - pv),
+                                            estimators._VARIANCE_FLOOR))
+    return s_next.reshape(r.shape), v_phi, bool(stalled.any())
+
+
+def test_nle_orthogonalize_per_block_matches_broadcast_division_bitwise():
+    # 300 random cases of 1 to 32 blocks: a denoiser variance of at most
+    # 0.2 stalls no block, one up to 2 stalls some block in most cases.
+    rng = generator(23)
+    stalls = 0
+    for _ in range(300):
+        blocks = int(rng.integers(1, 33))
+        n = blocks * int(rng.integers(1, 33))
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        mean = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        coord_var = rng.uniform(0.0, rng.choice([0.2, 2.0]), n)
+        den = DenoiserResult(posterior_mean=mean, coord_var=coord_var)
+        v = rng.uniform(0.3, 2.0, blocks)
+        got = nle_orthogonalize(den, r, v)
+        want = broadcast_nle_orthogonalize(den, r, v)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes() and got[2] == want[2]
+        stalls += got[2]
+    assert 50 < stalls < 250, stalls
 
 
 def test_nle_orthogonalize_matched_gaussian_returns_prior():

@@ -55,7 +55,11 @@ def reshape_concatenate_fwht(v):
 
 
 @pytest.mark.parametrize("n", [1] + SIZES)
-def test_fwht_is_bit_identical_to_reshape_concatenate_butterfly(n):
+def test_fwht_matches_reshape_concatenate_butterfly_within_rounding(n):
+    # Both forms add the same n signed entries per output, in different
+    # orders.  Any order of such a sum is within n eps of the sum of the
+    # magnitudes, per real plane; twice that covers both orders, the final
+    # division and a complex entry's two planes.
     rng = generator(n + 2)
     for lead in ((), (3,), (2, 3)):
         real = rng.standard_normal(lead + (n,))
@@ -63,7 +67,9 @@ def test_fwht_is_bit_identical_to_reshape_concatenate_butterfly(n):
         for v in (real, cplx):
             got, want = fwht_forward(v), reshape_concatenate_fwht(v)
             assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            eps = np.finfo(got.dtype).eps
+            bound = 2 * n * eps * np.sum(np.abs(v), axis=-1, keepdims=True) / np.sqrt(n)
+            assert np.all(np.abs(got - want) <= bound)
 
 
 def test_fwht_natural_ordering_small_case():

@@ -1,5 +1,7 @@
 """Channels, priors, and observation synthesis."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -112,19 +114,18 @@ def test_time_varying_channel_matches_dense_oracle():
 
 
 def roll_sum_circulant(v, delays, gains, adjoint):
-    """Reference formulation of the static channel: one np.roll per tap."""
-    out = np.zeros_like(v, dtype=np.complex128)
-    for d, g in zip(delays, gains):
-        out += np.conj(g) * np.roll(v, -d) if adjoint else g * np.roll(v, d)
-    return out
+    """Reference formulation of the static channel: one np.roll per tap,
+    summed from the first tap's product."""
+    return functools.reduce(np.add, [np.conj(g) * np.roll(v, -d) if adjoint
+                                     else g * np.roll(v, d) for d, g in zip(delays, gains)])
 
 
 def roll_sum_time_varying(v, delays, tracks, adjoint):
-    """Reference formulation of the drifting channel: one np.roll per tap."""
-    out = np.zeros_like(v, dtype=np.complex128)
-    for d, track in zip(delays, tracks):
-        out += np.roll(np.conj(track) * v, -d) if adjoint else track * np.roll(v, d)
-    return out
+    """Reference formulation of the drifting channel: one np.roll per tap,
+    summed from the first tap's product."""
+    return functools.reduce(np.add, [np.roll(np.conj(track) * v, -d) if adjoint
+                                     else track * np.roll(v, d)
+                                     for d, track in zip(delays, tracks)])
 
 
 def assert_same_bits(got, want):
@@ -141,7 +142,11 @@ def test_channel_applies_are_bit_identical_to_rolled_sums(n, delays):
     tracks = rng.standard_normal((delays.size, n)) + 1j * rng.standard_normal((delays.size, n))
     circ = CirculantOperator(n, delays, gains)
     tv = TimeVaryingChannelOperator(n, delays, tracks)
-    for v in (rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n)):
+    # Zeros of random sign: an all-zero sum keeps the sign IEEE addition
+    # gives its products, which an output started from +0 would lose.
+    zeros = np.copysign(0.0, rng.standard_normal(n))
+    for v in (rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n),
+              zeros, zeros + 1j * np.flip(zeros)):
         assert_same_bits(circ.apply(v), roll_sum_circulant(v, delays, gains, False))
         assert_same_bits(circ.apply_adjoint(v), roll_sum_circulant(v, delays, gains, True))
         assert_same_bits(tv.apply(v), roll_sum_time_varying(v, delays, tracks, False))
