@@ -27,8 +27,8 @@ what keeps the unmeasured subspace recoverable by the prior.
 ``run_cd_mamp`` follows Memory AMP (Liu, Huang & Ping, IEEE TIT 2022) in
 its gain schedule, theta_t = 1 / (lambda_dagger + sigma^2 / v_t), where
 v_t is the estimator's own error variance of the damped iterate x_t: the
-prior power at t = 1, then zeta^T V zeta from the damping step.  A bare
-``MampState`` keeps the noiseless member theta_t = 1 / lambda_dagger, which
+prior power at t = 1, then zeta^T V zeta from the damping step.  Called
+with theta_t = 1 / lambda_dagger, the noiseless member, ``mle_step``
 expands the zero-forcing inverse (A A^H)^{-1} instead of the LMMSE
 (A A^H + sigma^2 / v_t)^{-1} and amplifies noise once v_t is small.
 
@@ -117,10 +117,6 @@ class MampState:
     forward(s) = A Xi s and back(u) = Xi^H u, whose applies ``meter``
     counts with the history rows read, and the run's ``history``, a
     ``memory.History`` in the source domain of size ``dim = Xi.cols``.
-
-    ``theta`` (1 / lambda_dagger) is the gain schedule, one entry per
-    iteration.  Callers write it in place, as ``run_cd_mamp`` does with
-    ``theta[t - 1]`` before step t.
     """
 
     def __init__(self, A: LinearOperator, Xi: LinearOperator, y: np.ndarray,
@@ -143,7 +139,6 @@ class MampState:
         self.w = profile.w_scaled * (profile.dim / dim)
         self.trace_gram = profile.trace_gram
         self.lambda_dagger = profile.lambda_dagger
-        self.theta = np.full(cfg.max_iters, 1.0 / profile.lambda_dagger)
         self.iteration = 0
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
         self.adj_gamma = None       # A^H gamma, reused by the next step
@@ -153,8 +148,8 @@ class MampState:
         if (isinstance(A, DiagonalOperator) and isinstance(Xi, IbsOperator)
                 and Xi.spec.blocks > 1):
             self.row_blocks = Xi.row_blocks
-            self.block_rows = np.bincount(self.row_blocks)
-            self.block_trace = np.bincount(self.row_blocks, weights=np.abs(A.weights) ** 2)
+            self.block_rows = Xi.spec.block_rows
+            self.block_trace = np.bincount(self.row_blocks, weights=gram_eigenvalues(A))
 
     def forward(self, s: np.ndarray) -> np.ndarray:
         """A Xi s: one transform and one channel apply."""
@@ -169,8 +164,9 @@ class MampState:
         return self.Xi.apply_adjoint(u)
 
 
-def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
-    """Advance the memory recursion one step and return (r_t, v_gamma).
+def mle_step(state: MampState, theta_t: float) -> tuple[np.ndarray, float | np.ndarray]:
+    """Advance the memory recursion one step with gain theta_t and return
+    (r_t, v_gamma).
 
     r_t has unit mean gain on the true signal in the source domain;
     v_gamma is the residual-based estimate of its per-coordinate error
@@ -180,7 +176,6 @@ def mle_step(state: MampState) -> tuple[np.ndarray, float | np.ndarray]:
     """
     t = state.iteration + 1
     A, meter, history = state.A, state.meter, state.history
-    theta_t = float(state.theta[t - 1])
     resid = history.residual
     if t == 1:
         gamma = resid.copy()        # a row of the residual buffer, which push overwrites
@@ -409,8 +404,7 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
 
     def step():
         nonlocal v_x
-        state.theta[state.iteration] = 1.0 / (state.lambda_dagger + instance.noise_var / v_x)
-        r, v_gamma = mle_step(state)
+        r, v_gamma = mle_step(state, 1.0 / (state.lambda_dagger + instance.noise_var / v_x))
         den = prior.denoise(r, v_gamma)
         meter.vector_points += n
         s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma)
@@ -427,12 +421,15 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
 
 def _shifted_solver(A: LinearOperator):
     """solve(v_scale, sigma2, z) = (v_scale A A^H + sigma2 I)^{-1} z using the
-    operator's structure; a dense Gram is formed once, here, not per solve."""
+    operator's structure: the memoized Gram eigenvalues of a diagonal or, in
+    the DFT eigenbasis, a circulant A; else a dense Gram, formed once, here,
+    not per solve."""
     if isinstance(A, DiagonalOperator):
-        lam = np.abs(A.weights) ** 2
+        lam = gram_eigenvalues(A)
         return lambda v_scale, sigma2, z: z / (v_scale * lam + sigma2)
     if isinstance(A, CirculantOperator):
-        return A.solve_shifted
+        lam = gram_eigenvalues(A)
+        return lambda v_scale, sigma2, z: np.fft.ifft(np.fft.fft(z) / (v_scale * lam + sigma2))
     gram = dense_gram(A)
     eye = np.eye(A.rows)
     return lambda v_scale, sigma2, z: np.linalg.solve(v_scale * gram + sigma2 * eye, z)
@@ -449,7 +446,7 @@ def run_cd_oamp(instance: SystemInstance, prior,
     A, Xi, y = instance.A, instance.Xi, instance.y
     n = Xi.cols
     lam = gram_eigenvalues(A)
-    solve_shifted = _shifted_solver(A)
+    solve = _shifted_solver(A)
     sigma2 = instance.noise_var
     s_msg = np.zeros(n, dtype=np.complex128)
     v_t = prior.power
@@ -458,7 +455,7 @@ def run_cd_oamp(instance: SystemInstance, prior,
     def step():
         nonlocal s_msg, v_t
         resid = y - A.apply(Xi.apply(s_msg))
-        z = solve_shifted(v_t, sigma2, resid)
+        z = solve(v_t, sigma2, resid)
         lifted = Xi.apply_adjoint(A.apply_adjoint(z))
         meter.transform_applies += 2        # Xi and A, once forward and once adjoint
         meter.channel_applies += 2

@@ -41,7 +41,7 @@ STREAM_TRIALS = 10
 STREAM_BLOCK_SEEDS = 11
 STREAM_WHOLE_SEED = 12
 
-# Float fields that may be +inf: an infinite SNR means a noiseless observation.
+# The SNR fields: +inf means a noiseless observation.
 _NOISELESS_FIELDS = ("snr_db", "snr_db_list")
 
 TRAJECTORY_COLUMNS = ("variant", "base", "trial_seed", "t", "mse", "mse_db",
@@ -85,7 +85,9 @@ def _check_integer_fields(cfg) -> None:
 def _check_float_fields(cfg) -> None:
     """Refuse non-numbers, NaN and infinities in the fields annotated as
     floats, such as a NaN SNR from a JSON config, before they reach a trial.
-    An SNR may be +inf."""
+    An SNR may be +inf, and its noise variance may not exceed the root of
+    the largest float64, so that two noise energies still multiply to a
+    finite number: no SNR below -1541.27 dB."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "tuple[float, ...]":
@@ -98,9 +100,10 @@ def _check_float_fields(cfg) -> None:
             if isinstance(x, bool) or not isinstance(x, Real):
                 raise ConfigurationError(f"{f.name} must be a number, got {x!r}")
             if f.name in _NOISELESS_FIELDS:
-                if math.isnan(x) or x == -math.inf:
-                    raise ConfigurationError(
-                        f"{f.name} must be finite or +inf (noiseless), got {x!r}")
+                floor = -5.0 * math.log10(np.finfo(np.float64).max)
+                if not x >= floor:
+                    raise ConfigurationError(f"{f.name} must be finite or +inf (noiseless), "
+                                             f"and at least {floor:.2f} dB, got {x!r}")
             elif not math.isfinite(x):
                 raise ConfigurationError(f"{f.name} must be finite, got {x!r}")
 
@@ -208,7 +211,6 @@ class IfdmBerConfig:
     snr_db_list: tuple[float, ...] = (6.0, 8.0, 10.0, 12.0, 14.0, 16.0)
     n_s_list: tuple[int, ...] = (128, 32)
     bases: tuple[str, ...] = ("FFT", "FWHT")
-    include_full: bool = True
     variant: str = "BW_IBS"
     max_iters: int = 32
     damping_window: int = 3
@@ -220,10 +222,6 @@ class IfdmBerConfig:
         for b in self.bases:
             if b not in BASES:     # before _ber_schemes reads b.lower()
                 raise ConfigurationError(f"unknown base {b!r}")
-        # A truthy string such as "no" would silently run the full scheme.
-        if not isinstance(self.include_full, bool):
-            raise ConfigurationError(
-                f"include_full must be true or false, got {self.include_full!r}")
         _check_list_fields(self)
         _check_estimator_fields(self)
         # As in CsMseConfig: a trial's own checks, before any trial.
@@ -294,24 +292,28 @@ def _cs_transform_spec(cfg: CsMseConfig, variant: str, block_seed_base: int = 0,
                    direction="kernel", block_seed_base=block_seed_base, whole_seed=whole_seed)
 
 
-def _cs_trial(cfg: CsMseConfig, trial_seed: int) -> tuple[list[tuple], dict[str, str]]:
-    """Trajectory rows of one trial, and each variant's stop reason."""
+def _cs_trial(cfg: CsMseConfig, trial_seed: int
+              ) -> tuple[list[tuple], dict[str, tuple[float, str]]]:
+    """Trajectory rows of one trial, and each variant's final mse and stop
+    reason."""
     prior = BernoulliGaussianPrior(cfg.rho, cfg.sigma_s2)
     A = gen_sensing_diagonal(cfg.rows, cfg.n, cfg.kappa)
     s = prior.sample(cfg.n, generator(trial_seed, STREAM_SOURCE))
     seeds = (derive_subseed(trial_seed, STREAM_BLOCK_SEEDS),
              derive_subseed(trial_seed, STREAM_WHOLE_SEED))
     mamp = cfg.mamp
-    rows, stops = [], {}
+    # The variants share their seeds, so each permutation is drawn once.
+    perms = {}
+    rows, finals = [], {}
     for variant in cfg.variants:
-        Xi = build_ibs_transform(_cs_transform_spec(cfg, variant, *seeds))
+        Xi = build_ibs_transform(_cs_transform_spec(cfg, variant, *seeds), perms)
         instance = simulate_observation(A, Xi, s, cfg.snr_db, trial_seed)
         run = run_cd_mamp(instance, Xi, prior, mamp)
         for pt in run.points:
             rows.append((variant, cfg.base, trial_seed, pt.t, float(pt.mse),
                          float(pt.mse_db), float(pt.v_gamma), float(pt.v_phi), pt.flags))
-        stops[variant] = run.stop_reason
-    return rows, stops
+        finals[variant] = run.final_mse, run.stop_reason
+    return rows, finals
 
 
 def run_cs_mse(cfg: CsMseConfig) -> tuple[list[tuple], list[tuple]]:
@@ -322,10 +324,7 @@ def run_cs_mse(cfg: CsMseConfig) -> tuple[list[tuple], list[tuple]]:
     rows = [row for trial_rows, _ in per_trial for row in trial_rows]
     summary = []
     for variant in cfg.variants:
-        finals = []
-        for trial_rows, _ in per_trial:
-            variant_rows = [r for r in trial_rows if r[0] == variant]
-            finals.append(variant_rows[-1][4])
+        finals = [trial_finals[variant][0] for _, trial_finals in per_trial]
         mean_mse = float(np.mean(finals))
         # Normal-approximation 95% half-width; zero when a single trial
         # leaves no spread to estimate.
@@ -333,15 +332,13 @@ def run_cs_mse(cfg: CsMseConfig) -> tuple[list[tuple], list[tuple]]:
             half = float(1.96 * np.std(finals, ddof=1) / np.sqrt(cfg.trials))
         else:
             half = 0.0
-        stops = "|".join(trial_stops[variant] for _, trial_stops in per_trial)
+        stops = "|".join(trial_finals[variant][1] for _, trial_finals in per_trial)
         summary.append((variant, cfg.base, cfg.trials, mean_mse, mse_db(mean_mse), half, stops))
     return rows, summary
 
 
 def _ber_schemes(cfg: IfdmBerConfig) -> list[tuple[str, str, int]]:
-    schemes = []
-    if cfg.include_full:
-        schemes.append(("full", "FFT", cfg.n))
+    schemes = [("full", "FFT", cfg.n)]
     for base in cfg.bases:
         for n_s in cfg.n_s_list:
             schemes.append((f"ibs-{base.lower()}-{n_s}", base, n_s))
@@ -459,6 +456,8 @@ def write_sidecar(path: Path, experiment: str, cfg) -> None:
 
 def run_experiment(experiment: str, cfg, out_dir: str | Path) -> list[Path]:
     """Run one experiment and write its CSV outputs plus a JSON sidecar."""
+    if experiment not in CONFIG_TYPES:
+        raise ConfigurationError(f"unknown experiment {experiment!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -477,12 +476,10 @@ def run_experiment(experiment: str, cfg, out_dir: str | Path) -> list[Path]:
         write_csv(written[-1], BER_COLUMNS, rows)
         written.append(out / "ifdm_ber_summary.csv")
         write_csv(written[-1], BER_SUMMARY_COLUMNS, summary)
-    elif experiment == "complexity":
+    else:
         rows = run_complexity_table(cfg)
         written.append(out / "complexity.csv")
         write_csv(written[-1], COMPLEXITY_COLUMNS, rows)
-    else:
-        raise ConfigurationError(f"unknown experiment {experiment!r}")
     sidecar = out / f"{experiment.replace('-', '_')}_meta.json"
     write_sidecar(sidecar, experiment, cfg)
     written.append(sidecar)

@@ -70,9 +70,6 @@ class LinearOperator:
             raise ValueError(f"expected vector of length {self.rows}, got shape {v.shape}")
         return self._adj(v)
 
-    def __repr__(self):
-        return f"{type(self).__name__}(rows={self.rows}, cols={self.cols})"
-
 
 class DiagonalOperator(LinearOperator):
     """Square diagonal operator with the given (possibly complex) weights."""

@@ -83,11 +83,6 @@ class CirculantOperator(LinearOperator):
         _freeze(self, delays=delays, gains=gains, freq_response=freq,
                 taps_per_row=int(delays.size))
 
-    def solve_shifted(self, v_scale: float, sigma2: float, z: np.ndarray) -> np.ndarray:
-        """(v_scale * A A^H + sigma2 I)^{-1} z via the DFT eigenbasis."""
-        gain = v_scale * np.abs(self.freq_response) ** 2 + sigma2
-        return np.fft.ifft(np.fft.fft(z) / gain)
-
 
 class TimeVaryingChannelOperator(LinearOperator):
     """Cyclic multipath channel whose tap gains drift per output sample:
@@ -240,9 +235,6 @@ class BernoulliGaussianPrior:
     def denoise(self, r: np.ndarray, v: float | np.ndarray):
         return denoisers.denoise_bernoulli_gaussian(r, v, self.rho, self.sigma_s2)
 
-    def __repr__(self):
-        return f"BernoulliGaussianPrior(rho={self.rho}, sigma_s2={self.sigma_s2})"
-
 
 class QpskPrior:
     """Unit-power QPSK: entries uniform over (+-1 +-1j)/sqrt(2), Gray mapped."""
@@ -258,9 +250,6 @@ class QpskPrior:
     def denoise(self, r: np.ndarray, v: float | np.ndarray):
         return denoisers.denoise_qpsk(r, v)
 
-    def __repr__(self):
-        return "QpskPrior()"
-
 
 @dataclass(frozen=True)
 class SystemInstance:
@@ -274,10 +263,10 @@ class SystemInstance:
 
 
 def simulate_observation(A: LinearOperator, Xi: LinearOperator, s: np.ndarray,
-                         snr_db: float | None, seed: int) -> SystemInstance:
+                         snr_db: float, seed: int) -> SystemInstance:
     """Push s through Xi and A and add circular complex noise at the given SNR.
 
-    snr_db = None means noiseless.  The noise draw depends only on
+    snr_db = inf means noiseless.  The noise draw depends only on
     (seed, STREAM_NOISE), so a fixed seed reproduces y bit-for-bit.
     """
     if A.cols != Xi.rows:
@@ -295,15 +284,15 @@ def unit_noise(m: int, seed: int) -> np.ndarray:
 
 
 def observe(A: LinearOperator, Xi: LinearOperator, s: np.ndarray, image: np.ndarray,
-            noise: np.ndarray, snr_db: float | None) -> SystemInstance:
+            noise: np.ndarray, snr_db: float) -> SystemInstance:
     """The instance with y = image + noise scaled to the SNR, where image is
     A Xi s and noise is the ``unit_noise`` draw of the observation's seed.
 
     Sweeping the SNR of one image and one noise draw gives, bit for bit,
-    the y of ``simulate_observation`` at every SNR.  snr_db = None or
-    infinite means noiseless.
+    the y of ``simulate_observation`` at every SNR.  snr_db = inf means
+    noiseless.
     """
-    noise_var = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
+    noise_var = 10.0 ** (-snr_db / 10.0)
     y = image + noise * np.sqrt(noise_var / 2.0) if noise_var > 0.0 else image.copy()
     return SystemInstance(A=A, Xi=Xi, s_true=np.asarray(s, dtype=np.complex128),
                           y=y, noise_var=noise_var)

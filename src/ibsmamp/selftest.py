@@ -13,6 +13,7 @@ are defined here once as well.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -143,21 +144,16 @@ def check_denoisers(r=(0.3 - 0.1j, 1.2 + 0.8j, -2.0 + 0.4j), v=0.5) -> tuple[boo
 
 
 @_check
-def check_nle_orthogonality(dim=16384, v=0.8, seeds=(77,),
-                            denoise_fn=denoise_bernoulli_gaussian) -> tuple[bool, str]:
+def check_nle_orthogonality(dim=16384, v=0.8, seeds=(77,)) -> tuple[bool, str]:
     """Orthogonalized denoiser output error is uncorrelated with its input
-    error: the largest normalized |corr| over the seeds stays below 0.02.
-
-    ``denoise_fn`` is injectable so a deliberately broken denoiser can be
-    shown to trip this check.
-    """
+    error: the largest normalized |corr| over the seeds stays below 0.02."""
     prior = BernoulliGaussianPrior(rho=0.1, sigma_s2=10.0)
     worst = 0.0
     for seed in seeds:
         rng = generator(seed, 5)
         s = prior.sample(dim, rng)
         r = s + np.sqrt(v / 2.0) * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        den = denoise_fn(r, v, rho=prior.rho, sigma_s2=prior.sigma_s2)
+        den = denoise_bernoulli_gaussian(r, v, rho=prior.rho, sigma_s2=prior.sigma_s2)
         s_next, _, stalled = nle_orthogonalize(den, r, v)
         if stalled:
             return False, f"nle stalled on a well-posed input (seed {seed})"
@@ -182,7 +178,7 @@ def check_mle_normalization(alpha=(2.0, 1.0)) -> tuple[bool, str]:
     w_want = np.array([lam.mean(), np.mean(lam * (lam_dag - lam)) / lam_dag])
     if np.max(np.abs(state.w[:2] - w_want)) > 1e-12:
         return False, f"trace moments off: {state.w[:2]}"
-    r, _ = mle_step(state)
+    r, _ = mle_step(state, 1.0 / state.lambda_dagger)
     err = float(np.max(np.abs(r - A.apply_adjoint(y) / w_want[0])))
     gain = float(np.vdot(s, r).real / np.vdot(s, s).real)
     return (err < 1e-14 and abs(gain - 1.0) < 1e-12,
@@ -230,7 +226,7 @@ def check_trivial_recovery(n=256, n_s=32, seed=12, spec_seeds=(3, 9)) -> tuple[b
                                      whole_seed=spec_seeds[1]))
     prior = BernoulliGaussianPrior(rho=0.25)
     s = prior.sample(n, generator(seed, STREAM_SOURCE))
-    run = run_cd_mamp(simulate_observation(A, Xi, s, None, seed), Xi, prior,
+    run = run_cd_mamp(simulate_observation(A, Xi, s, math.inf, seed), Xi, prior,
                       MampConfig(max_iters=60))
     well_formed = ([p.t for p in run.points] == list(range(1, len(run.points) + 1))
                    and run.stop_reason in STOP_REASONS

@@ -120,7 +120,7 @@ def test_criterion_7_error_orthogonality_monte_carlo():
         for _ in range(iters):
             # The window ends in the free row; the row before it is h_prev.
             h_prev = state.history.window()[0][-2].copy()
-            r, v_gamma = mle_step(state)
+            r, v_gamma = mle_step(state, 1.0 / state.lambda_dagger)
             mle_worst = max(mle_worst, abs_corr(r - s, h_prev - s))
             den = prior.denoise(r, v_gamma)
             s_ext, _, _ = nle_orthogonalize(den, r, v_gamma)

@@ -52,12 +52,10 @@ def identity(n):
     return LinearOperator(n, n, lambda v: v, lambda v: v)
 
 
-def make_square_state(alpha, y, max_iters, theta=None, damping_window=3):
+def make_square_state(alpha, y, max_iters, damping_window=3):
     A = DiagonalOperator(np.asarray(alpha, dtype=complex))
     state = MampState(A, identity(A.rows), y, 0.0,
                       MampConfig(max_iters=max_iters, damping_window=damping_window))
-    if theta is not None:
-        state.theta[:] = theta
     return A, state
 
 
@@ -171,10 +169,10 @@ def test_state_renormalizes_moments_to_its_dim():
     assert abs(state.trace_gram - 5.0) < 1e-12
 
 
-def test_bare_state_schedule_is_the_noiseless_gain():
-    y = np.ones(2, dtype=complex)
-    _, state = make_square_state([2.0, 1.0], y, max_iters=3)
-    assert np.array_equal(state.theta, np.full(3, 1.0 / state.lambda_dagger))
+def test_state_refuses_a_channel_without_a_positive_gram_eigenvalue():
+    A = DiagonalOperator(np.zeros(4, dtype=complex))
+    with pytest.raises(ValueError, match="lambda_dagger must be positive"):
+        MampState(A, identity(4), np.zeros(4, dtype=complex), 0.0, MampConfig(max_iters=2))
 
 
 def test_state_keeps_one_variance_per_block_only_for_a_diagonal_channel_behind_blocks():
@@ -197,7 +195,7 @@ def test_state_keeps_one_variance_per_block_only_for_a_diagonal_channel_behind_b
         s = rng.standard_normal(Xi.cols) + 1j * rng.standard_normal(Xi.cols)
         y = A.apply(Xi.apply(s))
         state = MampState(A, Xi, y, 1e-3, MampConfig(max_iters=2))
-        r, v = mle_step(state)
+        r, v = mle_step(state, 1.0 / state.lambda_dagger)
         if L is None:
             assert state.row_blocks is None
             assert isinstance(v, float)
@@ -250,10 +248,10 @@ def test_linear_stage_matches_dense_reference_recursion():
     y = A.apply(s)
     steps = 8
     thetas = (0.5 + 0.3 * np.sin(np.arange(1, steps + 1))) / 2.0
-    _, state = make_square_state(alpha, y, max_iters=steps, theta=thetas)
+    _, state = make_square_state(alpha, y, max_iters=steps)
     want = reference_memory_recursion(np.diag(alpha).astype(complex), y, thetas, steps)
-    for r_want, v_want in want:
-        r, v = mle_step(state)
+    for theta, (r_want, v_want) in zip(thetas, want):
+        r, v = mle_step(state, theta)
         assert np.max(np.abs(r - r_want)) < 1e-10
         assert abs(v - max(v_want, estimators._VARIANCE_FLOOR)) < 1e-10
         h_next = r / 2.0
@@ -270,14 +268,13 @@ def test_memory_sum_weighs_rows_by_coefficient_and_norm(monkeypatch):
     summed = {}
     record_pushes(monkeypatch)
     for norm in (1.0, 1e30):
-        A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
-                                     theta=np.full(steps, 1e-3 / 4.0))
+        A, state = make_square_state([2.0, 1.0], y, max_iters=steps)
         for t in range(1, steps):
             h = np.array([1.0 + 1j, -1.0]) / np.sqrt(3.0) * (norm if t == 1 else 1.0)
-            mle_step(state)
+            mle_step(state, 1e-3 / 4.0)
             state.history.push(h, y - A.apply(h))
         before = state.meter.vector_points
-        r, _ = mle_step(state)
+        r, _ = mle_step(state, 1e-3 / 4.0)
         summed[norm] = (state.meter.vector_points - before) // state.dim
         p = state.history.vartheta * state.w[steps - 1::-1]
         assert abs(p[1] / p[-1]) < 1e-18
@@ -347,8 +344,8 @@ def recorded_run(monkeypatch, instance, Xi, prior, cfg, memory_sum=None):
     another memory sum, recording every pushed row."""
     step, outputs = estimators.mle_step, []
 
-    def recording_step(state):
-        r, v_gamma = step(state)
+    def recording_step(state, theta_t):
+        r, v_gamma = step(state, theta_t)
         outputs.append(r.tobytes())
         return r, v_gamma
 
@@ -512,25 +509,22 @@ def test_a_non_finite_weight_releases_no_row():
                     70: np.array([np.inf, -1.0 + 0j])}
     released = {}
     for bad, bad_row in bad_rows.items():
-        A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
-                                     theta=np.full(steps, 1e-3 / 4.0))
+        A, state = make_square_state([2.0, 1.0], y, max_iters=steps)
         with np.errstate(all="ignore"):
             for t in range(1, steps):
                 h = bad_row if t == bad else np.array([1.0 + 1j, -1.0])
-                mle_step(state)
+                mle_step(state, 1e-3 / 4.0)
                 state.history.push(h, y - A.apply(h))
         released[bad] = released_rows(state.history, steps)
     assert released[None] > 64 and released[20] == released[70] == 0
     # A weight that turns NaN after rows were released sums from the oldest
     # kept row, to a NaN r_t.
-    A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
-                                 theta=np.full(steps, 1e-3 / 4.0))
+    A, state = make_square_state([2.0, 1.0], y, max_iters=steps)
     for t in range(1, steps):
-        mle_step(state)
+        mle_step(state, 1e-3 / 4.0)
         state.history.push(np.array([1.0 + 1j, -1.0]), y - A.apply(np.array([1.0 + 1j, -1.0])))
-    state.theta[steps - 1] = np.nan
     with np.errstate(all="ignore"):
-        r, _ = mle_step(state)
+        r, _ = mle_step(state, np.nan)
     assert released_rows(state.history, steps) > 64 and np.isnan(r).all()
 
 
@@ -540,12 +534,11 @@ def test_released_rows_spare_the_damping_window():
     # short of it.
     steps, w = 96, 8
     y = np.array([1.0 + 0j, 2.0])
-    A, state = make_square_state([2.0, 1.0], y, max_iters=steps,
-                                 theta=np.full(steps, 1e-3 / 4.0), damping_window=w)
+    A, state = make_square_state([2.0, 1.0], y, max_iters=steps, damping_window=w)
     rng = generator(9)
     pushed = [np.zeros(2)]
     for _ in range(1, steps):
-        mle_step(state)
+        mle_step(state, 1e-3 / 4.0)
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         state.history.push(h, y - A.apply(h))
         pushed.append(h)
@@ -568,7 +561,7 @@ def test_meter_counts_the_history_rows_each_step_reads(monkeypatch):
     read = []
     for t in range(1, steps + 1):
         before = state.meter.vector_points
-        r, _ = mle_step(state)
+        r, _ = mle_step(state, 1.0 / state.lambda_dagger)
         read.append((state.meter.vector_points - before) // state.dim)
         p = state.history.vartheta[:t] * state.w[t - 1::-1]
         full = (state.back(state.adj_gamma) + p @ state.history.pushed[:t]) / p.sum()
@@ -586,10 +579,9 @@ def test_degenerate_gain_normalizer_raises():
     y = np.ones(2, dtype=complex)
     _, state = make_square_state([2.0, 1.0], y, max_iters=3)
     assert np.allclose(state.w[:2], [2.5, -0.9], rtol=0.0, atol=1e-15)
-    mle_step(state)
-    state.theta[1] = -state.w[0] / (state.lambda_dagger * state.w[1])
+    mle_step(state, 1.0 / state.lambda_dagger)
     with pytest.raises(NormalizationError):
-        mle_step(state)
+        mle_step(state, -state.w[0] / (state.lambda_dagger * state.w[1]))
 
 
 def test_nle_orthogonalize_hand_case():
@@ -744,6 +736,17 @@ def test_damping_handles_singular_covariance():
     assert abs(zeta.sum() - 1.0) < 1e-9
     with pytest.raises(ValueError):
         damping_update(np.zeros((1, 1), complex), np.eye(2))
+
+
+def test_damping_falls_back_to_the_best_single_candidate_when_the_solve_fails():
+    # V = 0 has a zero trace, so a zero ridge: the solve raises LinAlgError,
+    # and the first of the equally good candidates is returned alone.
+    cands = np.arange(6, dtype=complex).reshape(3, 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.zeros((3, 3)), np.ones(3))
+    zeta, combined, var = damping_update(cands, np.zeros((3, 3)))
+    assert zeta.tolist() == [1.0, 0.0, 0.0]
+    assert np.array_equal(combined, cands[0]) and var == 0.0
 
 
 def reference_damping_step():

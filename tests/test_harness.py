@@ -4,6 +4,11 @@ import csv
 import ctypes
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -388,6 +393,30 @@ def test_ber_trial_draws_each_permutation_once(monkeypatch):
     assert len(sizes) == 85
 
 
+def test_cs_trial_draws_each_permutation_once(monkeypatch):
+    # The variants of a trial share their seeds: full and W_IBS share the
+    # whole interleave with BW_IBS, and B_IBS its 8 block permutations:
+    # 2 + 8 distinct draws, not 2 + 1 + 8 + 9.
+    sizes = []
+
+    def counting(size, seed):
+        sizes.append(size)
+        return make_permutation(size, seed)
+
+    def unshared(spec, perms=None):
+        return ibs.build_ibs_transform(spec)
+
+    monkeypatch.setattr(ibs, "make_permutation", counting)
+    cfg = CsMseConfig(**dict(SMALL_CS, trials=1, variants=("full", "BS", "W_IBS", "B_IBS",
+                                                             "BW_IBS")))
+    shared = run_cs_mse(cfg)
+    assert sorted(sizes) == [32] * 8 + [128, 256]
+    sizes.clear()
+    monkeypatch.setattr(harness, "build_ibs_transform", unshared)
+    assert run_cs_mse(cfg) == shared
+    assert len(sizes) == 20
+
+
 def test_ber_observations_equal_simulate_observation(monkeypatch):
     # One channel image per scheme and one noise draw per trial, scaled
     # per SNR, reproduce simulate_observation's y bit for bit.
@@ -466,20 +495,15 @@ def test_cli_refuses_an_out_that_cannot_be_made_with_exit_2(tmp_path, capsys):
 
 
 def test_cli_rejects_non_integer_sizes_with_exit_2(tmp_path, capsys):
-    # include_full takes only true or false: "no" is truthy and would run
-    # the full scheme, and 0 is an integer, not a boolean.
-    integer, boolean = "must be an integer", "include_full must be true or false"
-    cases = [("ifdm-ber", {"n": 1024.0}, integer), ("ifdm-ber", {"n_s_list": [32.5]}, integer),
-             ("ifdm-ber", {"taps": True}, integer), ("cs-mse", {"m": 64.0}, integer),
-             ("complexity", {"n_s_list": [128, 32.0]}, integer),
-             ("ifdm-ber", dict(TINY["ifdm-ber"], include_full="no"), boolean),
-             ("ifdm-ber", dict(TINY["ifdm-ber"], include_full=0), boolean)]
-    for experiment, data, message in cases:
+    cases = [("ifdm-ber", {"n": 1024.0}), ("ifdm-ber", {"n_s_list": [32.5]}),
+             ("ifdm-ber", {"taps": True}), ("cs-mse", {"m": 64.0}),
+             ("complexity", {"n_s_list": [128, 32.0]})]
+    for experiment, data in cases:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and "must be an integer" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -503,24 +527,29 @@ TINY = {"cs-mse": dict(trials=1, n=64, n_s=16, max_iters=4),
 NAN, INF = float("nan"), float("inf")
 
 
+# An SNR below -1541.27 dB has a noise variance above the root of the
+# largest float64: at -4000 dB the variance 10**400 overflows, and at
+# -3070 dB a product of two noise energies does.
 @pytest.mark.parametrize("experiment, data", (
     ("cs-mse", {"snr_db": NAN}), ("cs-mse", {"snr_db": -INF}),
+    ("cs-mse", {"snr_db": -4000.0}), ("cs-mse", {"snr_db": -3070.0}),
     ("cs-mse", {"kappa": NAN}), ("cs-mse", {"sigma_s2": NAN}),
     ("ifdm-ber", {"snr_db_list": [10.0, NAN]}), ("ifdm-ber", {"snr_db_list": [-INF]}),
+    ("ifdm-ber", {"snr_db_list": [-4000.0]}), ("ifdm-ber", {"snr_db_list": [-3070.0]}),
     ("ifdm-ber", {"doppler_spread": NAN}), ("ifdm-ber", {"doppler_spread": INF})),
     ids=lambda x: x if isinstance(x, str) else json.dumps(x))
 def test_cli_rejects_non_finite_floats_with_exit_2(tmp_path, capsys, experiment, data):
-    cfg = tmp_path / "cfg.json"
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(dict(TINY[experiment], **data)))    # NaN, Infinity
-    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{next(iter(data))} must be finite" in err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, data", (
     ("cs-mse", {"variants": []}), ("cs-mse", {"variants": ["full", "full"]}),
-    ("ifdm-ber", {"bases": [], "include_full": False}), ("ifdm-ber", {"bases": []}),
+    ("ifdm-ber", {"bases": []}),
     ("ifdm-ber", {"bases": ["FFT", "FFT"]}), ("ifdm-ber", {"n_s_list": []}),
     ("ifdm-ber", {"n_s_list": [16, 16]}), ("ifdm-ber", {"snr_db_list": [10.0, 10]})),
     ids=lambda x: x if isinstance(x, str) else json.dumps(x))
@@ -582,9 +611,34 @@ def test_cli_rejects_seeds_outside_64_bits_with_exit_2(tmp_path, capsys, experim
     assert load_config(experiment, None, {"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
 
 
+def test_run_experiment_refuses_an_unknown_experiment_before_making_its_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match="unknown experiment 'nope'"):
+        run_experiment("nope", ComplexityConfig(), out)
+    assert not out.exists()
+
+
+def test_single_tap_channel_ber_is_the_awgn_qpsk_ber():
+    # One tap of unit gain is a flat channel: at 6 dB both the full scheme
+    # and the block scheme meet the QPSK bit error rate over AWGN,
+    # erfc(sqrt(snr / 2)) / 2 = 0.02301, within 4 standard errors of the
+    # 2 n trials bits (a bound fixed before measuring).
+    cfg = IfdmBerConfig(trials=8, n=1024, taps=1, snr_db_list=(6.0,), n_s_list=(32,),
+                        bases=("FFT",))
+    want = 0.5 * math.erfc(math.sqrt(10.0 ** 0.6 / 2.0))
+    se = math.sqrt(want * (1.0 - want) / (2 * cfg.n * cfg.trials))
+    _, summary = run_ifdm_ber(cfg)
+    assert [row[0] for row in summary] == ["full", "ibs-fft-32"]
+    for scheme, _, _, _, _, mean_ber, _ in summary:
+        assert abs(mean_ber - want) <= 4.0 * se, (scheme, mean_ber, want, se)
+
+
 def test_float_fields_refuse_non_finite_values_but_a_noiseless_snr():
     assert CsMseConfig(snr_db=INF).snr_db == INF
     assert IfdmBerConfig(snr_db_list=(INF, 10.0)).snr_db_list == (INF, 10.0)
+    # Just above the SNR floor, runs complete.
+    run_cs_mse(CsMseConfig(**dict(TINY["cs-mse"], snr_db=-1541.0)))
+    run_ifdm_ber(IfdmBerConfig(**dict(TINY["ifdm-ber"], snr_db_list=(-1541.0,))))
     for bad in (dict(kappa=INF), dict(rho=NAN), dict(kappa="10")):
         with pytest.raises(ConfigurationError):
             CsMseConfig(**bad)
@@ -596,7 +650,7 @@ def test_cli_rejects_unknown_subcommand():
     assert err.value.code == 2
 
 
-def test_selftest_passes_and_canary_trips(capsys):
+def test_selftest_passes_and_canary_trips(capsys, monkeypatch):
     assert main(["selftest"]) == 0
     assert capsys.readouterr().out.count("[ok] ") == len(selftest._CHECKS)
 
@@ -605,5 +659,18 @@ def test_selftest_passes_and_canary_trips(capsys):
         return type(out)(posterior_mean=-out.posterior_mean,
                          coord_var=out.coord_var)
 
-    ok, _ = check_nle_orthogonality(denoise_fn=sign_flipped)
+    monkeypatch.setattr(selftest, "denoise_bernoulli_gaussian", sign_flipped)
+    ok, _ = check_nle_orthogonality()
     assert not ok
+
+
+def test_cli_module_entry_runs_as_documented(tmp_path):
+    # ``python -m ibsmamp.cli``, in a fresh interpreter, from the checkout's src/.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "ibsmamp.cli", "complexity", "--out",
+                           str(tmp_path)], cwd=root, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(tmp_path / "complexity.csv"),
+                                   str(tmp_path / "complexity_meta.json")]
+    assert all(Path(path).is_file() for path in done.stdout.split())

@@ -162,9 +162,9 @@ def test_scalar_lane_runs_match_the_array_code_to_the_bit(monkeypatch, kind):
     instance, Xi, prior, cfg = system(kind)
     v_gammas = []
 
-    def checked_step(state):
+    def checked_step(state, theta_t):
         # The inlined norm of mle_step against np.linalg.norm, every step.
-        r, v_gamma = mle_step(state)
+        r, v_gamma = mle_step(state, theta_t)
         v_gammas.append((v_gamma, ref_v_gamma(state, r, lambda s: state.A.apply(Xi.apply(s)))))
         return r, v_gamma
 
@@ -210,7 +210,7 @@ def test_mle_step_variance_matches_np_linalg_norm_to_the_bit():
     for _ in range(10000):
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         state = MampState(A, Xi, y, 1e-3, cfg)
-        r, v_gamma = mle_step(state)
+        r, v_gamma = mle_step(state, 1.0 / state.lambda_dagger)
         assert v_gamma == ref_v_gamma(state, r, A.apply)
 
 
