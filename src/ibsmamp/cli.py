@@ -8,10 +8,11 @@ configuration or arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ConfigurationError
-from .harness import load_config, run_experiment
+from .harness import CONFIG_TYPES, load_config, run_experiment
 from .selftest import run_selftest
 
 
@@ -20,7 +21,7 @@ def _add_common(parser: argparse.ArgumentParser, monte_carlo: bool) -> None:
     if monte_carlo:
         parser.add_argument("--seed", type=int, help="master seed override")
         parser.add_argument("--trials", type=int, help="trial count override")
-        parser.add_argument("--threads", type=int, help="worker process count")
+        parser.add_argument("--threads", type=int, help="worker processes, at most one per trial")
     parser.add_argument("--out", default="results", help="output directory")
 
 
@@ -29,11 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ibsmamp",
         description="Block-sparse unitary transforms and memory-AMP recovery.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc, monte_carlo in (
-            ("cs-mse", "compressed-sensing MSE over transform variants", True),
-            ("ifdm-ber", "multicarrier QPSK BER sweep", True),
-            ("complexity", "relative per-iteration cost table", False)):
-        _add_common(sub.add_parser(name, help=desc), monte_carlo)
+    for name, cls in CONFIG_TYPES.items():
+        monte_carlo = any(f.name == "seed" for f in dataclasses.fields(cls))
+        _add_common(sub.add_parser(name, help=cls.__doc__), monte_carlo)
     sub.add_parser("selftest", help="run built-in invariant checks")
     return parser
 

@@ -69,7 +69,7 @@ from typing import Callable
 import numpy as np
 
 from .denoisers import DenoiserResult
-from .errors import NormalizationError
+from .errors import ConfigurationError, NormalizationError
 from .ibs import IbsOperator
 from .memory import History, norm
 from .operators import DiagonalOperator, LinearOperator
@@ -96,9 +96,9 @@ class MampConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.damping_window < 1:
-            raise ValueError(f"damping_window must be >= 1, got {self.damping_window}")
+            raise ConfigurationError(f"damping_window must be >= 1, got {self.damping_window}")
 
 
 @dataclass

@@ -61,94 +61,63 @@ def derive_subseed(seed: int, stream: int) -> int:
     return int(raw_words(seed, 1, stream=stream)[0])
 
 
-def _check_keys(data: dict, cls) -> None:
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
+def _check_float(name: str, x) -> None:
+    """Refuse a non-number, NaN or an infinity, such as a NaN SNR from a JSON
+    config.  An SNR may be +inf, and its noise variance may not exceed the
+    root of the largest float64, so that two noise energies still multiply
+    to a finite number: no SNR below -1541.27 dB."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise ConfigurationError(f"{name} must be a number, got {x!r}")
+    if name in _NOISELESS_FIELDS:
+        floor = -5.0 * math.log10(np.finfo(np.float64).max)
+        if not x >= floor:
+            raise ConfigurationError(f"{name} must be finite or +inf (noiseless), "
+                                     f"and at least {floor:.2f} dB, got {x!r}")
+    elif not math.isfinite(x):
+        raise ConfigurationError(f"{name} must be finite, got {x!r}")
 
 
-def _check_integer_fields(cfg) -> None:
-    """Refuse floats and bools in the fields annotated as integers, such as
-    n = 1024.0 from a JSON config, before they reach numpy.  The annotations
-    are strings here (``from __future__ import annotations``)."""
+def _check_fields(cfg) -> None:
+    """Check every field, and every entry of a list field, against its
+    annotation, ``T``, ``T | None`` or ``tuple[T, ...]`` (strings here:
+    ``from __future__ import annotations``), and store each list as a tuple
+    of T.  An integer may not be a float or a bool, such as n = 1024.0 from
+    a JSON config, and a string may not be a number or a list.  A list must
+    be a list, non-empty, which refuses header-only CSVs, and of distinct
+    entries, which refuses writing every row of an entry twice."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type == "tuple[int, ...]":
-            for x in value:
-                require_integer(f.name, x)
-        elif f.type == "int" or (f.type == "int | None" and value is not None):
-            require_integer(f.name, value)
-
-
-def _check_float_fields(cfg) -> None:
-    """Refuse non-numbers, NaN and infinities in the fields annotated as
-    floats, such as a NaN SNR from a JSON config, before they reach a trial.
-    An SNR may be +inf, and its noise variance may not exceed the root of
-    the largest float64, so that two noise energies still multiply to a
-    finite number: no SNR below -1541.27 dB."""
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type == "tuple[float, ...]":
-            values = value
-        elif f.type == "float" or (f.type == "float | None" and value is not None):
-            values = (value,)
-        else:
+        is_list = f.type.startswith("tuple[")
+        kind = f.type.removeprefix("tuple[").removesuffix(", ...]").removesuffix(" | None")
+        if is_list and not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{f.name} must be a list, got {value!r}")
+        if value is None and f.type.endswith(" | None"):
             continue
-        for x in values:
-            if isinstance(x, bool) or not isinstance(x, Real):
-                raise ConfigurationError(f"{f.name} must be a number, got {x!r}")
-            if f.name in _NOISELESS_FIELDS:
-                floor = -5.0 * math.log10(np.finfo(np.float64).max)
-                if not x >= floor:
-                    raise ConfigurationError(f"{f.name} must be finite or +inf (noiseless), "
-                                             f"and at least {floor:.2f} dB, got {x!r}")
-            elif not math.isfinite(x):
-                raise ConfigurationError(f"{f.name} must be finite, got {x!r}")
-
-
-def _check_list_fields(cfg) -> None:
-    """Refuse empty lists, which would write header-only CSVs, and repeated
-    entries, which would write every row of that entry twice."""
-    for f in dataclasses.fields(cfg):
-        if f.type.startswith("tuple["):
-            values = getattr(cfg, f.name)
-            if not values:
+        for x in value if is_list else (value,):
+            if kind == "int":
+                require_integer(f.name, x)
+            elif kind == "float":
+                _check_float(f.name, x)
+            elif kind == "str" and not isinstance(x, str):
+                raise ConfigurationError(f"{f.name} must be a string, got {x!r}")
+        if is_list:
+            if not value:
                 raise ConfigurationError(f"{f.name} must be non-empty")
-            if len(set(values)) != len(values):
-                raise ConfigurationError(f"{f.name} must be distinct, got {list(values)!r}")
+            if len(set(value)) != len(value):
+                raise ConfigurationError(f"{f.name} must be distinct, got {list(value)!r}")
+            cast = {"int": int, "float": float}.get(kind)
+            object.__setattr__(cfg, f.name, tuple(map(cast, value) if cast else value))
 
 
 def _check_run_fields(cfg) -> None:
-    """Refuse trial and worker counts below one, and a master seed outside
-    [0, 2**64), the generator's key range, when the config is loaded rather
-    than inside a trial."""
+    """Refuse trial and worker counts below one, a master seed outside
+    [0, 2**64), the generator's key range, and the estimator settings that
+    MampConfig would refuse inside a trial."""
     if cfg.trials < 1 or cfg.threads < 1:
         raise ConfigurationError("trials and threads must be >= 1")
     if not 0 <= cfg.seed <= _MASK64:
         raise ConfigurationError(f"seed must be in [0, 2**64), got {cfg.seed}")
-
-
-def _check_estimator_fields(cfg) -> None:
-    """Refuse, when the config is loaded, the estimator settings that
-    MampConfig would refuse inside a trial."""
-    try:
-        cfg.mamp
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-
-
-def _from_dict(cls, data: dict, overrides: dict | None = None):
-    _check_keys(data, cls)
-    merged = dict(data)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    try:
-        return cls(**merged)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    cfg.mamp
 
 
 @dataclass(frozen=True)
@@ -172,14 +141,11 @@ class CsMseConfig:
     damping_window: int = 5
 
     def __post_init__(self):
-        _check_integer_fields(self)
-        _check_float_fields(self)
+        _check_fields(self)
         _check_run_fields(self)
         for v in self.variants:     # the specs below would not list "full"
             if v != "full" and v not in VARIANTS:
                 raise ConfigurationError(f"unknown variant {v!r}")
-        _check_list_fields(self)
-        _check_estimator_fields(self)
         # A trial's own checks, run here so that they fail before any trial:
         # they build no transform and draw nothing.  The transform specs
         # refuse an unknown base.
@@ -187,7 +153,6 @@ class CsMseConfig:
         BernoulliGaussianPrior(self.rho, self.sigma_s2)
         for variant in self.variants:
             _cs_transform_spec(self, variant)
-        object.__setattr__(self, "variants", tuple(self.variants))
 
     @property
     def mamp(self) -> MampConfig:
@@ -216,21 +181,15 @@ class IfdmBerConfig:
     damping_window: int = 3
 
     def __post_init__(self):
-        _check_integer_fields(self)
-        _check_float_fields(self)
+        _check_fields(self)
         _check_run_fields(self)
         for b in self.bases:
             if b not in BASES:     # before _ber_schemes reads b.lower()
                 raise ConfigurationError(f"unknown base {b!r}")
-        _check_list_fields(self)
-        _check_estimator_fields(self)
         # As in CsMseConfig: a trial's own checks, before any trial.
         check_multipath_channel(self.n, self.taps, self.doppler_spread)
         for scheme, base, n_s in _ber_schemes(self):
             _ber_transform_spec(self, scheme, base, n_s)
-        object.__setattr__(self, "snr_db_list", tuple(float(x) for x in self.snr_db_list))
-        object.__setattr__(self, "n_s_list", tuple(int(x) for x in self.n_s_list))
-        object.__setattr__(self, "bases", tuple(self.bases))
 
     @property
     def mamp(self) -> MampConfig:
@@ -246,23 +205,17 @@ class ComplexityConfig:
     taps: int = 8
 
     def __post_init__(self):
-        _check_integer_fields(self)
-        _check_list_fields(self)
+        _check_fields(self)
         for n_s in self.n_s_list:
             relative_complexity(self.n, n_s, self.taps)
-        object.__setattr__(self, "n_s_list", tuple(int(x) for x in self.n_s_list))
-
-
-CONFIG_TYPES = {
-    "cs-mse": CsMseConfig,
-    "ifdm-ber": IfdmBerConfig,
-    "complexity": ComplexityConfig,
-}
 
 
 def load_config(experiment: str, path: str | None, overrides: dict | None = None):
+    """The config of an experiment: the JSON object at ``path``, if any,
+    over the defaults, and each override that is not None over both."""
     if experiment not in CONFIG_TYPES:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
+    cls = CONFIG_TYPES[experiment]
     data = {}
     if path is not None:
         try:
@@ -275,8 +228,11 @@ def load_config(experiment: str, path: str | None, overrides: dict | None = None
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError(f"config {path} must hold a JSON object")
-        data = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-    return _from_dict(CONFIG_TYPES[experiment], data, overrides)
+    data.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigurationError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
+    return cls(**data)
 
 
 def config_hash(cfg) -> str:
@@ -422,9 +378,12 @@ def _one_blas_thread() -> None:
 
 
 def _map_trials(fn, cfg, seeds: list[int]) -> list[list[tuple]]:
-    if cfg.threads <= 1 or len(seeds) <= 1:
+    """fn(cfg, seed) of each seed, in seed order, on at most one worker
+    process per seed: the pool starts all of its workers up front."""
+    workers = min(cfg.threads, len(seeds))
+    if workers <= 1:
         return [fn(cfg, seed) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=cfg.threads, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(fn, cfg, seed) for seed in seeds]
         return [f.result() for f in futures]
 
@@ -454,32 +413,33 @@ def write_sidecar(path: Path, experiment: str, cfg) -> None:
     path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
+# experiment -> (config type, runner, (file name, columns) of each CSV), the
+# runner returning one list of rows per CSV, in that order.
+EXPERIMENTS = {
+    "cs-mse": (CsMseConfig, run_cs_mse, (("cs_mse_trajectories.csv", TRAJECTORY_COLUMNS),
+                                         ("cs_mse_summary.csv", CS_SUMMARY_COLUMNS))),
+    "ifdm-ber": (IfdmBerConfig, run_ifdm_ber, (("ifdm_ber.csv", BER_COLUMNS),
+                                               ("ifdm_ber_summary.csv", BER_SUMMARY_COLUMNS))),
+    "complexity": (ComplexityConfig, lambda cfg: (run_complexity_table(cfg),),
+                   (("complexity.csv", COMPLEXITY_COLUMNS),)),
+}
+CONFIG_TYPES = {experiment: cls for experiment, (cls, _, _) in EXPERIMENTS.items()}
+
+
 def run_experiment(experiment: str, cfg, out_dir: str | Path) -> list[Path]:
     """Run one experiment and write its CSV outputs plus a JSON sidecar."""
-    if experiment not in CONFIG_TYPES:
+    if experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
+    _, run, files = EXPERIMENTS[experiment]
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:      # a file at that path, or on the way to it
         raise ConfigurationError(f"cannot make output directory {out}: {exc.strerror}") from exc
     written = []
-    if experiment == "cs-mse":
-        rows, summary = run_cs_mse(cfg)
-        written.append(out / "cs_mse_trajectories.csv")
-        write_csv(written[-1], TRAJECTORY_COLUMNS, rows)
-        written.append(out / "cs_mse_summary.csv")
-        write_csv(written[-1], CS_SUMMARY_COLUMNS, summary)
-    elif experiment == "ifdm-ber":
-        rows, summary = run_ifdm_ber(cfg)
-        written.append(out / "ifdm_ber.csv")
-        write_csv(written[-1], BER_COLUMNS, rows)
-        written.append(out / "ifdm_ber_summary.csv")
-        write_csv(written[-1], BER_SUMMARY_COLUMNS, summary)
-    else:
-        rows = run_complexity_table(cfg)
-        written.append(out / "complexity.csv")
-        write_csv(written[-1], COMPLEXITY_COLUMNS, rows)
+    for (name, columns), rows in zip(files, run(cfg), strict=True):
+        written.append(out / name)
+        write_csv(written[-1], columns, rows)
     sidecar = out / f"{experiment.replace('-', '_')}_meta.json"
     write_sidecar(sidecar, experiment, cfg)
     written.append(sidecar)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -179,6 +180,44 @@ def test_trial_workers_run_one_blas_thread():
     counts = harness._map_trials(blas_threads, SimpleNamespace(threads=2), list(range(4)))
     assert counts == [None if before is None else 1] * 4
     assert blas_threads(None, 0) == before
+
+
+def test_trial_pool_starts_at_most_one_worker_per_trial(monkeypatch):
+    # The pool starts every worker up front: eight threads for two trials
+    # would start six idle processes.
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers, initializer):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    cfg = CsMseConfig(**dict(SMALL_CS, threads=8))
+    assert run_cs_mse(cfg) == run_cs_mse(CsMseConfig(**SMALL_CS))
+    assert started == [2]
+
+
+def test_config_hashes_are_pinned(tmp_path):
+    # The sidecar's config_hash of the defaults and of a JSON config whose
+    # integer SNRs land as floats.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"snr_db_list": [10, 12.5], "n_s_list": [32], "bases": ["FWHT"]}))
+    got = {experiment: config_hash(load_config(experiment, None))
+           for experiment in harness.CONFIG_TYPES}
+    got["ifdm-ber-json"] = config_hash(load_config("ifdm-ber", str(path)))
+    assert got == {"cs-mse": "473ea1508336f582", "ifdm-ber": "abbe097a55ec1c2c",
+                   "complexity": "6de047cea1cc6b65", "ifdm-ber-json": "3b4b16436a04bc68"}
 
 
 def test_sidecar_schema(tmp_path):
@@ -564,6 +603,22 @@ def test_cli_rejects_empty_or_repeated_lists_with_exit_2(tmp_path, capsys, exper
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("experiment, data", (
+    ("cs-mse", {"variants": "full"}), ("ifdm-ber", {"bases": "FFT"}),
+    ("ifdm-ber", {"n_s_list": 32}), ("ifdm-ber", {"snr_db_list": 10.0}),
+    ("complexity", {"n_s_list": 128})),
+    ids=lambda x: x if isinstance(x, str) else json.dumps(x))
+def test_cli_rejects_a_scalar_for_a_list_with_exit_2(tmp_path, capsys, experiment, data):
+    # A string is not read as a list of its characters, nor a number as a
+    # list of one.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(dict(TINY.get(experiment, {}), **data)))
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    field, value = next(iter(data.items()))
+    assert capsys.readouterr().err == f"error: {field} must be a list, got {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, data, message", (
     ("cs-mse", {"n": 512, "n_s": 100, "max_iters": 50, "trials": 1}, "n_s must be a power of two"),
     ("cs-mse", dict(TINY["cs-mse"], kappa=0.5), "kappa must be >= 1"),
@@ -642,6 +697,16 @@ def test_float_fields_refuse_non_finite_values_but_a_noiseless_snr():
     for bad in (dict(kappa=INF), dict(rho=NAN), dict(kappa="10")):
         with pytest.raises(ConfigurationError):
             CsMseConfig(**bad)
+
+
+def test_string_fields_refuse_other_types():
+    # A list entry in a list of names would otherwise end in set()'s
+    # "unhashable type".
+    for bad in (dict(base=5), dict(variants=(["full"],))):
+        with pytest.raises(ConfigurationError, match="must be a string"):
+            CsMseConfig(**bad)
+    with pytest.raises(ConfigurationError, match=r"bases must be a string, got \['FFT'\]"):
+        IfdmBerConfig(bases=(["FFT"],))
 
 
 def test_cli_rejects_unknown_subcommand():

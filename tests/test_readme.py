@@ -1,5 +1,6 @@
 """The README runs and reads as written: its quick start, its config keys,
-its artifact table, its self-test list, its stop list and its layout."""
+its list fields, its artifact table, its self-test list, its stop list and
+its layout."""
 
 import dataclasses
 import re
@@ -35,15 +36,19 @@ def test_readme_lists_every_config_key():
         assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(cls)]
 
 
+def test_readme_names_every_list_field():
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"List fields \((.*?)\) must be JSON lists", text).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(
+        {f.name for cls in harness.CONFIG_TYPES.values() for f in dataclasses.fields(cls)
+         if f.type.startswith("tuple[")})
+
+
 def test_readme_artifact_table_matches_columns():
     section = README.read_text().split("### Artifacts\n", 1)[1].split("\n#", 1)[0]
     table = re.findall(r"^\| `(\w+\.csv)` \| `([^`]*)` \|$", section, flags=re.M)
     assert [(name, tuple(columns.split(", "))) for name, columns in table] == [
-        ("cs_mse_trajectories.csv", harness.TRAJECTORY_COLUMNS),
-        ("cs_mse_summary.csv", harness.CS_SUMMARY_COLUMNS),
-        ("ifdm_ber.csv", harness.BER_COLUMNS),
-        ("ifdm_ber_summary.csv", harness.BER_SUMMARY_COLUMNS),
-        ("complexity.csv", harness.COMPLEXITY_COLUMNS)]
+        file for _, _, files in harness.EXPERIMENTS.values() for file in files]
 
 
 def test_readme_stop_list_matches_stop_reasons():
