@@ -34,6 +34,9 @@ expands the zero-forcing inverse (A A^H)^{-1} instead of the LMMSE
 
 The denoiser stage subtracts its input component (``nle_orthogonalize``),
 and consecutive candidates are combined by inverse-covariance damping.
+The damping of a step's candidate runs at the start of the next step,
+just before the linear stage that reads it, so the last step of a run is
+never damped.
 One global normalizer eps_t serves the whole vector.  When A is diagonal
 and Xi is a block transform, each source block reaches only its own rows
 of y and sees only their share of the Gram spectrum, so the error
@@ -63,10 +66,12 @@ exact prefix of the same run with a later stop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .denoisers import DenoiserResult
 from .errors import ConfigurationError, NormalizationError
@@ -103,8 +108,10 @@ class MampConfig:
 
 @dataclass
 class CostMeter:
-    """Counts operator applies and vector passes, so tests and benchmarks
-    can audit the cost of an iteration."""
+    """Counts the operator applies and vector passes that a run actually
+    makes, so tests and benchmarks can audit the cost of an iteration.  A
+    ``run_cd_mamp`` run skips the damping of its last step, and with it
+    one transform and one channel apply."""
 
     channel_applies: int = 0
     transform_applies: int = 0
@@ -254,6 +261,39 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
     return s_next.reshape(r.shape), v_phi, any_stalled
 
 
+def _raise_nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _eigh(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(V) of a real symmetric V, without its wrapper: the
+    same LAPACK gufunc under the same floating-point state, so the same
+    bits and the same LinAlgError."""
+    with np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.eigh_lo(V, signature="d->dd")
+
+
+def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(M, b) of a real M and vector b, without its wrapper,
+    as ``_eigh`` is np.linalg.eigh's."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(M, b, signature="dd->d")
+
+
+@functools.cache
+def _ridge_units(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k x k identity and the k ones of ``damping_update``, read-only."""
+    eye, ones = np.eye(k), np.ones(k)
+    eye.flags.writeable = ones.flags.writeable = False
+    return eye, ones
+
+
 def _cross_cov_from_residuals(gram: np.ndarray, measure_dim: int,
                               sigma2: float, trace_gram: float) -> np.ndarray:
     """Error cross-covariance of candidates from the raw Gram
@@ -262,9 +302,10 @@ def _cross_cov_from_residuals(gram: np.ndarray, measure_dim: int,
     with its diagonal floored."""
     k = len(gram)
     V = (gram - measure_dim * sigma2) / trace_gram
-    lam, vecs = np.linalg.eigh(V)
+    lam, vecs = _eigh(V)
     V = (vecs * np.maximum(lam, 0.0)) @ vecs.T
-    V.flat[::k + 1] = np.maximum(V.diagonal(), _VARIANCE_FLOOR)
+    diag = V.reshape(-1)[::k + 1]       # a view: the matmul's result is contiguous
+    np.maximum(diag, _VARIANCE_FLOOR, out=diag)
     return V
 
 
@@ -277,18 +318,21 @@ def damping_update(candidates: np.ndarray,
     Solves for zeta = V^{-1} 1 / (1^T V^{-1} 1) on a trace-scaled
     ridge-regularized copy of V, then falls back to the best single
     candidate if the analytic weights do not beat it under the original
-    V, so zeta^T V zeta never exceeds min(diag(V)).  Returns zeta, the
-    combination and its variance zeta^T V zeta.
+    V, so zeta^T V zeta never exceeds min(diag(V)), also when the solve
+    raises LinAlgError.  Returns zeta, the combination and its variance
+    zeta^T V zeta.
     """
     k = candidates.shape[0]
     if V.shape != (k, k):
         raise ValueError(f"V must be {k}x{k}, got {V.shape}")
-    ridge = 1e-8 * max(V.trace(), 0.0) / k
+    diag = V.diagonal()
+    ridge = 1e-8 * max(np.add.reduce(diag), 0.0) / k       # V.trace() without its dispatch
+    eye, ones = _ridge_units(k)
     try:
-        raw = np.linalg.solve(V + ridge * np.eye(k), np.ones(k))
-    except np.linalg.LinAlgError:
+        raw = _solve(V + ridge * eye, ones)
+    except LinAlgError:
         raw = None
-    best = int(V.diagonal().argmin())
+    best = int(diag.argmin())
     zeta = None
     if raw is not None:
         total = raw.sum()
@@ -390,26 +434,32 @@ def run_cd_mamp(instance: SystemInstance, ibs: LinearOperator, prior,
                 cfg: MampConfig = MampConfig()) -> EstimatorRun:
     """Full cross-domain memory AMP pipeline on one instance.
 
-    Per iteration: memory linear step, lift to the source domain, denoise,
-    orthogonalize, transform back, damp over the trailing window.  ``ibs``
-    must act identically to instance.Xi (it is a parameter so equivalent
-    constructions of the same transform can be compared bit-for-bit).
-    instance.s_true feeds only the reported mse.
+    Per iteration: damp the previous step's extrinsic estimate over the
+    trailing window, then the memory linear step, lift to the source
+    domain, denoise, orthogonalize.  A step's damping thus runs at the
+    start of the next step, and the last step is never damped: nothing
+    reads its damped estimate, whose only use is the next linear step.
+    ``ibs`` must act identically to instance.Xi (it is a parameter so
+    equivalent constructions of the same transform can be compared
+    bit-for-bit).  instance.s_true feeds only the reported mse.
     Trajectory points report the block mean of per-block variances.
     """
     state = MampState(instance.A, ibs, instance.y, instance.noise_var, cfg)
     meter = state.meter
     n = state.dim
     v_x = prior.power
+    s_ext = None
 
     def step():
-        nonlocal v_x
+        nonlocal v_x, s_ext
+        if s_ext is not None:
+            # The history holds the damped estimate now; the linear step
+            # runs without the candidate, one vector less at its peak.
+            v_x, s_ext = _damping_step(state, s_ext), None
         r, v_gamma = mle_step(state, 1.0 / (state.lambda_dagger + instance.noise_var / v_x))
         den = prior.denoise(r, v_gamma)
         meter.vector_points += n
         s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma)
-
-        v_x = _damping_step(state, s_ext)
 
         flags = ["nle-stall"] if stalled else []
         if (v_gamma if isinstance(v_gamma, float) else v_gamma.min()) <= _VARIANCE_FLOOR:

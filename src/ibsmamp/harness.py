@@ -81,10 +81,12 @@ def _check_fields(cfg) -> None:
     """Check every field, and every entry of a list field, against its
     annotation, ``T``, ``T | None`` or ``tuple[T, ...]`` (strings here:
     ``from __future__ import annotations``), and store each list as a tuple
-    of T.  An integer may not be a float or a bool, such as n = 1024.0 from
-    a JSON config, and a string may not be a number or a list.  A list must
-    be a list, non-empty, which refuses header-only CSVs, and of distinct
-    entries, which refuses writing every row of an entry twice."""
+    of T and each float as a float, so that snr_db = 20 from a JSON config
+    is the config of snr_db = 20.0, with its hash.  An integer may not be a
+    float or a bool, such as n = 1024.0 from a JSON config, and a string
+    may not be a number or a list.  A list must be a list, non-empty, which
+    refuses header-only CSVs, and of distinct entries, which refuses
+    writing every row of an entry twice."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         is_list = f.type.startswith("tuple[")
@@ -107,6 +109,8 @@ def _check_fields(cfg) -> None:
                 raise ConfigurationError(f"{f.name} must be distinct, got {list(value)!r}")
             cast = {"int": int, "float": float}.get(kind)
             object.__setattr__(cfg, f.name, tuple(map(cast, value) if cast else value))
+        elif kind == "float":
+            object.__setattr__(cfg, f.name, float(value))
 
 
 def _check_run_fields(cfg) -> None:

@@ -166,8 +166,9 @@ class History:
         """The carried Gram of ``rows``, a window's residuals as ``window``
         returns them or its pushed part, with the last row's products."""
         k = rows.shape[0]
-        gram = self._gram[:k, :k]
-        gram[-1] = gram[:, -1] = [np.vdot(r, rows[-1]).real for r in rows]
+        gram, last = self._gram[:k, :k], rows[-1]
+        for i in range(k):
+            gram[i, k - 1] = gram[k - 1, i] = np.vdot(rows[i], last).real
         return gram
 
     def weights(self, t: int, scale: float) -> np.ndarray:

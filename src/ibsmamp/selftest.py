@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from .denoisers import denoise_bernoulli_gaussian, denoise_qpsk
-from .estimators import (STOP_REASONS, MampConfig, MampState, damping_update, mle_step,
-                         nle_orthogonalize, run_cd_mamp)
+from .estimators import (STOP_REASONS, MampConfig, MampState, _eigh, _solve, damping_update,
+                         mle_step, nle_orthogonalize, run_cd_mamp)
 from .harness import ComplexityConfig, run_complexity_table
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform
 from .kernels import fft_adjoint, fft_forward, fft_operator, fwht_forward
@@ -214,6 +214,36 @@ def check_damping(trials=50, seed=31) -> tuple[bool, str]:
     return (worst_gap <= 1e-3 and diag_ok and consistent,
             f"max objective gap to grid {worst_gap:.2e}, never above best single "
             f"candidate: {diag_ok}" + ("" if consistent else ", inconsistent zeta or outputs"))
+
+
+@_check
+def check_damping_lapack(trials=64, seed=37) -> tuple[bool, str]:
+    """The damping's direct calls of the LAPACK gufuncs behind
+    ``np.linalg.eigh`` and ``np.linalg.solve`` give their bits on seeded
+    random symmetric windows of k = 1..8, PSD, indefinite, all zero and
+    all NaN in turn, and raise LinAlgError where those do, such as the
+    solve on an all-zero window."""
+    rng = generator(seed)
+    same, raised = True, 0
+    for trial in range(trials):
+        k = 1 + trial % 8
+        g = rng.standard_normal((k, k))
+        V = (g @ g.T, g + g.T, np.zeros((k, k)), np.full((k, k), np.nan))[trial // 8 % 4]
+        for fast, slow, args in ((_eigh, np.linalg.eigh, (V,)),
+                                 (_solve, np.linalg.solve, (V, np.ones(k)))):
+            outcomes = []
+            for fn in (fast, slow):
+                try:
+                    result = fn(*args)
+                except np.linalg.LinAlgError:
+                    outcomes.append(None)
+                    continue
+                outcomes.append([x.tobytes() for x in
+                                 (result if isinstance(result, tuple) else (result,))])
+            same = same and outcomes[0] == outcomes[1]
+            raised += outcomes[1] is None
+    return same and raised > 0, (f"{2 * trials} eigh and solve calls bit-identical to "
+                                 f"np.linalg: {same}, {raised} raised LinAlgError")
 
 
 @_check

@@ -442,7 +442,9 @@ def test_released_rows_leave_every_step_bit_identical(monkeypatch, fixed_length,
 def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_length):
     # The highest buffer row a 200-step BW_IBS run writes, staged candidates
     # included, stays well below the max_iters + 1 rows of the buffer: it
-    # is 111 here, where the run releases rows from t = 112 on.
+    # is 111 here, where the run releases rows from t = 112 on.  The run
+    # pushes h_1 and the damped estimates of its first 199 steps: the last
+    # step is not damped.
     instance, Xi, prior = wide_instance("BW_IBS")
     written, push = [], History.push
 
@@ -454,7 +456,7 @@ def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_lengt
 
     monkeypatch.setattr(History, "push", tracking)
     run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=200, damping_window=5))
-    assert len(written) == 201
+    assert len(written) == 200
     assert max(written) < 201 * 2 // 3, max(written)
 
 
@@ -749,6 +751,96 @@ def test_damping_falls_back_to_the_best_single_candidate_when_the_solve_fails():
     assert np.array_equal(combined, cands[0]) and var == 0.0
 
 
+
+def symmetric_window(kind, k, rng):
+    """A k x k symmetric window of the given kind: PSD, indefinite, of rank
+    k - 1, all zero, or PSD with a NaN or an infinity in entry (0, k - 1)
+    and its mirror."""
+    g = rng.standard_normal((k, k - 1 if kind == "rank-deficient" else k))
+    V = g @ g.T
+    if kind == "indefinite":
+        V -= 0.5 * np.trace(V) / k * np.eye(k)
+    elif kind == "zero":
+        V = np.zeros((k, k))
+    elif kind in ("nan", "inf"):
+        V[0, k - 1] = V[k - 1, 0] = np.nan if kind == "nan" else np.inf
+    return V
+
+
+def numpy_cross_cov(gram, measure_dim, sigma2, trace_gram):
+    """_cross_cov_from_residuals through np.linalg.eigh."""
+    k = len(gram)
+    V = (gram - measure_dim * sigma2) / trace_gram
+    lam, vecs = np.linalg.eigh(V)
+    V = (vecs * np.maximum(lam, 0.0)) @ vecs.T
+    V.flat[::k + 1] = np.maximum(V.diagonal(), estimators._VARIANCE_FLOOR)
+    return V
+
+
+def numpy_damping_update(candidates, V):
+    """damping_update through np.linalg.solve, np.eye, np.ones and V.trace()."""
+    k = candidates.shape[0]
+    ridge = 1e-8 * max(V.trace(), 0.0) / k
+    try:
+        raw = np.linalg.solve(V + ridge * np.eye(k), np.ones(k))
+    except np.linalg.LinAlgError:
+        raw = None
+    best = int(V.diagonal().argmin())
+    zeta = None
+    if raw is not None and abs(raw.sum()) > 1e-12:
+        zeta = raw / raw.sum()
+        quad = zeta @ V @ zeta
+        if quad > V[best, best]:
+            zeta = None
+    if zeta is None:
+        zeta = np.zeros(k)
+        zeta[best] = 1.0
+        quad = zeta @ V @ zeta
+    return zeta, zeta @ candidates, float(quad)
+
+
+def outcome(fn, *args):
+    """The bytes of each array fn returns, or the type of what it raised."""
+    try:
+        result = fn(*args)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+    result = result if isinstance(result, tuple) else (result,)
+    return [np.asarray(x).tobytes() for x in result]
+
+
+WINDOW_KINDS = ("psd", "indefinite", "rank-deficient", "zero", "nan", "inf")
+
+
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_damping_kernels_match_numpy_linalg_to_the_bit(kind):
+    # The damping calls the LAPACK gufuncs of np.linalg.eigh and
+    # np.linalg.solve directly.  Its results, and where LinAlgError is
+    # raised, must stay those of np.linalg on every kind of window: a numpy
+    # that changes its private gufuncs fails here.
+    rng = generator(41)
+    raised = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, 9):
+            for _ in range(4):
+                window = symmetric_window(kind, k, rng)
+                for args in ((window, 1, 0.0, 1.0), (window, 64, 0.05, 32.0)):
+                    assert (outcome(_cross_cov_from_residuals, *args)
+                            == outcome(numpy_cross_cov, *args))
+                cands = rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5))
+                assert outcome(damping_update, cands, window) == outcome(
+                    numpy_damping_update, cands, window)
+                for fn, want in ((estimators._eigh, np.linalg.eigh),
+                                 (estimators._solve, np.linalg.solve)):
+                    args = (window,) if fn is estimators._eigh else (window, np.ones(k))
+                    expected = outcome(want, *args)
+                    assert outcome(fn, *args) == expected
+                    raised += expected is np.linalg.LinAlgError
+    # np.linalg.solve raises on every all-zero window, and np.linalg.eigh on
+    # most windows that hold a NaN or an infinity: both raising paths run.
+    assert raised > 0 or kind not in ("zero", "nan", "inf")
+
+
 def reference_damping_step():
     """The damping step as it was before its window moved into the state's
     buffers: Python lists of the trailing estimates and residuals, the window
@@ -922,8 +1014,9 @@ def test_oamp_forms_a_dense_channel_gram_a_fixed_number_of_times(monkeypatch, fi
 
 
 def test_cost_meters_count_channel_and_transform_applies(fixed_length):
-    # MAMP: A^H gamma_{t-1} is reused, so iteration 1 applies A three times
-    # and every later one four times; Xi is applied three times each.
+    # MAMP: A^H gamma_{t-1} is reused, so iteration 1 applies A twice and
+    # every later one four times, with the damping of the step before; Xi
+    # is applied twice, then three times.  The last step is not damped.
     # OAMP applies Xi and A forward and adjoint once per iteration.
     n, iters = 64, 7
     A = gen_multipath_channel(n, 4, seed=2)
@@ -934,11 +1027,83 @@ def test_cost_meters_count_channel_and_transform_applies(fixed_length):
     instance = simulate_observation(A, Xi, prior.sample(n, generator(2, 2)), 6.0, seed=2)
     cfg = MampConfig(max_iters=iters)
     for run, channel, transform in (
-            (run_cd_mamp(instance, Xi, prior, cfg), 3 + 4 * (iters - 1), 3 * iters),
+            (run_cd_mamp(instance, Xi, prior, cfg), 4 * iters - 2, 3 * iters - 1),
             (run_cd_oamp(instance, prior, cfg), 2 * iters, 2 * iters)):
         assert len(run.points) == iters
         assert run.meter.channel_applies == channel
         assert run.meter.transform_applies == transform
+
+
+
+def eager_run(instance, Xi, prior, cfg):
+    """run_cd_mamp with each step damping its own candidate at its end, so
+    that the last step is damped as well, although nothing reads it."""
+    state = MampState(instance.A, Xi, instance.y, instance.noise_var, cfg)
+    v_x = prior.power
+
+    def step():
+        nonlocal v_x
+        r, v_gamma = mle_step(state, 1.0 / (state.lambda_dagger + instance.noise_var / v_x))
+        den = prior.denoise(r, v_gamma)
+        state.meter.vector_points += state.dim
+        s_ext, v_phi, stalled = nle_orthogonalize(den, r, v_gamma)
+        v_x = estimators._damping_step(state, s_ext)
+        flags = ["nle-stall"] if stalled else []
+        if np.min(v_gamma) <= estimators._VARIANCE_FLOOR:
+            flags.append("v-floor")
+        return den.posterior_mean, v_gamma, v_phi, "|".join(flags)
+
+    return estimators._iterate(step, instance.s_true, cfg, state.meter)
+
+
+# (lane, stop reason) -> (system, max_iters) of a run that ends on that stop.
+DEFERRAL_CASES = {
+    ("scalar", "tolerance"): (lambda: damping_system("circulant-FWHT"), 40),
+    ("scalar", "converged"): (lambda: cs_instance(n=256, m=128, kappa=10.0, snr_db=25.0,
+                                                  rho=0.2, seed=6), 200),
+    ("scalar", "max-iters"): (lambda: damping_system("doppler"), 3),
+    ("per-block", "tolerance"): (lambda: cs_instance(n=256, m=256, kappa=2.0,
+                                                     snr_db=np.inf, rho=0.25, seed=5,
+                                                     n_s=32), 60),
+    ("per-block", "converged"): (lambda: wide_instance("BW_IBS"), 200),
+    ("per-block", "max-iters"): (lambda: damping_system("diagonal-wide"), 16),
+}
+
+
+@pytest.mark.parametrize("lane, stop", DEFERRAL_CASES)
+def test_each_damping_runs_at_the_start_of_the_next_step(monkeypatch, lane, stop):
+    # A run damps len(points) - 1 times, whichever stop ends it, and equals
+    # to the bit the run that damps every step at its end, last step
+    # included: nothing reads the last damping.  That damping was one
+    # transform and one channel apply and one window of vector passes.
+    system, max_iters = DEFERRAL_CASES[lane, stop]
+    instance, Xi, prior = system()
+    state = MampState(instance.A, Xi, instance.y, instance.noise_var, MampConfig())
+    assert (state.row_blocks is not None) == (lane == "per-block")
+    damped, damping_step = [], estimators._damping_step
+
+    def counting(state, s_ext):
+        damped.append(len(state.history.window()[0]))
+        return damping_step(state, s_ext)
+
+    monkeypatch.setattr(estimators, "_damping_step", counting)
+    runs = []
+    for cfg in (MampConfig(max_iters=max_iters), MampConfig(max_iters=1)):
+        damped.clear()
+        got = run_cd_mamp(instance, Xi, prior, cfg)
+        assert len(damped) == len(got.points) - 1
+        want = eager_run(instance, Xi, prior, cfg)
+        assert len(damped) == 2 * len(got.points) - 1
+        assert got.s_hat.tobytes() == want.s_hat.tobytes()
+        assert got.points == want.points
+        assert got.stop_reason == want.stop_reason
+        assert got.meter.transform_applies == want.meter.transform_applies - 1
+        assert got.meter.channel_applies == want.meter.channel_applies - 1
+        assert got.meter.vector_points == (want.meter.vector_points
+                                           - damped[-1] * state.dim)
+        runs.append((got.stop_reason, len(got.points)))
+    assert runs[0][0] == stop and runs[0][1] > 1
+    assert runs[1][1] == 1
 
 
 def test_gaussian_estimators_reach_the_lmmse_error():

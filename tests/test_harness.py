@@ -220,6 +220,23 @@ def test_config_hashes_are_pinned(tmp_path):
                    "complexity": "6de047cea1cc6b65", "ifdm-ber-json": "3b4b16436a04bc68"}
 
 
+
+def test_integer_floats_load_to_the_config_of_their_floats(tmp_path):
+    # A scalar float field given an integer is stored as a float, as list
+    # entries are, so both spellings load to one config with one hash.
+    cases = {"cs-mse": ({"variants": ["full", "BS"], "m": 2048},
+                        {"snr_db": 20, "kappa": 10, "rho": 1, "sigma_s2": 2}),
+             "ifdm-ber": ({"snr_db_list": [10]}, {"doppler_spread": 0})}
+    for experiment, (others, floats) in cases.items():
+        configs = []
+        for cast in (int, float):
+            path = tmp_path / f"{experiment}-{cast.__name__}.json"
+            path.write_text(json.dumps({**others, **{k: cast(v) for k, v in floats.items()}}))
+            configs.append(load_config(experiment, str(path), {"seed": 5}))
+        assert repr(configs[0]) == repr(configs[1])
+        assert config_hash(configs[0]) == config_hash(configs[1])
+        assert all(type(getattr(configs[0], key)) is float for key in floats)
+
 def test_sidecar_schema(tmp_path):
     cfg = ComplexityConfig()
     written = run_experiment("complexity", cfg, tmp_path)
