@@ -63,14 +63,28 @@ def denoise_bernoulli_gaussian(r: np.ndarray, v: float | np.ndarray, rho: float,
         raise ValueError(f"sigma_s2 must be positive, got {sigma_s2}")
     c = sigma_s2 / (sigma_s2 + v)
     beta = c / v
-    abs2 = np.abs(r) ** 2
+    abs2 = np.abs(r)
+    np.square(abs2, out=abs2)
+    # Each term below is written in place, in the operand order of
+    #   pi = 1 / (1 + exp(min(log_odds, _EXP_CLIP))),
+    #   mean = (pi c) r,   var = (pi c) v + pi (1 - pi) c c |r|^2.
     if rho < 1.0:
-        log_odds = np.log((1.0 - rho) / rho) + np.log((sigma_s2 + v) / v) - beta * abs2
-        pi = 1.0 / (1.0 + np.exp(np.minimum(log_odds, _EXP_CLIP)))
+        pi = np.multiply(beta, abs2)
+        np.subtract(np.log((1.0 - rho) / rho) + np.log((sigma_s2 + v) / v), pi, out=pi)
+        np.minimum(pi, _EXP_CLIP, out=pi)
+        np.exp(pi, out=pi)
+        np.add(1.0, pi, out=pi)
+        np.divide(1.0, pi, out=pi)
     else:
         pi = np.ones_like(abs2)
-    mean = pi * c * r
-    var = pi * c * v + pi * (1.0 - pi) * c * c * abs2
+    var = np.multiply(pi, c)
+    mean = np.multiply(var, r)
+    np.multiply(var, v, out=var)
+    spread = np.subtract(1.0, pi)
+    np.multiply(pi, spread, out=spread)
+    for factor in (c, c, abs2):
+        np.multiply(spread, factor, out=spread)
+    np.add(var, spread, out=var)
     return DenoiserResult(posterior_mean=mean.ravel(), coord_var=var.ravel())
 
 

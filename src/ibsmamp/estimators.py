@@ -50,6 +50,19 @@ float: the linear stage's residual variance, the denoiser's input check and
 the orthogonalization's block mean and combine take the same IEEE
 operations in the same order as their array form, so the bits are the same.
 
+Each elementwise result of an iteration is written once, into an array the
+function itself allocated: an apply may return its input, as an identity
+does, so y, the caller's vectors and ``adj_gamma`` are only read.  Each ufunc
+keeps the operand order of the plain expression, on which the bits of a
+complex product depend.  A complex vector is divided by a real q > 0 by
+scaling its float64 view with 1 / q.  numpy computes (a + bj) / q as
+((a + b*0) (1/q), (b - a*0) (1/q)): the same bits, except that a zero
+component can take the other sign ((-0 + 1j) / q has real part +0, the view
+-0), and that a non-finite b makes numpy's real part NaN, in an entry that is
+non-finite in both.  No estimator output depends on this: no estimator
+divides by an entry of these quotients or reads its sign, so either zero
+leads to equal values, and s_hat can at most hold the other zero.
+
 Both estimators hand one iteration at a time to a shared driver, which
 records the trajectory and stops the run on the first of three rules, all
 read from the estimator's own variances or the step count:
@@ -189,7 +202,11 @@ def mle_step(state: MampState, theta_t: float) -> tuple[np.ndarray, float | np.n
     else:
         gram = A.apply(state.adj_gamma)
         meter.channel_applies += 1
-        gamma = theta_t * (state.lambda_dagger * state.gamma - gram) + resid
+        # theta_t (lambda_dagger gamma_{t-1} - gram) + resid, in one new vector.
+        gamma = np.multiply(state.lambda_dagger, state.gamma)
+        np.subtract(gamma, gram, out=gamma)
+        np.multiply(theta_t, gamma, out=gamma)
+        np.add(gamma, resid, out=gamma)
     state.gamma = gamma
 
     scale = theta_t * state.lambda_dagger
@@ -204,7 +221,9 @@ def mle_step(state: MampState, theta_t: float) -> tuple[np.ndarray, float | np.n
     lifted = state.back(state.adj_gamma)
     memory, read = history.memory_sum(p, scale)
     meter.vector_points += read * state.dim
-    r = (lifted + memory) / eps
+    r = np.add(lifted, memory)
+    planes = r.view(np.float64)
+    np.multiply(planes, 1.0 / eps, out=planes)
 
     fit = state.y - state.forward(r)
     if state.row_blocks is None:
@@ -213,7 +232,8 @@ def mle_step(state: MampState, theta_t: float) -> tuple[np.ndarray, float | np.n
         v_gamma = (norm(fit) ** 2 - state.measure_dim * state.noise_var) / state.trace_gram
         v_gamma = max(float(v_gamma), _VARIANCE_FLOOR)
     else:
-        energy = np.bincount(state.row_blocks, weights=np.abs(fit) ** 2)
+        abs2 = np.abs(fit)
+        energy = np.bincount(state.row_blocks, weights=np.square(abs2, out=abs2))
         v_gamma = np.maximum((energy - state.block_rows * state.noise_var)
                              / state.block_trace, _VARIANCE_FLOOR)
     state.iteration = t
@@ -241,17 +261,19 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
         if pv >= v:
             return r.copy(), v, True
         p = pv / v
-        return ((den.posterior_mean - p * r) / (1.0 - p),
-                max(pv * v / (v - pv), _VARIANCE_FLOOR), False)
+        s_next = np.multiply(p, r)
+        np.subtract(den.posterior_mean, s_next, out=s_next)
+        planes = s_next.view(np.float64)    # / (1 - p), see the module docstring
+        np.multiply(planes, 1.0 / (1.0 - p), out=planes)
+        return s_next, max(pv * v / (v - pv), _VARIANCE_FLOOR), False
     v = v_in.reshape(-1)
     pv = np.maximum(den.coord_var.reshape(v.size, -1).mean(axis=1), _VARIANCE_FLOOR)
     stalled = pv >= v
     p = np.where(stalled, 0.0, pv / v)[:, None]
     rows = r.reshape(v.size, -1)
-    s_next = den.posterior_mean.reshape(rows.shape) - p * rows
-    # numpy divides a complex entry a + bj by q + 0j as (a + b*0) * (1/q):
-    # scaling the float64 view by 1/q per block gives the same bits.
-    planes = s_next.view(np.float64)
+    s_next = np.multiply(p, rows)
+    np.subtract(den.posterior_mean.reshape(rows.shape), s_next, out=s_next)
+    planes = s_next.view(np.float64)    # / (1 - p), see the module docstring
     np.multiply(planes, 1.0 / (1.0 - p), out=planes)
     any_stalled = bool(stalled.any())
     if any_stalled:
@@ -355,7 +377,7 @@ def _damping_step(state: MampState, s_ext: np.ndarray) -> float:
     history = state.history
     cands, resids = history.window()
     cands[-1] = s_ext
-    resids[-1] = state.y - state.forward(s_ext)
+    np.subtract(state.y, state.forward(s_ext), out=resids[-1])
     V = _cross_cov_from_residuals(history.gram(resids), state.measure_dim, state.noise_var,
                                   state.trace_gram)
     zeta, s_next, var = damping_update(cands, V)
@@ -415,8 +437,10 @@ def _iterate(step: Callable[[], tuple], s_true: np.ndarray, cfg: MampConfig,
             gamma_mean, phi_mean = float(v_gamma), float(v_phi)
             phi_max = phi_mean
         else:
-            gamma_mean, phi_mean = float(np.mean(v_gamma)), float(np.mean(v_phi))
-            phi_max = float(np.max(v_phi))
+            # np.mean's sum and division and np.max, without their dispatch.
+            gamma_mean = float(np.add.reduce(v_gamma, axis=None) / v_gamma.size)
+            phi_mean = float(np.add.reduce(v_phi, axis=None) / v_phi.size)
+            phi_max = float(np.maximum.reduce(v_phi, axis=None))
         points.append(TrajectoryPoint(t=t, mse=cur_mse, mse_db=mse_db(cur_mse),
                                       v_gamma=gamma_mean, v_phi=phi_mean, flags=flags))
         if phi_max < _TOLERANCE:

@@ -94,7 +94,7 @@ class IbsOperator(LinearOperator):
     adjoint kernel, so ``apply_adjoint`` is the pseudo-inverse of ``apply``.
     """
 
-    __slots__ = ("spec", "_flat", "_kfwd", "_kadj")
+    __slots__ = ("spec", "_flat", "_kfwd", "_kadj", "_grid")
 
     def __init__(self, spec: IbsSpec, flat: np.ndarray):
         if spec.base == "FFT":
@@ -105,7 +105,8 @@ class IbsOperator(LinearOperator):
             kfwd, kadj = kadj, kfwd
         flat.setflags(write=False)
         super().__init__(spec.m, spec.n, self._forward, self._adjoint)
-        _freeze(self, spec=spec, _flat=flat, _kfwd=kfwd, _kadj=kadj)
+        _freeze(self, spec=spec, _flat=flat, _kfwd=kfwd, _kadj=kadj,
+                _grid=(spec.blocks, spec.n_s))
 
     @property
     def row_blocks(self) -> np.ndarray:
@@ -113,14 +114,12 @@ class IbsOperator(LinearOperator):
         return self._flat // self.spec.n_s
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        return self._kfwd(v.reshape(spec.blocks, spec.n_s)).reshape(spec.n)[self._flat]
+        return self._kfwd(v.reshape(self._grid)).reshape(self.cols)[self._flat]
 
     def _adjoint(self, v: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        z = np.zeros(spec.n, dtype=np.result_type(v.dtype, np.complex128))
+        z = np.zeros(self.cols, dtype=np.complex128)
         z[self._flat] = v
-        return self._kadj(z.reshape(spec.blocks, spec.n_s)).reshape(spec.n)
+        return self._kadj(z.reshape(self._grid)).reshape(self.cols)
 
 
 def build_ibs_transform(spec: IbsSpec,

@@ -195,7 +195,8 @@ class History:
         t0, k0, steps = self._block
         if t < t0 + steps and k >= k0:
             j = t - t0
-            return self._block_gain * self._block_sums[j] + p[t0:] @ rows[t0 - first:t - first], j
+            total = np.multiply(self._block_gain, self._block_sums[j])
+            return np.add(total, p[t0:] @ rows[t0 - first:t - first], out=total), j
         steps = min(_BLOCK, len(self.vartheta) - t + 1)
         # coef[j, i] = vartheta_{t,i} w_{t+j-1-i}: the weights of B_j.
         coef = self.vartheta[:t] * sliding_window_view(self.w, t)[:steps, ::-1]

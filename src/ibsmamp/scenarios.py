@@ -302,7 +302,8 @@ def mse(s_hat: np.ndarray, s_true: np.ndarray) -> float:
     """Per-entry mean squared error |s_hat - s_true|^2."""
     if s_hat.shape != s_true.shape:
         raise ValueError(f"shape mismatch: {s_hat.shape} vs {s_true.shape}")
-    err = np.abs(s_hat - s_true) ** 2
+    err = np.abs(s_hat - s_true)
+    np.square(err, out=err)
     # np.mean's sum and division, without its dispatch.
     return float(np.add.reduce(err, axis=None) / err.size)
 

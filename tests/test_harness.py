@@ -412,17 +412,44 @@ def test_toy_ber_runs_never_stop_converged(monkeypatch):
     assert "converged" not in reasons, reasons
 
 
+def csv_digests(experiment, cfg, out_dir):
+    """sha256 of each CSV that run_experiment writes."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in run_experiment(experiment, cfg, out_dir) if p.suffix == ".csv"}
+
+
 @pytest.mark.parametrize("name", sorted(TOY_DIGESTS))
 def test_toy_csv_digests_are_pinned(tmp_path, name):
     """The toy CSVs hash to the digests taken with numpy 2.4.6 on Linux
     x86_64 (Python 3.11.7, OpenBLAS).  Another platform or BLAS may round
     the dense eigendecomposition differently."""
     experiment, fields, digests = TOY_DIGESTS[name]
-    cfg = harness.CONFIG_TYPES[experiment](**fields)
-    written = run_experiment(experiment, cfg, tmp_path)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in written if p.suffix == ".csv"}
-    assert got == digests
+    assert csv_digests(experiment, harness.CONFIG_TYPES[experiment](**fields), tmp_path) == digests
+
+
+# sha256 of each CSV of the three experiments the benchmark times, at full
+# size and seed 1: one default cs-mse trial (n = 8192, where the memory sum
+# runs in blocks and releases rows), the default ifdm-ber at 24 trials, and
+# three Doppler ifdm-ber trials at 8 dB.  Taken as the toy digests are.
+FULL_DIGESTS = {
+    "cs-long": ("cs-mse", {"trials": 1}, {
+        "cs_mse_trajectories.csv": "8f45bede1cfdf226d960b23af1876d69624de6cc9d73e0b9468fd70bb7bc8ae7",
+        "cs_mse_summary.csv": "466b9acdcbbcae1900532d3df491fd110d96828c2affc6a90c570733903b090f"}),
+    "ber-static": ("ifdm-ber", {"trials": 24}, {
+        "ifdm_ber.csv": "90eb5e054dc35e97d301e700341a7a9609d076f37234979ea03db1f787e8db91",
+        "ifdm_ber_summary.csv": "c6e22211183fb1f6ef0b6ee1689d375c17a9490f5a60c6db3a51e0eaab0f3641"}),
+    "ber-doppler": ("ifdm-ber", {"trials": 3, "doppler_spread": doppler_preset_4ghz_100kmh_15khz(),
+                                 "snr_db_list": (8.0,), "n_s_list": (32,)}, {
+        "ifdm_ber.csv": "9382b2f6e67b926308465c00f33852d021ea937286fc7d1fc2c386907f02423a",
+        "ifdm_ber_summary.csv": "e27ed62c79e0502d7f512243e3da908adaedb537e694cf8891db2a0a7c1d369a"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_DIGESTS))
+def test_full_size_csv_digests_are_pinned(tmp_path, name):
+    experiment, overrides, digests = FULL_DIGESTS[name]
+    cfg = harness.load_config(experiment, None, dict(overrides, seed=1))
+    assert csv_digests(experiment, cfg, tmp_path) == digests
 
 
 def test_ber_trial_draws_each_permutation_once(monkeypatch):
