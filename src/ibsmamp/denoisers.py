@@ -94,11 +94,17 @@ def denoise_qpsk(r: np.ndarray, v: float | np.ndarray) -> DenoiserResult:
     Real and imaginary components decouple into binary detections over
     +-1/sqrt(2) in noise of variance v/2, giving the tanh rule
     E[s_re | r] = tanh(sqrt(2) Re(r) / v) / sqrt(2) and likewise for the
-    imaginary part.
+    imaginary part.  The rule runs once over r's float64 view, whose rows
+    interleave both parts; a block variance, an (L, 1) column, broadcasts
+    over those rows as over r's.
     """
     r, v = _check_inputs(r, v)
-    mean = np.empty(r.shape, dtype=np.complex128)
-    np.multiply(np.tanh(_SQRT2 * r.real / v), 1.0 / _SQRT2, out=mean.real)
-    np.multiply(np.tanh(_SQRT2 * r.imag / v), 1.0 / _SQRT2, out=mean.imag)
-    var = 1.0 - np.abs(mean) ** 2
+    mean = np.multiply(_SQRT2, np.ascontiguousarray(r).view(np.float64))
+    np.divide(mean, v, out=mean)
+    np.tanh(mean, out=mean)
+    np.multiply(mean, 1.0 / _SQRT2, out=mean)
+    mean = mean.view(np.complex128)
+    var = np.abs(mean)
+    np.square(var, out=var)
+    np.subtract(1.0, var, out=var)
     return DenoiserResult(posterior_mean=mean.ravel(), coord_var=var.ravel())

@@ -119,6 +119,28 @@ def check_kernels_against_naive(sizes=(16,), vectors=1, seed=1,
 
 
 @_check
+def check_fft_fast_path(sizes=tuple(2 ** k for k in range(1, 14)), seed=41,
+                        dtypes=("float64", "complex64", "complex128")) -> tuple[bool, str]:
+    """The FFT kernels' direct calls of the pocketfft gufuncs behind
+    ``np.fft`` give the dtype and bytes of ``np.fft.fft`` and
+    ``np.fft.ifft`` with norm="ortho", on seeded inputs of each size n as
+    an (n,) vector and as (L, n_s) blocks; it fails on a numpy whose
+    private FFT module changed."""
+    rng = generator(seed)
+    same, calls = True, 0
+    for n, dtype in itertools.product(sizes, map(np.dtype, dtypes)):
+        bits = n.bit_length() - 1
+        for shape in ((n,), (1 << bits // 2, 1 << (bits - bits // 2))):
+            re, im = rng.standard_normal((2,) + shape)
+            v = (re + 1j * im if dtype.kind == "c" else re).astype(dtype)
+            for fast, slow in ((fft_forward, np.fft.fft), (fft_adjoint, np.fft.ifft)):
+                got, want = fast(v), slow(v, norm="ortho")
+                same = same and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                calls += 1
+    return same, f"{calls} fft and ifft calls bit-identical to np.fft: {same}"
+
+
+@_check
 def check_permutations(sizes=(257,), seeds=(1234,)) -> tuple[bool, str]:
     """Permutations are bijections, drawn alike from equal seeds."""
     for size, seed in itertools.product(sizes, seeds):

@@ -1,6 +1,7 @@
 """Separable posterior denoisers against brute-force integration oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -206,6 +207,33 @@ def test_qpsk_mean_planes_match_the_complex_expression_bitwise():
         v = 10.0 ** rng.uniform(-13.0, 1.0, blocks)
         v = float(v[0]) if blocks == 1 else v
         assert_bitwise_equal(denoise_qpsk(r, v), repeat_then_denoise_qpsk(r, v))
+
+
+def two_plane_qpsk(r, v):
+    """denoise_qpsk with its tanh rule run once per plane of r."""
+    r, v = denoisers._check_inputs(r, v)
+    mean = np.empty(r.shape, dtype=np.complex128)
+    np.multiply(np.tanh(math.sqrt(2.0) * r.real / v), 1.0 / math.sqrt(2.0), out=mean.real)
+    np.multiply(np.tanh(math.sqrt(2.0) * r.imag / v), 1.0 / math.sqrt(2.0), out=mean.imag)
+    return DenoiserResult(posterior_mean=mean.ravel(),
+                          coord_var=(1.0 - np.abs(mean) ** 2).ravel())
+
+
+@pytest.mark.parametrize("v", [1e-300, 0.3, 1e300])
+def test_qpsk_one_pass_gives_the_bytes_of_the_two_plane_form(v):
+    rng = generator(23)
+    r = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    r.real[::3] *= 0.0
+    r.imag[1::3] *= 0.0
+    r.imag[::5] *= 0.0
+    assert np.signbit(r.real[r.real == 0]).any() and not np.signbit(r.real[r.real == 0]).all()
+    for x in (r[:128], r[::2]):
+        for variance in (v, np.full(4, v), np.array([v, 1e-300, 0.3, 1e300])):
+            got, want = denoise_qpsk(x, variance), two_plane_qpsk(x, variance)
+            for name in ("posterior_mean", "coord_var"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), name
 
 
 def test_block_variances_must_divide_the_observation():
