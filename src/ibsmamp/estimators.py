@@ -36,7 +36,7 @@ The denoiser stage subtracts its input component (``nle_orthogonalize``),
 and consecutive candidates are combined by inverse-covariance damping.
 The damping of a step's candidate runs at the start of the next step,
 just before the linear stage that reads it, so the last step of a run is
-never damped.
+never damped; its k x k ``eigh`` and ``solve`` are ``fastpath``'s.
 One global normalizer eps_t serves the whole vector.  When A is diagonal
 and Xi is a block transform, each source block reaches only its own rows
 of y and sees only their share of the Gram spectrum, so the error
@@ -84,10 +84,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
 
 from .denoisers import DenoiserResult
 from .errors import ConfigurationError, NormalizationError
+from .fastpath import eigh as _eigh, solve as _solve
 from .ibs import IbsOperator
 from .memory import History, norm
 from .operators import DiagonalOperator, LinearOperator
@@ -281,31 +282,6 @@ def nle_orthogonalize(den: DenoiserResult, r: np.ndarray, v_in: float | np.ndarr
     v_phi = np.where(stalled, v, np.maximum(pv * v / np.where(stalled, 1.0, v - pv),
                                             _VARIANCE_FLOOR))
     return s_next.reshape(r.shape), v_phi, any_stalled
-
-
-def _raise_nonconvergence(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
-def _eigh(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(V) of a real symmetric V, without its wrapper: the
-    same LAPACK gufunc under the same floating-point state, so the same
-    bits and the same LinAlgError."""
-    with np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.eigh_lo(V, signature="d->dd")
-
-
-def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(M, b) of a real M and vector b, without its wrapper,
-    as ``_eigh`` is np.linalg.eigh's."""
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.solve1(M, b, signature="dd->d")
 
 
 @functools.cache

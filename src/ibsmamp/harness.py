@@ -11,23 +11,21 @@ byte-identical for a fixed config.
 from __future__ import annotations
 
 import csv
-import ctypes
 import dataclasses
 import hashlib
 import json
 import math
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .blas import openblas_function
 from .errors import ConfigurationError, require_integer
 from .estimators import MampConfig, run_cd_mamp
+from .fastpath import one_blas_thread as _one_blas_thread
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform, relative_complexity
 from .rng import _MASK64, generator, raw_words
 from .scenarios import (BernoulliGaussianPrior, QpskPrior, STREAM_SOURCE, ber_qpsk,
@@ -365,28 +363,14 @@ def run_complexity_table(cfg: ComplexityConfig) -> list[tuple]:
     return rows
 
 
-def _one_blas_thread() -> None:
-    """Set the loaded OpenBLAS, if one is found, to one thread.
-
-    Each trial worker runs this first: ``threads`` workers that each keep
-    OpenBLAS's default thread count oversubscribe the cores, and at these
-    sizes a second BLAS thread does not help even in one process.  Without
-    an OpenBLAS (see ``blas``) this does nothing.
-    """
-    setter = openblas_function("scipy_openblas_set_num_threads64_",
-                               "openblas_set_num_threads64_", "openblas_set_num_threads")
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
-
-
 def _map_trials(fn, cfg, seeds: list[int]) -> list[list[tuple]]:
     """fn(cfg, seed) of each seed, in seed order, on at most one worker
-    process per seed: the pool starts all of its workers up front."""
+    process per seed: the pool starts all of its workers up front.  Each
+    worker runs one BLAS thread, as more would oversubscribe the cores."""
     workers = min(cfg.threads, len(seeds))
     if workers <= 1:
         return [fn(cfg, seed) for seed in seeds]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(fn, cfg, seed) for seed in seeds]
         return [f.result() for f in futures]

@@ -3,22 +3,15 @@
 Both kernels use the unitary 1/sqrt(n) normalization so forward and
 adjoint are exact inverses of each other.  Sizes must be powers of two.
 
-The FFT is numpy's pocketfft (norm="ortho"), called past its Python
-front end: the kernels call the gufuncs behind ``np.fft.fft`` and
-``np.fft.ifft`` (``numpy.fft._pocketfft_umath``, numpy >= 2.0) directly.
-A plan per (n, input dtype), cached on first use, holds what the front end
-derives on every call: the ortho factor ``reciprocal(sqrt(n, dtype=real))``
-in the input's real precision (float64 for float64 and complex128 input,
-float32 for complex64) and the output dtype ``result_type(dtype, 1j)``.
-The gufuncs run on the same operands with the same factor, so the output
-has the dtype and bytes of ``np.fft.fft(v, norm="ortho")`` (the self-test
-check ``fft_fast_path`` compares them); a complex128 (32, 32) call
-took 5.5 us instead of 9.4 on a 2-core Xeon (README, tuning notes).  The
-first plan imports ``numpy.fft``; importing this
-package does not.  The FWHT keeps a plan per size too (its factors, below,
-and sqrt(n)), and a complex128 input skips the dtype promotion.  Both
-plans check the size, and ``functools.cache`` keeps no exception, so every
-call with a bad size raises.
+The FFT calls the gufuncs behind ``np.fft.fft`` and ``np.fft.ifft``
+(``fastpath.pocketfft``).  A plan per (n, input dtype), cached on first
+use, holds what ``np.fft``'s front end derives on every call: the ortho
+factor ``reciprocal(sqrt(n, dtype=real))`` in the input's real precision and
+the output dtype ``result_type(dtype, 1j)``, so the output has the dtype and
+bytes of ``np.fft.fft(v, norm="ortho")``.  The FWHT's plan per size holds
+its factors (below) and sqrt(n), and a complex128 input skips the dtype
+promotion.  Both plans check the size, and ``functools.cache`` keeps no
+exception, so every call with a bad size raises.
 
 The Walsh-Hadamard transform is in natural (Sylvester) ordering: H_1 = [1],
 H_2n = [[H_n, H_n], [H_n, -H_n]] times 1/sqrt(2) per doubling.  The
@@ -58,6 +51,7 @@ import functools
 
 import numpy as np
 
+from .fastpath import pocketfft
 from .operators import LinearOperator
 
 # Factors of the FWHT have at most 2**_FACTOR_BITS points (see the module
@@ -89,12 +83,10 @@ def fft_adjoint(v: np.ndarray) -> np.ndarray:
 @functools.cache
 def _fft_plan(n: int, dtype: np.dtype) -> tuple:
     """(forward gufunc, inverse gufunc, ortho factor, output dtype) of an
-    n-point FFT of a dtype input, as ``np.fft.fft(norm="ortho")`` derives
-    them (see the module docstring)."""
+    n-point FFT of a dtype input (see the module docstring)."""
     _check_size(n)
-    from numpy.fft import _pocketfft_umath as pfu
     real = np.result_type(np.empty(0, dtype).real.dtype, 1.0)
-    return pfu.fft, pfu.ifft, np.reciprocal(np.sqrt(n, dtype=real)), np.result_type(dtype, 1j)
+    return (*pocketfft(), np.reciprocal(np.sqrt(n, dtype=real)), np.result_type(dtype, 1j))
 
 
 def fwht_forward(v: np.ndarray) -> np.ndarray:

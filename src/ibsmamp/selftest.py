@@ -17,9 +17,10 @@ import math
 
 import numpy as np
 
+from . import fastpath
 from .denoisers import denoise_bernoulli_gaussian, denoise_qpsk
-from .estimators import (STOP_REASONS, MampConfig, MampState, _eigh, _solve, damping_update,
-                         mle_step, nle_orthogonalize, run_cd_mamp)
+from .estimators import (STOP_REASONS, MampConfig, MampState, damping_update, mle_step,
+                         nle_orthogonalize, run_cd_mamp)
 from .harness import ComplexityConfig, run_complexity_table
 from .ibs import BASES, VARIANTS, IbsSpec, build_ibs_transform
 from .kernels import fft_adjoint, fft_forward, fft_operator, fwht_forward
@@ -28,7 +29,7 @@ from .rng import generator, make_permutation
 from .scenarios import (STREAM_SOURCE, BernoulliGaussianPrior,
                         doppler_preset_4ghz_100kmh_15khz, gen_multipath_channel,
                         gen_sensing_diagonal, simulate_observation)
-from .spectral import _zheevd_2stage, dense_gram, gram_eigenvalues
+from .spectral import dense_gram, gram_eigenvalues
 
 _CHECKS = []
 
@@ -119,25 +120,78 @@ def check_kernels_against_naive(sizes=(16,), vectors=1, seed=1,
 
 
 @_check
-def check_fft_fast_path(sizes=tuple(2 ** k for k in range(1, 14)), seed=41,
-                        dtypes=("float64", "complex64", "complex128")) -> tuple[bool, str]:
-    """The FFT kernels' direct calls of the pocketfft gufuncs behind
-    ``np.fft`` give the dtype and bytes of ``np.fft.fft`` and
-    ``np.fft.ifft`` with norm="ortho", on seeded inputs of each size n as
-    an (n,) vector and as (L, n_s) blocks; it fails on a numpy whose
-    private FFT module changed."""
-    rng = generator(seed)
-    same, calls = True, 0
-    for n, dtype in itertools.product(sizes, map(np.dtype, dtypes)):
-        bits = n.bit_length() - 1
-        for shape in ((n,), (1 << bits // 2, 1 << (bits - bits // 2))):
+def check_fast_paths(window_seed=37, fft_seed=41, doppler_sizes=(64, 256), taps=4,
+                     gram_seed=3, materialized_n=128) -> tuple[bool, str]:
+    """Each call of ``fastpath.TABLE`` against its public reference; the
+    detail names the routine each resolved to.  ``fastpath.eigh`` and
+    ``solve`` on 64 seeded k x k windows (k = 1..8; PSD, indefinite, all zero
+    and all NaN in turn), and the FFT kernels on seeded float64, complex64
+    and complex128 inputs of n = 2..8192 points, as an (n,) vector and as
+    (L, n_s) blocks, give the dtype and bytes of np.linalg.eigh,
+    np.linalg.solve and np.fft.fft/ifft(norm="ortho"), and raise LinAlgError
+    where those do, as eigh and solve each do on some window.  The dense
+    Gram spectrum is np.linalg.eigvalsh's within 64 n eps lambda_max, for
+    Doppler channels of ``taps`` taps, whose Grams are written from the
+    taps, and for a sensing diagonal behind a BW_IBS transform, whose Gram
+    is materialized."""
+    rng, windows = generator(window_seed), []
+    for t in range(64):
+        g = rng.standard_normal((1 + t % 8,) * 2)
+        windows.append((g @ g.T, g + g.T, np.zeros_like(g), np.full_like(g, np.nan))[t // 8 % 4])
+    rng, ffts = generator(fft_seed), []
+    dtypes = map(np.dtype, ("float64", "complex64", "complex128"))
+    for bits, dtype in itertools.product(range(1, 14), dtypes):
+        for shape in ((1 << bits,), (1 << bits // 2, 1 << (bits - bits // 2))):
             re, im = rng.standard_normal((2,) + shape)
             v = (re + 1j * im if dtype.kind == "c" else re).astype(dtype)
-            for fast, slow in ((fft_forward, np.fft.fft), (fft_adjoint, np.fft.ifft)):
-                got, want = fast(v), slow(v, norm="ortho")
-                same = same and got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                calls += 1
-    return same, f"{calls} fft and ifft calls bit-identical to np.fft: {same}"
+            ffts += [(fft_forward, lambda v: np.fft.fft(v, norm="ortho"), (v,)),
+                     (fft_adjoint, lambda v: np.fft.ifft(v, norm="ortho"), (v,))]
+    ok, parts = True, []
+    for name, cases in (("eigh", [(fastpath.eigh, np.linalg.eigh, (V,)) for V in windows]),
+                        ("solve", [(fastpath.solve, np.linalg.solve, (V, np.ones(len(V))))
+                                   for V in windows]),
+                        ("fft", ffts)):
+        outcomes = [(_outcome(fast, args), _outcome(slow, args)) for fast, slow, args in cases]
+        differ = sum(got != want for got, want in outcomes)
+        raised = sum(want is None for _, want in outcomes)
+        ok = ok and differ == 0 and (raised > 0 or name == "fft")
+        parts.append(f"{_resolved(name)}: {len(cases)} calls, {differ} differ, "
+                     f"{raised} raised LinAlgError")
+    ops = [gen_multipath_channel(n, taps, doppler_preset_4ghz_100kmh_15khz(), seed=gram_seed)
+           for n in doppler_sizes]
+    n = materialized_n
+    D = gen_sensing_diagonal(n, n, kappa=10.0)
+    Xi = build_ibs_transform(IbsSpec(n=n, n_s=16, m=n, variant="BW_IBS",
+                                     block_seed_base=gram_seed, whole_seed=gram_seed + 1))
+    ops.append(LinearOperator(n, n, lambda v: Xi.apply(D.apply(v)),
+                              lambda v: D.apply_adjoint(Xi.apply_adjoint(v))))
+    worst = 0.0
+    for A in ops:
+        want = np.linalg.eigvalsh(dense_gram(A))
+        err = float(np.max(np.abs(gram_eigenvalues(A) - want)))
+        worst = max(worst, err / (A.rows * np.finfo(np.float64).eps * want.max()))
+    parts.append(f"{_resolved('zheevd_2stage', 'numpy.linalg.eigvalsh')}: {len(ops)} Grams, "
+                 f"max gap {worst:.3f} n eps lambda_max (bound 64)")
+    parts.append(_resolved("set_num_threads", "leaving the thread count"))
+    return ok and worst <= 64.0, "; ".join(parts)
+
+
+def _resolved(name: str, fallback: str = "") -> str:
+    """What ``fastpath.TABLE[name]`` resolved to: its routines, or the fallback."""
+    found = fastpath.TABLE[name]()
+    if found is None:
+        return f"{name} fell back to {fallback}"
+    found = found if isinstance(found, tuple) else (found,)
+    return f"{name} by " + " and ".join(f.__name__ for f in found)
+
+
+def _outcome(fn, args) -> list | None:
+    """The dtype and bytes of each array fn(*args) returns; None if it raised."""
+    try:
+        result = fn(*args)
+    except np.linalg.LinAlgError:
+        return None
+    return [(x.dtype, x.tobytes()) for x in (result if isinstance(result, tuple) else (result,))]
 
 
 @_check
@@ -239,36 +293,6 @@ def check_damping(trials=50, seed=31) -> tuple[bool, str]:
 
 
 @_check
-def check_damping_lapack(trials=64, seed=37) -> tuple[bool, str]:
-    """The damping's direct calls of the LAPACK gufuncs behind
-    ``np.linalg.eigh`` and ``np.linalg.solve`` give their bits on seeded
-    random symmetric windows of k = 1..8, PSD, indefinite, all zero and
-    all NaN in turn, and raise LinAlgError where those do, such as the
-    solve on an all-zero window."""
-    rng = generator(seed)
-    same, raised = True, 0
-    for trial in range(trials):
-        k = 1 + trial % 8
-        g = rng.standard_normal((k, k))
-        V = (g @ g.T, g + g.T, np.zeros((k, k)), np.full((k, k), np.nan))[trial // 8 % 4]
-        for fast, slow, args in ((_eigh, np.linalg.eigh, (V,)),
-                                 (_solve, np.linalg.solve, (V, np.ones(k)))):
-            outcomes = []
-            for fn in (fast, slow):
-                try:
-                    result = fn(*args)
-                except np.linalg.LinAlgError:
-                    outcomes.append(None)
-                    continue
-                outcomes.append([x.tobytes() for x in
-                                 (result if isinstance(result, tuple) else (result,))])
-            same = same and outcomes[0] == outcomes[1]
-            raised += outcomes[1] is None
-    return same and raised > 0, (f"{2 * trials} eigh and solve calls bit-identical to "
-                                 f"np.linalg: {same}, {raised} raised LinAlgError")
-
-
-@_check
 def check_trivial_recovery(n=256, n_s=32, seed=12, spec_seeds=(3, 9)) -> tuple[bool, str]:
     """A noiseless well-conditioned square system behind a BW_IBS transform
     is recovered within 60 iterations, with a well-formed run record."""
@@ -309,34 +333,6 @@ def check_degenerate_single_block(n=64, seed=3, iters=10, rho=0.1,
     traj_a, traj_b = ([(p.t, p.mse, p.v_gamma, p.v_phi) for p in run.points] for run in runs)
     same = traj_a == traj_b and np.array_equal(runs[0].s_hat, runs[1].s_hat)
     return same, f"{len(traj_a)} trajectory points bit-identical: {same}"
-
-
-@_check
-def check_gram_spectrum(doppler_sizes=(64, 256), taps=4, seed=3,
-                        materialized_n=128) -> tuple[bool, str]:
-    """The dense path's Gram spectrum equals ``np.linalg.eigvalsh`` of the
-    same Gram within 64 n eps lambda_max, a bound fixed by the dtype: for
-    Doppler channels of ``taps`` taps at each size, whose Grams are written
-    from the taps, and for a sensing diagonal behind a BW_IBS transform,
-    whose Gram is materialized.  The detail names the routine that ran."""
-    ops = [gen_multipath_channel(n, taps, doppler_preset_4ghz_100kmh_15khz(), seed=seed)
-           for n in doppler_sizes]
-    n = materialized_n
-    D = gen_sensing_diagonal(n, n, kappa=10.0)
-    Xi = build_ibs_transform(IbsSpec(n=n, n_s=16, m=n, variant="BW_IBS",
-                                     block_seed_base=seed, whole_seed=seed + 1))
-    ops.append(LinearOperator(n, n, lambda v: Xi.apply(D.apply(v)),
-                              lambda v: D.apply_adjoint(Xi.apply_adjoint(v))))
-    eps = np.finfo(np.float64).eps
-    worst = 0.0
-    for A in ops:
-        want = np.linalg.eigvalsh(dense_gram(A))
-        err = float(np.max(np.abs(gram_eigenvalues(A) - want)))
-        worst = max(worst, err / (A.rows * eps * want.max()))
-    solver = _zheevd_2stage()
-    routine = "numpy.linalg.eigvalsh" if solver is None else solver.__name__
-    return worst <= 64.0, (f"max |dlambda| = {worst:.3f} n eps lambda_max (bound 64) "
-                           f"over {len(ops)} Grams, by {routine}")
 
 
 @_check

@@ -20,18 +20,8 @@ for tr f(G) = sum(mass * f(node)): the bounds are its extreme nodes.  It is
 * otherwise stochastic Lanczos quadrature (Ubaru, Chen & Saad, SIMAX 2017)
   over 64 seeded Rademacher probes.
 
-A dense Gram's eigenvalues come from LAPACKE ``zheevd_2stage``, whose
-two-stage tridiagonal reduction (Haidar, Ltaief & Dongarra, SC 2011)
-``np.linalg`` never calls, looked up once in the OpenBLAS that numpy
-loaded (``blas``).  ``dense_gram`` builds the Gram in Fortran order, so the
-routine runs in place on it and reads its lower triangle, the entries
-``np.linalg.eigvalsh`` reads, without eigvalsh's copy of the matrix.  The
-two agree to rounding, within 64 n eps lambda_max
-(``selftest.check_gram_spectrum``); on 4-tap Doppler Grams at n = 64 to
-1024, seeds 1, 2, 3, 5 and 7, the largest gap measured was
-0.11 n eps lambda_max.  Where numpy's LAPACK
-exports no such routine (MKL or Accelerate builds), or for a Gram in
-another layout, the spectrum is ``np.linalg.eigvalsh``'s.
+A dense Gram is built in Fortran order, the layout in which
+``fastpath.eigvalsh_in_place`` hands it to LAPACK without a copy.
 
 The spectrum, the measure and each profile are computed once per operator,
 when first asked for, and kept read-only in the operator's private memo.
@@ -39,14 +29,12 @@ when first asked for, and kept read-only in the operator's private memo.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blas import openblas_function
 from .errors import MaterializationLimitError
+from .fastpath import eigvalsh_in_place as _eigvalsh_in_place
 from .operators import (DENSE_LIMIT, DiagonalOperator, LinearOperator, _memoized,
                         materialize_dense)
 from .rng import generator
@@ -94,44 +82,6 @@ def _eigenvalues(A: LinearOperator) -> np.ndarray | None:
     else:
         return None
     lam.setflags(write=False)
-    return lam
-
-
-@functools.cache
-def _zheevd_2stage():
-    """LAPACKE's zheevd_2stage from the OpenBLAS numpy loaded, with its
-    argument types declared, once per process; None where none is found."""
-    solver = openblas_function("scipy_LAPACKE_zheevd_2stage64_", "LAPACKE_zheevd_2stage64_",
-                               "LAPACKE_zheevd_2stage")
-    if solver is not None:
-        lapack_int = ctypes.c_int64 if solver.__name__.endswith("64_") else ctypes.c_int
-        # (layout, jobz, uplo, n, a, lda, w) -> info
-        solver.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, lapack_int,
-                           ctypes.c_void_p, lapack_int, ctypes.c_void_p]
-        solver.restype = lapack_int
-    return solver
-
-
-def _eigvalsh_in_place(gram: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix from its lower triangle,
-    the triangle ``np.linalg.eigvalsh`` reads; ``gram`` is overwritten.
-
-    A writable Fortran-ordered square complex128 array goes to
-    zheevd_2stage as it lies, with uplo 'L', as eigvalsh hands its own
-    Fortran copy to zheevd.  Any other array, or a LAPACK without the
-    routine, goes to eigvalsh.  A failed solve raises ``LinAlgError``, as
-    eigvalsh does.
-    """
-    solver = _zheevd_2stage()
-    n = gram.shape[0]
-    if (solver is None or gram.dtype != np.complex128 or gram.shape != (n, n)
-            or not gram.flags.f_contiguous or not gram.flags.writeable):
-        return np.linalg.eigvalsh(gram)
-    lam = np.empty(n)
-    # 102 is LAPACK_COL_MAJOR.
-    info = solver(102, b"N", b"L", n, gram.ctypes.data, n, lam.ctypes.data)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{solver.__name__} returned info {info}")
     return lam
 
 

@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, seed fan-out, deterministic files, CLI."""
 
+import concurrent.futures
 import csv
 import ctypes
 import hashlib
@@ -202,7 +203,7 @@ def test_trial_pool_starts_at_most_one_worker_per_trial(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     cfg = CsMseConfig(**dict(SMALL_CS, threads=8))
     assert run_cs_mse(cfg) == run_cs_mse(CsMseConfig(**SMALL_CS))
     assert started == [2]
