@@ -93,7 +93,7 @@ from .ibs import IbsOperator
 from .memory import History, norm
 from .operators import DiagonalOperator, LinearOperator
 from .scenarios import CirculantOperator, SystemInstance, mse, mse_db
-from .spectral import dense_gram, gram_eigenvalues, spectral_profile
+from .spectral import dense_gram, gauss_rule, gram_eigenvalues, spectral_profile
 
 _EPS_MIN = 1e-12
 # Every error variance the estimators report or divide by is at least this.
@@ -157,13 +157,19 @@ class MampState:
         # the matching lambda_dagger factor is restored in the scale that
         # mle_step hands to the history's weights, leaving the products p
         # unchanged.
-        self.w = profile.w_scaled * (profile.dim / dim)
+        ratio = profile.dim / dim
+        self.w = profile.w_scaled * ratio
         self.trace_gram = profile.trace_gram
         self.lambda_dagger = profile.lambda_dagger
         self.iteration = 0
         self.gamma = np.zeros(self.measure_dim, dtype=np.complex128)
         self.adj_gamma = None       # A^H gamma, reused by the next step
-        self.history = History(self.w, y, dim, cfg.max_iters, cfg.damping_window)
+
+        def rule(q):
+            x, mu = gauss_rule(A, q)
+            return x, mu * ratio
+
+        self.history = History(self.w, y, dim, cfg.max_iters, cfg.damping_window, rule)
         self.meter = CostMeter()
         self.row_blocks = None
         if (isinstance(A, DiagonalOperator) and isinstance(Xi, IbsOperator)

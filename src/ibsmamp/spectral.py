@@ -1,5 +1,5 @@
-"""Spectral analysis of the measurement operator: eigen bounds and the
-trace moments that drive the memory estimator.
+"""Spectral analysis of the measurement operator: eigen bounds, the trace
+moments that drive the memory estimator and their Gauss rule.
 
 All quantities refer to the Gram operator G = A A^H and the midpoint shift
 B = lambda_dagger I - G with lambda_dagger = (lambda_min + lambda_max) / 2,
@@ -10,8 +10,11 @@ through the signal-gain moments
 over the m = A.rows rows of A; ``MampState`` renormalizes them to the
 dimension of its history.
 
-Both come from one spectral measure of G, nodes with masses that stand
-for tr f(G) = sum(mass * f(node)): the bounds are its extreme nodes.  It is
+All three come from one spectral measure of G, nodes with masses that
+stand for tr f(G) = sum(mass * f(node)): the bounds are its extreme nodes,
+the moments its weighted powers, and ``gauss_rule`` its q-node Gauss
+quadrature (Golub & Meurant, *Matrices, Moments and Quadrature*), which
+``memory.History`` folds long memories into.  The measure is
 
 * exact, the eigenvalues with unit masses, for diagonal and circulant
   operators at any size (closed forms) and for anything else up to
@@ -23,8 +26,9 @@ for tr f(G) = sum(mass * f(node)): the bounds are its extreme nodes.  It is
 A dense Gram is built in Fortran order, the layout in which
 ``fastpath.eigvalsh_in_place`` hands it to LAPACK without a copy.
 
-The spectrum, the measure and each profile are computed once per operator,
-when first asked for, and kept read-only in the operator's private memo.
+The spectrum, the measure, each profile and each Gauss rule are computed
+once per operator, when first asked for, and kept read-only in the
+operator's private memo.
 """
 
 from __future__ import annotations
@@ -192,10 +196,61 @@ def spectral_profile(A: LinearOperator, depth: int) -> SpectralProfile:
     return _memoized(A, ("profile", depth), lambda: _profile(A, depth))
 
 
-def _profile(A: LinearOperator, depth: int) -> SpectralProfile:
+def _midpoint(A: LinearOperator) -> tuple[float, float]:
+    """lambda_dagger, the midpoint of the eigen bounds, and the scale
+    1 / lambda_dagger of the profile's moments (1 unless it is positive)."""
     lam_min, lam_max = eigen_bounds(A)
     lam_dag = 0.5 * (lam_min + lam_max)
-    scale = 1.0 / lam_dag if lam_dag > 0 else 1.0
+    return lam_dag, 1.0 / lam_dag if lam_dag > 0 else 1.0
+
+
+def _profile(A: LinearOperator, depth: int) -> SpectralProfile:
+    lam_dag, scale = _midpoint(A)
     w_scaled = trace_moments(A, lam_dag, depth, scale=scale)
     w_scaled.setflags(write=False)
     return SpectralProfile(lambda_dagger=lam_dag, w_scaled=w_scaled, dim=A.rows)
+
+
+def gauss_rule(A: LinearOperator, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, mu), the Gauss rule of at most q nodes for the moments of every
+    profile of A: sum(mu * x^k) equals ``w_scaled[k]`` for k < 2 len(x),
+    up to rounding, and approximates it beyond.
+
+    Lanczos with full reorthogonalization on the measure's nodes
+    (lambda_dagger - node) / lambda_dagger with masses mass * node / m
+    (Golub & Meurant): the nodes are the eigenvalues of the q x q Jacobi
+    matrix, the weights its first eigenvector components squared times the
+    total mass.  A measure on fewer than q points stops early with a rule
+    exact at every degree.  Computed once per operator and q; the arrays
+    are read-only.
+    """
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    return _memoized(A, ("gauss", q), lambda: _gauss_rule(A, q))
+
+
+def _gauss_rule(A: LinearOperator, q: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, mass = _measure(A)
+    lam_dag, scale = _midpoint(A)
+    points = (lam_dag - nodes) * scale
+    # A dense spectrum's rounding can put a node a hair below zero.
+    weight = np.maximum(mass * nodes, 0.0) / A.rows
+    total = float(weight.sum())
+    basis = np.empty((q, points.size))
+    v = np.sqrt(weight / total)
+    alpha, beta = [], []
+    for k in range(q):
+        basis[k] = v
+        u = points * v
+        alpha.append(float(v @ u))
+        u -= (basis[:k + 1] @ u) @ basis[:k + 1]
+        b = float(np.sqrt(u @ u))
+        if k + 1 == q or b <= _BREAKDOWN * np.abs(points).max():
+            break
+        beta.append(b)
+        v = u / b
+    x, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    mu = total * vecs[0] ** 2
+    x.setflags(write=False)
+    mu.setflags(write=False)
+    return x, mu

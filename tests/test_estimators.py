@@ -424,19 +424,74 @@ def full_history_memory():
     return memory_sum
 
 
+def record_folds(patch):
+    """The step of every fold of a History built under ``patch``, in order."""
+    folds, fold = [], History._fold
+
+    def recording_fold(self, t, k0):
+        before = self._folded
+        fold(self, t, k0)
+        if self._folded != before:
+            folds.append(t)
+
+    patch.setattr(History, "_fold", recording_fold)
+    return folds
+
+
 @pytest.mark.parametrize("variant", ("BW_IBS", "BS"))
 def test_released_rows_leave_every_step_bit_identical(monkeypatch, fixed_length, variant):
     # Over 200 steps BW_IBS releases old rows and moves the kept ones to the
     # front of the buffer, and BS keeps a long memory; both match a memory
-    # sum over a history that keeps every row, to the bit.
+    # sum over a history that keeps every row, to the bit, BS up to the
+    # step of its first fold.
     instance, Xi, prior = wide_instance(variant)
     cfg = MampConfig(max_iters=200, damping_window=5)
+    folds = record_folds(monkeypatch)
     got, got_r = recorded_run(monkeypatch, instance, Xi, prior, cfg)
     want, want_r = recorded_run(monkeypatch, instance, Xi, prior, cfg, full_history_memory())
-    assert len(got_r) == 200 and got_r == want_r
+    assert len(got_r) == 200
+    if variant == "BS":
+        assert folds and folds[0] > memory._NODES + memory._BLOCK, folds
+        assert got_r[:folds[0] - 1] == want_r[:folds[0] - 1]
+        return
+    assert not folds and got_r == want_r
     assert got.s_hat.tobytes() == want.s_hat.tobytes()
     assert got.points == want.points
     assert got.meter == want.meter
+
+
+def sum_error(history, p, total):
+    """The distance of a memory sum ``total`` from the exact p @ hist[:t]
+    over the rows recorded by ``record_pushes``, relative to
+    sum_i |p_i| ||h_i||; 0 where that is 0."""
+    t = len(p)
+    weight = np.sum(np.abs(p) * np.array(history.norms[:t]))
+    return np.linalg.norm(total - p @ history.pushed[:t]) / weight if weight else 0.0
+
+
+@pytest.mark.parametrize("window", (5, 20))
+def test_a_folded_memory_stays_within_the_fold_tolerance(monkeypatch, fixed_length, window):
+    # From its first fold on, a 200-step BS run sums its memory through the
+    # accumulators of a 64-node Gauss rule: every sum stays within 8 u of
+    # sum_i |p_i| ||h_i|| of the exact p @ hist[:t] over the recorded rows,
+    # and every step's MSE within 1e-6 dB of the exact memory's run.  A
+    # damping window longer than a block keeps its rows out of the fold.
+    instance, Xi, prior = wide_instance("BS")
+    cfg = MampConfig(max_iters=200, damping_window=window)
+    folds = record_folds(monkeypatch)
+    memory_sum, errors = History.memory_sum, []
+
+    def checked_sum(history, p, scale):
+        total, read = memory_sum(history, p, scale)
+        errors.append(sum_error(history, p, total))
+        return total, read
+
+    got, _ = recorded_run(monkeypatch, instance, Xi, prior, cfg, checked_sum)
+    assert len(folds) >= 3 and ("gauss", memory._NODES) in instance.A._memo
+    assert len(errors) == 200 and max(errors) <= 8 * 2.0 ** -53, max(errors)
+    want, _ = recorded_run(monkeypatch, instance, Xi, prior, cfg, full_history_memory())
+    gap = [abs(a.mse_db - b.mse_db) for a, b in zip(got.points, want.points)]
+    assert len(gap) == 200 and max(gap) < 1e-6, max(gap)
 
 
 def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_length):
@@ -445,7 +500,29 @@ def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_lengt
     # is 111 here, where the run releases rows from t = 112 on.  The run
     # pushes h_1 and the damped estimates of its first 199 steps: the last
     # step is not damped.
+    written = track_written_rows(monkeypatch)
     instance, Xi, prior = wide_instance("BW_IBS")
+    run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=200, damping_window=5))
+    assert len(written) == 200
+    assert max(written) < 201 * 2 // 3, max(written)
+    # It never folds, so it never computes a Gauss rule.
+    assert ("gauss", memory._NODES) not in instance.A._memo
+
+
+def test_a_folding_run_writes_at_most_q_and_four_blocks_of_rows(monkeypatch, fixed_length):
+    # A 200-step BS run keeps a long memory: it folds it into q accumulator
+    # rows instead of holding every row it can still read, about 200.
+    written = track_written_rows(monkeypatch)
+    instance, Xi, prior = wide_instance("BS")
+    window = 5
+    run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=200, damping_window=window))
+    assert len(written) == 200
+    assert max(written) + 1 <= memory._NODES + 4 * memory._BLOCK + window, max(written)
+
+
+def track_written_rows(patch):
+    """The buffer row that each push of a History built under ``patch``
+    writes, in order."""
     written, push = [], History.push
 
     def tracking(self, estimate, residual):
@@ -454,10 +531,41 @@ def test_a_converging_run_writes_only_the_rows_it_keeps(monkeypatch, fixed_lengt
         written.append(buffer_row(cands) + len(cands) - 1)
         push(self, estimate, residual)
 
-    monkeypatch.setattr(History, "push", tracking)
-    run_cd_mamp(instance, Xi, prior, MampConfig(max_iters=200, damping_window=5))
-    assert len(written) == 200
-    assert max(written) < 201 * 2 // 3, max(written)
+    patch.setattr(History, "push", tracking)
+    return written
+
+
+def test_a_fold_that_later_steps_outweigh_is_released(monkeypatch):
+    # Gram eigenvalues {1, 100}: the two-node rule is exact, and with
+    # theta lambda_dagger = 1 the weights decay by 0.98 a lag, so the kept
+    # memory is folded at t = 82 and 114.  From t = 121 on theta is
+    # 1e-3 / lambda_dagger: the folded rows fall below rounding at every
+    # later step, the release at t = 176 drops the accumulators with them,
+    # and every later sum is the per-step sum to the bit.  Each sum stays
+    # within 8 u of sum_i |p_i| ||h_i|| of the exact one.
+    steps = 192
+    rng = generator(11)
+    y = np.array([1.0 + 0j, 2.0])
+    record_pushes(monkeypatch)
+    A, state = make_square_state([10.0, 1.0], y, max_iters=steps)
+    memory_sum, folded, errors, exact = History.memory_sum, [], [], []
+
+    def checked_sum(history, p, scale):
+        total, read = memory_sum(history, p, scale)
+        errors.append(sum_error(history, p, total))
+        exact.append(total.tobytes() == per_step_memory(history, p, scale)[0].tobytes())
+        folded.append(history._folded)
+        return total, read
+
+    monkeypatch.setattr(History, "memory_sum", checked_sum)
+    for t in range(1, steps):
+        mle_step(state, (1.0 if t <= 120 else 1e-3) / state.lambda_dagger)
+        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        state.history.push(h, y - A.apply(h))
+    assert folded.index(82) == 81 and folded.index(114) == 113
+    assert folded.index(0, 81) == 175 and all(exact[175:])
+    assert max(errors) <= 8 * 2.0 ** -53, max(errors)
+    assert released_rows(state.history, steps) > 150
 
 
 class PoisonedNumpy:

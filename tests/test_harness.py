@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ibsmamp import harness, ibs, operators, selftest, spectral
+from ibsmamp import fastpath, harness, ibs, operators, selftest, spectral
 from ibsmamp.cli import main
 from ibsmamp.denoisers import denoise_bernoulli_gaussian
 from ibsmamp.errors import ConfigurationError
@@ -161,17 +161,12 @@ def test_experiment_files_are_byte_identical_across_runs_and_threads(tmp_path, e
 def blas_threads(cfg, seed):
     """The thread count the loaded OpenBLAS of this process reports, None
     without one: a trial function for ``_map_trials``."""
-    with open("/proc/self/maps") as fh:
-        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            if hasattr(handle, symbol):
-                getter = getattr(handle, symbol)
-                getter.restype = ctypes.c_int
-                return getter()
-    return None
+    getter = fastpath._openblas_symbol("scipy_openblas_get_num_threads64_",
+                                       "openblas_get_num_threads64_", "openblas_get_num_threads")
+    if getter is None:
+        return None
+    getter.restype = ctypes.c_int
+    return getter()
 
 
 def test_trial_workers_run_one_blas_thread():
@@ -380,11 +375,12 @@ TOY_DIGESTS = {
         "cs_mse_trajectories.csv": "6382ad1978e95d652a5eb8b0bbf6c17f7cbc68db970e2d3b60f31295c79f0468",
         "cs_mse_summary.csv": "04550ccdd55b9bb6ac100ac248ed02632e19cf0e32aafae7cd6ea77c769e5617"}),
     # Every variant stops converged: full at t = 62, BW_IBS at 73 and BS at
-    # 115 of 200, before any history row is released.  The release tests of
-    # test_estimators run with that stop off.
+    # 115 of 200, before any history row is released; BS folds its memory
+    # at t = 82.  The release and fold tests of test_estimators run with
+    # that stop off.
     "cs-mse-long": ("cs-mse", LONG_CS, {
-        "cs_mse_trajectories.csv": "891d6a2d33cb65c57f19fabad0413a92d54a24616295dfb057b33bde7ff79d5a",
-        "cs_mse_summary.csv": "5278e148edbabb1398cd7d565afb0e595f9b4f8ad47547843703f2864d081cfc"}),
+        "cs_mse_trajectories.csv": "0fd538c9062c315f073810fa310ccc87042ce051f520ca918faec93f9770deb1",
+        "cs_mse_summary.csv": "282e3e5e07a2d5c215bc4cd5578d0fc7d81923e09e9a3e979c974f0c4afd4474"}),
     "ber-static": ("ifdm-ber", SMALL_BER, {
         "ifdm_ber.csv": "7473c0b1217666686311e5eac466379857c8499551294eb06a2ec7a9af7c5820",
         "ifdm_ber_summary.csv": "879e9b2472bc49767ba5673f40649dab3e6143855b39c9c80aa1ec3de58f9474"}),
@@ -430,12 +426,12 @@ def test_toy_csv_digests_are_pinned(tmp_path, name):
 
 # sha256 of each CSV of the three experiments the benchmark times, at full
 # size and seed 1: one default cs-mse trial (n = 8192, where the memory sum
-# runs in blocks and releases rows), the default ifdm-ber at 24 trials, and
+# runs in blocks, releases rows and folds them), the default ifdm-ber at 24 trials, and
 # three Doppler ifdm-ber trials at 8 dB.  Taken as the toy digests are.
 FULL_DIGESTS = {
     "cs-long": ("cs-mse", {"trials": 1}, {
-        "cs_mse_trajectories.csv": "8f45bede1cfdf226d960b23af1876d69624de6cc9d73e0b9468fd70bb7bc8ae7",
-        "cs_mse_summary.csv": "466b9acdcbbcae1900532d3df491fd110d96828c2affc6a90c570733903b090f"}),
+        "cs_mse_trajectories.csv": "f685d6734251ebd93d77ed3782b3d25c0f7db87a1d45fb2515a7825d46051bef",
+        "cs_mse_summary.csv": "b66c23fc3b06a3d041e24ece85bf251446909f28faf3789efe5605714bc6935a"}),
     "ber-static": ("ifdm-ber", {"trials": 24}, {
         "ifdm_ber.csv": "90eb5e054dc35e97d301e700341a7a9609d076f37234979ea03db1f787e8db91",
         "ifdm_ber_summary.csv": "c6e22211183fb1f6ef0b6ee1689d375c17a9490f5a60c6db3a51e0eaab0f3641"}),

@@ -5,12 +5,13 @@ import pytest
 
 from ibsmamp import spectral
 from ibsmamp.errors import MaterializationLimitError
+from ibsmamp.harness import CsMseConfig
 from ibsmamp.operators import DiagonalOperator, LinearOperator, materialize_dense
 from ibsmamp.rng import generator
 from ibsmamp.scenarios import (CirculantOperator, doppler_preset_4ghz_100kmh_15khz,
                                gen_multipath_channel, gen_sensing_diagonal)
 from ibsmamp.selftest import check_fast_paths
-from ibsmamp.spectral import (dense_gram, eigen_bounds, gram_eigenvalues,
+from ibsmamp.spectral import (dense_gram, eigen_bounds, gauss_rule, gram_eigenvalues,
                               spectral_profile, trace_moments)
 
 
@@ -215,3 +216,48 @@ def test_dense_spectrum_matches_eigvalsh():
     # Doppler Grams above the self-test's sizes, up to the benchmark's 1024.
     ok, detail = check_fast_paths(doppler_sizes=(128, 1024), gram_seed=5)
     assert ok, detail
+
+
+def rule_moments(rule, depth):
+    """sum(mu * x^k) for k = 0..depth of a Gauss rule (x, mu)."""
+    x, mu = rule
+    return (x ** np.arange(depth + 1)[:, None]) @ mu
+
+
+@pytest.mark.parametrize("seed", (3, 4))
+def test_gauss_rule_is_exact_to_degree_2q_minus_1(monkeypatch, seed):
+    # A random measure of 300 points: the q-node rule reproduces every
+    # moment of degree below 2q, drawing from no generator.
+    rng = generator(seed)
+    A = DiagonalOperator(rng.standard_normal(300) + 1j * rng.standard_normal(300))
+    monkeypatch.setattr(spectral, "generator", None)
+    for q in (8, 64):
+        x, mu = gauss_rule(A, q)
+        assert x.size == q and (mu > 0).all() and (np.abs(x) < 1).all()
+        w = spectral_profile(A, 2 * q - 1).w_scaled
+        assert np.abs(rule_moments((x, mu), 2 * q - 1) - w).max() <= 1e-14 * w[0]
+
+
+def test_gauss_rule_of_64_nodes_gives_cs_long_moments_to_depth_600():
+    # The spectrum of the default cs-mse sensing diagonal, 4096 distinct
+    # eigenvalues: 64 nodes give every moment to depth 600 within 1.3e-13
+    # of w_0, where 48 nodes are near 1e-10 off.
+    cfg = CsMseConfig()
+    A = gen_sensing_diagonal(cfg.rows, cfg.n, cfg.kappa)
+    w = spectral_profile(A, 600).w_scaled
+    assert np.abs(rule_moments(gauss_rule(A, 64), 600) - w).max() <= 1e-12 * w[0]
+    assert np.abs(rule_moments(gauss_rule(A, 48), 600) - w).max() > 1e-11 * w[0]
+
+
+def test_gauss_rule_is_memoized_read_only_and_stops_on_few_points():
+    # Gram eigenvalues {1, 4, 4}: a measure on two points has a two-node
+    # rule, exact at every degree.
+    A = DiagonalOperator(np.array([1.0, 2.0, 2.0]))
+    x, mu = rule = gauss_rule(A, 64)
+    assert gauss_rule(A, 64) is rule and gauss_rule(A, 8) is not rule
+    assert not x.flags.writeable and not mu.flags.writeable
+    assert np.allclose(x, [-0.6, 0.6], rtol=0, atol=1e-15)
+    w = spectral_profile(A, 40).w_scaled
+    assert np.allclose(rule_moments(rule, 40), w, rtol=0, atol=1e-15 * w[0])
+    with pytest.raises(ValueError):
+        gauss_rule(A, 0)
